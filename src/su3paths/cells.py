@@ -23,8 +23,8 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, replace
-from functools import lru_cache
+from dataclasses import dataclass, fields, replace
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -115,7 +115,8 @@ class CellSystem:
 
     ``items`` is kept in canonical triangle order so equality is
     bit-for-bit; ``residual_items`` stores the verification report of the
-    producing step (solver or file load).
+    producing step (solver or file load).  The hash and the value map are
+    computed once per instance and never pickled.
     """
 
     graph: str
@@ -124,9 +125,19 @@ class CellSystem:
     seed: Optional[int] = None
     warnings: Tuple[str, ...] = ()
 
-    @property
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.graph, self.items, self.residual_items, self.seed, self.warnings))
+
+    @cached_property
     def values(self) -> Mapping[OrientedTriangle, complex]:
-        return _cells_values(self)
+        return MappingProxyType(dict(self.items))
 
     @property
     def residuals(self) -> Mapping[str, float]:
@@ -149,11 +160,6 @@ class CellSystem:
             residual_items=tuple(sorted((str(k), float(v)) for k, v in residuals.items())),
             warnings=self.warnings if warnings is None else tuple(warnings),
         )
-
-
-@lru_cache(maxsize=None)
-def _cells_values(cells: CellSystem) -> Mapping[OrientedTriangle, complex]:
-    return MappingProxyType(dict(cells.items))
 
 
 def cell_system(g: GraphSpec, values: Mapping[OrientedTriangle, complex], **kw) -> CellSystem:

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -49,9 +49,9 @@ class Vertex:
     id: str
     tri: Optional[Tuple[int, int]] = None
 
-    @property
-    def label(self) -> str:
-        return self.id
+
+# Walk counts stay in int64 while every entry is provably below this bound.
+_INT64_SAFE = 2**62
 
 
 @dataclass(frozen=True)
@@ -60,6 +60,10 @@ class GraphSpec:
 
     ``sigma_edges`` is an ordered tuple of (from, to) vertex-id pairs; the
     order is part of the value (it fixes matrix layouts downstream).
+
+    Derived data (the hash, lookup maps, adjacency and walk counts) is
+    computed on first use and kept on the instance, so it is freed with
+    the graph.  It is never pickled: ``__getstate__`` keeps the fields only.
     """
 
     name: str
@@ -67,16 +71,26 @@ class GraphSpec:
     sigma_edges: Tuple[Tuple[str, str], ...]
     kappa: int
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.name, self.vertices, self.sigma_edges, self.kappa))
+
     @property
     def level(self) -> int:
         return self.kappa - 3
 
     def vertex_ids(self) -> Tuple[str, ...]:
-        return _vertex_ids(self)
+        return self._vertex_ids
 
     def index(self, vid: str) -> int:
         try:
-            return _index_map(self)[vid]
+            return self._index_map[vid]
         except KeyError:
             raise GraphError(f"unknown vertex {vid!r} in graph {self.name!r}") from None
 
@@ -84,53 +98,100 @@ class GraphSpec:
         return self.vertices[self.index(vid)]
 
     def has_edge(self, u: str, v: str) -> bool:
-        return (u, v) in _edge_set(self)
+        return (u, v) in self._edge_set
 
     def out_neighbors(self, vid: str) -> Tuple[str, ...]:
         """Targets of sigma arrows leaving vid, sorted by id."""
-        return _out_map(self).get(vid, ())
+        return self._out_map.get(vid, ())
 
     def in_neighbors(self, vid: str) -> Tuple[str, ...]:
         """Sources of sigma arrows entering vid, sorted by id."""
-        return _in_map(self).get(vid, ())
+        return self._in_map.get(vid, ())
 
+    def walk_counts(self, word: Tuple[str, ...]) -> np.ndarray:
+        """Read-only matrix whose (i, j) entry counts the walks from vertex i
+        to vertex j along word: an 's' step follows a sigma arrow, a 'b'
+        step runs against one.
 
-@lru_cache(maxsize=None)
-def _vertex_ids(g: GraphSpec) -> Tuple[str, ...]:
-    return tuple(v.id for v in g.vertices)
+        Each word's matrix is its prefix's matrix times one step matrix
+        (A for 's', A transposed for 'b'), kept per word on the graph, so
+        words sharing a prefix share its product.  Entries are int64 while
+        max(row sum, column sum) ** len(word) < 2**62, which bounds every
+        entry and partial sum, and exact Python ints (object dtype) beyond.
+        """
+        table = self._walk_counts
+        m = table.get(word)
+        if m is not None:
+            return m
+        known = len(word) - 1
+        while word[:known] not in table:
+            known -= 1
+        m = table[word[:known]]
+        for k in range(known, len(word)):
+            tag = word[k]
+            if tag == "s":
+                step = self._adjacency
+            elif tag == "b":
+                step = self._adjacency.T
+            else:
+                raise ValueError(f"walk step {tag!r} must be 's' or 'b'")
+            if self._max_degree ** (k + 1) >= _INT64_SAFE:
+                m, step = m.astype(object), step.astype(object)
+            m = m @ step
+            m.flags.writeable = False
+            table[word[: k + 1]] = m
+        return m
 
+    @cached_property
+    def _vertex_ids(self) -> Tuple[str, ...]:
+        return tuple(v.id for v in self.vertices)
 
-@lru_cache(maxsize=None)
-def _index_map(g: GraphSpec) -> Mapping[str, int]:
-    return MappingProxyType({v.id: k for k, v in enumerate(g.vertices)})
+    @cached_property
+    def _index_map(self) -> Mapping[str, int]:
+        return MappingProxyType({v.id: k for k, v in enumerate(self.vertices)})
 
+    @cached_property
+    def _edge_set(self) -> frozenset:
+        return frozenset(self.sigma_edges)
 
-@lru_cache(maxsize=None)
-def _edge_set(g: GraphSpec):
-    return frozenset(g.sigma_edges)
+    @cached_property
+    def _out_map(self) -> Mapping[str, Tuple[str, ...]]:
+        out: dict = {v.id: [] for v in self.vertices}
+        for u, v in self.sigma_edges:
+            out[u].append(v)
+        return MappingProxyType({k: tuple(sorted(vs)) for k, vs in out.items()})
 
+    @cached_property
+    def _in_map(self) -> Mapping[str, Tuple[str, ...]]:
+        inc: dict = {v.id: [] for v in self.vertices}
+        for u, v in self.sigma_edges:
+            inc[v].append(u)
+        return MappingProxyType({k: tuple(sorted(us)) for k, us in inc.items()})
 
-@lru_cache(maxsize=None)
-def _out_map(g: GraphSpec) -> Mapping[str, Tuple[str, ...]]:
-    out: dict = {v.id: [] for v in g.vertices}
-    for u, v in g.sigma_edges:
-        out[u].append(v)
-    return MappingProxyType({k: tuple(sorted(vs)) for k, vs in out.items()})
+    @cached_property
+    def _adjacency(self) -> np.ndarray:
+        a = adjacency_matrix(self)
+        a.flags.writeable = False
+        return a
 
+    @cached_property
+    def _max_degree(self) -> int:
+        """Largest row or column sum of the adjacency matrix."""
+        a = self._adjacency
+        return int(max(a.sum(axis=1).max(initial=0), a.sum(axis=0).max(initial=0)))
 
-@lru_cache(maxsize=None)
-def _in_map(g: GraphSpec) -> Mapping[str, Tuple[str, ...]]:
-    inc: dict = {v.id: [] for v in g.vertices}
-    for u, v in g.sigma_edges:
-        inc[v].append(u)
-    return MappingProxyType({k: tuple(sorted(us)) for k, us in inc.items()})
+    @cached_property
+    def _walk_counts(self) -> dict:
+        one = np.eye(len(self.vertices), dtype=np.int64)
+        one.flags.writeable = False
+        return {(): one}
 
 
 def adjacency_matrix(g: GraphSpec) -> np.ndarray:
     """Integer sigma-adjacency matrix in vertex order (A[i,j] = #arrows i->j)."""
     n = len(g.vertices)
     a = np.zeros((n, n), dtype=np.int64)
-    idx = _index_map(g)
+    idx = g._index_map
     for u, v in g.sigma_edges:
         a[idx[u], idx[v]] += 1
     return a
@@ -224,9 +285,6 @@ class SpectralData:
     def delta(self) -> float:
         """Loop parameter [2] = 2*cos(pi/kappa); note [2]**2 = 1 + beta."""
         return loop_parameter(self.kappa)
-
-    def mu_vector(self, g: GraphSpec) -> np.ndarray:
-        return np.array([self.mu[v.id] for v in g.vertices], dtype=float)
 
 
 @lru_cache(maxsize=None)

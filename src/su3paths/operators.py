@@ -331,10 +331,6 @@ def apply_annihilation(g, cells, p: ElementaryPath, i: int) -> PathVector:
     return annihilation(g, cells, p.grading, i).apply(PathVector.from_path(g, p))
 
 
-def apply_creation(g, cells, p: ElementaryPath, i: int) -> PathVector:
-    return creation(g, cells, p.grading, i).apply(PathVector.from_path(g, p))
-
-
 def apply_cup(g, cells, p: ElementaryPath, i: int) -> PathVector:
     return cup(g, cells, p.grading, i).apply(PathVector.from_path(g, p))
 

@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import GraphSpec, adjacency_matrix
+from .graphs import GraphSpec
 
 #: refuse to materialize gradings with more basis paths than this
 MAX_PATH_SPACE = 10**6
@@ -30,6 +30,10 @@ class PathSpaceTooLarge(RuntimeError):
 
 class GradingMismatch(ValueError):
     """Two vectors from different gradings were combined."""
+
+
+class PathCountMismatch(RuntimeError):
+    """Enumeration found a different number of paths than the walk count."""
 
 
 class EdgeTag(str, enum.Enum):
@@ -52,6 +56,16 @@ def parse_word(text: str) -> Word:
         raise ValueError(f"word {text!r} must consist of characters 's' and 'b'") from None
 
 
+def _is_typed_word(word) -> bool:
+    """True when word is already a tuple of EdgeTag members."""
+    if type(word) is not tuple:
+        return False
+    for t in word:
+        if type(t) is not EdgeTag:
+            return False
+    return True
+
+
 def word_str(word: Sequence[EdgeTag]) -> str:
     return "".join(t.value for t in word)
 
@@ -70,8 +84,10 @@ class ElementaryPath:
     word: Word
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        object.__setattr__(self, "word", tuple(EdgeTag(t) for t in self.word))
+        if type(self.vertices) is not tuple:
+            object.__setattr__(self, "vertices", tuple(self.vertices))
+        if not _is_typed_word(self.word):
+            object.__setattr__(self, "word", tuple(EdgeTag(t) for t in self.word))
         if len(self.vertices) != len(self.word) + 1:
             raise ValueError("vertex count must be word length + 1")
 
@@ -137,7 +153,8 @@ class PathGrading:
     word: Word
 
     def __post_init__(self):
-        object.__setattr__(self, "word", tuple(EdgeTag(t) for t in self.word))
+        if not _is_typed_word(self.word):
+            object.__setattr__(self, "word", tuple(EdgeTag(t) for t in self.word))
 
     @property
     def length(self) -> int:
@@ -154,15 +171,10 @@ def path_space_dim(g: GraphSpec, grading: PathGrading) -> int:
     """Dimension of the grading without enumeration.
 
     Entry (start, end) of the ordered product of step matrices (adjacency
-    for SIGMA, its transpose for SIGMA_BAR).  Exact integer arithmetic.
+    for SIGMA, its transpose for SIGMA_BAR), read from the graph's
+    per-word walk-count table.  Exact integer arithmetic.
     """
-    a = adjacency_matrix(g).astype(object)
-    at = a.T
-    n = len(g.vertices)
-    m = np.eye(n, dtype=object)
-    for tag in grading.word:
-        m = m @ (a if tag is EdgeTag.SIGMA else at)
-    return int(m[g.index(grading.start), g.index(grading.end)])
+    return int(g.walk_counts(grading.word)[g.index(grading.start), g.index(grading.end)])
 
 
 @lru_cache(maxsize=None)
@@ -170,7 +182,8 @@ def enumerate_paths(g: GraphSpec, grading: PathGrading) -> Tuple[ElementaryPath,
     """All elementary paths realizing the grading, in lexicographic order
     of their vertex sequences.  Deterministic; cached per grading.
 
-    Raises PathSpaceTooLarge when the dimension exceeds MAX_PATH_SPACE.
+    Raises PathSpaceTooLarge when the dimension exceeds MAX_PATH_SPACE,
+    and PathCountMismatch if the enumeration disagrees with the count.
     """
     g.index(grading.start), g.index(grading.end)
     dim = path_space_dim(g, grading)
@@ -192,7 +205,8 @@ def enumerate_paths(g: GraphSpec, grading: PathGrading) -> Tuple[ElementaryPath,
             prefix.pop()
 
     walk([grading.start])
-    assert len(out) == dim, f"enumeration/matrix count mismatch on {grading}"
+    if len(out) != dim:
+        raise PathCountMismatch(f"enumerated {len(out)} paths on {grading}, counted {dim}")
     return tuple(out)
 
 

@@ -1,0 +1,143 @@
+"""Hashing, pickling and word coercion of the frozen value types."""
+
+import copy
+import os
+import pickle
+import subprocess
+import sys
+import weakref
+from dataclasses import replace
+
+import pytest
+
+import su3paths
+from su3paths import (
+    EdgeTag,
+    ElementaryPath,
+    PathGrading,
+    build_a_graph,
+    conjugate_graph,
+    get_graph,
+    graph_from_dict,
+    graph_names,
+    graph_to_dict,
+    parse_word,
+    path_space_dim,
+    shipped_cells,
+)
+
+
+def assert_same_key(x, y):
+    assert x is not y
+    assert x == y
+    assert hash(x) == hash(y)
+    assert {x: "found"}[y] == "found"
+
+
+@pytest.mark.parametrize("name", graph_names())
+def test_equal_graphs_hash_equal(name):
+    g = get_graph(name)
+    first = g.vertex_ids()[0]
+    path_space_dim(g, PathGrading(first, first, ()))  # fills the per-instance caches
+    for twin in (
+        graph_from_dict(graph_to_dict(g)),
+        conjugate_graph(conjugate_graph(g)),
+        replace(g),
+        copy.deepcopy(g),
+        pickle.loads(pickle.dumps(g)),
+    ):
+        assert_same_key(g, twin)
+
+
+def test_equal_cell_systems_hash_equal(a2):
+    cells = shipped_cells(a2)
+    assert weakref.ref(cells)() is cells
+    cells.values  # fills the per-instance cache
+    for twin in (
+        shipped_cells(build_a_graph(2)),  # built separately, from the file
+        replace(cells),
+        replace(cells, seed=cells.seed),
+        cells.with_residuals(cells.residuals, cells.warnings),
+        pickle.loads(pickle.dumps(cells)),
+    ):
+        assert_same_key(cells, twin)
+        assert twin.values == cells.values
+    assert replace(cells, seed=12345) != cells
+
+
+_CHILD = """
+import pickle, sys
+from su3paths import PathGrading, get_graph, parse_word, path_space_dim, shipped_cells
+
+with open(sys.argv[1], "rb") as fh:
+    g, cells = pickle.load(fh)
+fresh_g = get_graph("e5")
+fresh_cells = shipped_cells(fresh_g)
+assert g == fresh_g and hash(g) == hash(fresh_g)
+assert cells == fresh_cells and hash(cells) == hash(fresh_cells)
+table = {fresh_g: "graph", fresh_cells: "cells"}
+assert table[g] == "graph" and table[cells] == "cells"
+assert g.has_edge("1_0", "2_1") and g.out_neighbors("1_0") == ("2_1",)
+assert path_space_dim(g, PathGrading("1_0", "2_1", parse_word("s"))) == 1
+assert cells.values == fresh_cells.values
+print("ok")
+"""
+
+
+def test_unpickled_objects_rehash_under_another_hash_seed(tmp_path):
+    g = get_graph("e5")
+    cells = shipped_cells(g)
+    # fill every per-instance cache before pickling
+    hash(g)
+    hash(cells)
+    cells.values
+    path_space_dim(g, PathGrading("1_0", "2_1", parse_word("sb")))
+    assert g.has_edge("1_0", "2_1") and g.out_neighbors("2_1")
+    blob = tmp_path / "objects.pkl"
+    blob.write_bytes(pickle.dumps((g, cells)))
+    seed = os.environ.get("PYTHONHASHSEED")
+    src = os.path.dirname(os.path.dirname(su3paths.__file__))
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED="2" if seed == "1" else "1",
+        PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p),
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(blob)], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
+
+
+def test_typed_words_are_kept():
+    word = parse_word("sb")
+    vertices = ("3", "3b", "3")
+    p = ElementaryPath(vertices, word)
+    assert p.word is word and p.vertices is vertices
+    assert PathGrading("3", "3", word).word is word
+
+
+@pytest.mark.parametrize(
+    "word", ["sb", ["s", "b"], ("s", "b"), [EdgeTag.SIGMA, "b"], (EdgeTag.SIGMA, "b")]
+)
+def test_untyped_words_are_coerced(word):
+    expected = (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR)
+    for made in (ElementaryPath(["3", "3b", "3"], word), PathGrading("3", "3", word)):
+        assert made.word == expected
+        assert type(made.word) is tuple
+        assert all(type(t) is EdgeTag for t in made.word)
+    assert ElementaryPath(["3", "3b", "3"], word).vertices == ("3", "3b", "3")
+
+
+def test_bad_words_and_lengths_raise():
+    for word in ("sx", ("s", "x"), ["b", 1]):
+        with pytest.raises(ValueError):
+            ElementaryPath(("3", "3b", "3"), word)
+        with pytest.raises(ValueError):
+            PathGrading("3", "3", word)
+    with pytest.raises(ValueError):
+        ElementaryPath(("3", "3b"), parse_word("sb"))
+    with pytest.raises(ValueError):
+        ElementaryPath(("3", "3b", "3"), parse_word("s"))
+    with pytest.raises(ValueError):
+        ElementaryPath(("3", "3b", "3"), "s")
