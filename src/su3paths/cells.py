@@ -23,14 +23,14 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import GraphError, GraphSpec, spectral_data
+from .graphs import GraphError, GraphSpec, HashedOnce, spectral_data
 
 SUM_RULE_TOL = 1e-9
 
@@ -110,7 +110,7 @@ def collapsed_cell(g: GraphSpec, a: str, m: str) -> float:
 
 
 @dataclass(frozen=True)
-class CellSystem:
+class CellSystem(HashedOnce):
     """Immutable assignment of a complex cell to every triangle of a graph.
 
     ``items`` is kept in canonical triangle order so equality is
@@ -125,15 +125,7 @@ class CellSystem:
     seed: Optional[int] = None
     warnings: Tuple[str, ...] = ()
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.graph, self.items, self.residual_items, self.seed, self.warnings))
+    __hash__ = HashedOnce.__hash__
 
     @cached_property
     def values(self) -> Mapping[OrientedTriangle, complex]:

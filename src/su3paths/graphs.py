@@ -50,26 +50,15 @@ class Vertex:
     tri: Optional[Tuple[int, int]] = None
 
 
-# Walk counts stay in int64 while every entry is provably below this bound.
-_INT64_SAFE = 2**62
+class HashedOnce:
+    """Mixin for frozen dataclasses used as cache keys.
 
-
-@dataclass(frozen=True)
-class GraphSpec:
-    """Immutable oriented graph with its generalized Coxeter number.
-
-    ``sigma_edges`` is an ordered tuple of (from, to) vertex-id pairs; the
-    order is part of the value (it fixes matrix layouts downstream).
-
-    Derived data (the hash, lookup maps, adjacency and walk counts) is
-    computed on first use and kept on the instance, so it is freed with
-    the graph.  It is never pickled: ``__getstate__`` keeps the fields only.
+    The hash is computed once per instance, over the same fields that
+    ``__eq__`` compares.  Only the fields are pickled, so the hash and any
+    other derived attribute are rebuilt in the receiving process.
+    ``@dataclass`` replaces an inherited ``__hash__``, so each subclass
+    binds ``__hash__ = HashedOnce.__hash__`` in its body.
     """
-
-    name: str
-    vertices: Tuple[Vertex, ...]
-    sigma_edges: Tuple[Tuple[str, str], ...]
-    kappa: int
 
     def __hash__(self) -> int:
         return self._hash
@@ -79,7 +68,27 @@ class GraphSpec:
 
     @cached_property
     def _hash(self) -> int:
-        return hash((self.name, self.vertices, self.sigma_edges, self.kappa))
+        return hash(tuple(getattr(self, f.name) for f in fields(self) if f.compare))
+
+
+@dataclass(frozen=True)
+class GraphSpec(HashedOnce):
+    """Immutable oriented graph with its generalized Coxeter number.
+
+    ``sigma_edges`` is an ordered tuple of (from, to) vertex-id pairs; the
+    order is part of the value (it fixes matrix layouts downstream).
+
+    Derived data (the hash, lookup maps, adjacency and walk table) is
+    computed on first use and kept on the instance, so it is freed with
+    the graph.  It is never pickled.
+    """
+
+    name: str
+    vertices: Tuple[Vertex, ...]
+    sigma_edges: Tuple[Tuple[str, str], ...]
+    kappa: int
+
+    __hash__ = HashedOnce.__hash__
 
     @property
     def level(self) -> int:
@@ -108,40 +117,6 @@ class GraphSpec:
         """Sources of sigma arrows entering vid, sorted by id."""
         return self._in_map.get(vid, ())
 
-    def walk_counts(self, word: Tuple[str, ...]) -> np.ndarray:
-        """Read-only matrix whose (i, j) entry counts the walks from vertex i
-        to vertex j along word: an 's' step follows a sigma arrow, a 'b'
-        step runs against one.
-
-        Each word's matrix is its prefix's matrix times one step matrix
-        (A for 's', A transposed for 'b'), kept per word on the graph, so
-        words sharing a prefix share its product.  Entries are int64 while
-        max(row sum, column sum) ** len(word) < 2**62, which bounds every
-        entry and partial sum, and exact Python ints (object dtype) beyond.
-        """
-        table = self._walk_counts
-        m = table.get(word)
-        if m is not None:
-            return m
-        known = len(word) - 1
-        while word[:known] not in table:
-            known -= 1
-        m = table[word[:known]]
-        for k in range(known, len(word)):
-            tag = word[k]
-            if tag == "s":
-                step = self._adjacency
-            elif tag == "b":
-                step = self._adjacency.T
-            else:
-                raise ValueError(f"walk step {tag!r} must be 's' or 'b'")
-            if self._max_degree ** (k + 1) >= _INT64_SAFE:
-                m, step = m.astype(object), step.astype(object)
-            m = m @ step
-            m.flags.writeable = False
-            table[word[: k + 1]] = m
-        return m
-
     @cached_property
     def _vertex_ids(self) -> Tuple[str, ...]:
         return tuple(v.id for v in self.vertices)
@@ -169,20 +144,16 @@ class GraphSpec:
         return MappingProxyType({k: tuple(sorted(us)) for k, us in inc.items()})
 
     @cached_property
-    def _adjacency(self) -> np.ndarray:
-        a = adjacency_matrix(self)
+    def adjacency(self) -> np.ndarray:
+        """Read-only adjacency matrix in exact Python ints (object dtype)."""
+        a = adjacency_matrix(self).astype(object)
         a.flags.writeable = False
         return a
 
     @cached_property
-    def _max_degree(self) -> int:
-        """Largest row or column sum of the adjacency matrix."""
-        a = self._adjacency
-        return int(max(a.sum(axis=1).max(initial=0), a.sum(axis=0).max(initial=0)))
-
-    @cached_property
-    def _walk_counts(self) -> dict:
-        one = np.eye(len(self.vertices), dtype=np.int64)
+    def walk_table(self) -> dict:
+        """Word -> exact walk-count matrix, filled by ``path_space_dim``."""
+        one = np.eye(len(self.vertices), dtype=object)
         one.flags.writeable = False
         return {(): one}
 

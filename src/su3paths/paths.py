@@ -171,10 +171,22 @@ def path_space_dim(g: GraphSpec, grading: PathGrading) -> int:
     """Dimension of the grading without enumeration.
 
     Entry (start, end) of the ordered product of step matrices (adjacency
-    for SIGMA, its transpose for SIGMA_BAR), read from the graph's
-    per-word walk-count table.  Exact integer arithmetic.
+    for SIGMA, its transpose for SIGMA_BAR) in exact integers.  Each
+    word's product is its prefix's product times one step matrix, kept in
+    the graph's walk table, so words sharing a prefix share its product.
     """
-    return int(g.walk_counts(grading.word)[g.index(grading.start), g.index(grading.end)])
+    table = g.walk_table
+    word = grading.word
+    known = len(word)
+    while word[:known] not in table:
+        known -= 1
+    m = table[word[:known]]
+    a = g.adjacency
+    for k in range(known, len(word)):
+        m = m @ (a if word[k] is EdgeTag.SIGMA else a.T)
+        m.flags.writeable = False
+        table[word[: k + 1]] = m
+    return int(m[g.index(grading.start), g.index(grading.end)])
 
 
 @lru_cache(maxsize=None)

@@ -54,27 +54,17 @@ def test_counts_match_oracle_and_enumeration(name):
 
 @pytest.mark.parametrize("length", [45, 64])
 def test_long_constant_words_stay_exact(length):
-    g = get_graph("a5")  # row sums up to 3, and 3**45 > 2**63
+    g = get_graph("a5")  # row sums up to 3, so counts outgrow int64
+    ids = g.vertex_ids()
     for tag in "sb":
         word = parse_word(tag * length)
-        counts = g.walk_counts(word)
-        assert counts.dtype == object
         oracle = oracle_counts(g, word)
-        assert np.array_equal(counts, oracle)
-        ids = g.vertex_ids()
-        assert path_space_dim(g, PathGrading(ids[0], ids[-1], word)) == oracle[0, -1]
+        for (i, a), (j, b) in itertools.product(enumerate(ids), repeat=2):
+            dim = path_space_dim(g, PathGrading(a, b, word))
+            assert type(dim) is int
+            assert dim == oracle[i, j]
     if length == 64:
-        assert max(counts.ravel()) > 2**63
-
-
-def test_walk_counts_reject_bad_steps_and_are_read_only(a2):
-    with pytest.raises(ValueError):
-        a2.walk_counts(("s", "x"))
-    counts = a2.walk_counts(parse_word("sb"))
-    with pytest.raises(ValueError):
-        counts[0, 0] = 7
-    # plain 's'/'b' strings address the same table entry as typed tags
-    assert a2.walk_counts(("s", "b")) is counts
+        assert max(oracle.ravel()) > 2**63  # beyond int64
 
 
 def test_enumeration_count_mismatch_is_a_typed_error(a2, monkeypatch):
