@@ -24,13 +24,13 @@ import json
 import math
 import os
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import GraphError, GraphSpec, HashedOnce, spectral_data
+from .graphs import GraphError, GraphSpec, HashedOnce, cached_on, spectral_data
 
 SUM_RULE_TOL = 1e-9
 
@@ -82,7 +82,7 @@ def canonical_rotation(x: str, y: str, z: str) -> Tuple[str, str, str]:
     return min(rots)
 
 
-@lru_cache(maxsize=None)
+@cached_on(0)
 def enumerate_triangles(g: GraphSpec) -> Tuple[OrientedTriangle, ...]:
     """Every oriented 3-cycle of sigma arrows, canonical and sorted."""
     tris = set()
@@ -91,11 +91,6 @@ def enumerate_triangles(g: GraphSpec) -> Tuple[OrientedTriangle, ...]:
             if g.has_edge(w, u):
                 tris.add(OrientedTriangle((u, v, w)))
     return tuple(sorted(tris))
-
-
-@lru_cache(maxsize=None)
-def _triangle_set(g: GraphSpec):
-    return frozenset(enumerate_triangles(g))
 
 
 def collapsed_cell(g: GraphSpec, a: str, m: str) -> float:
@@ -115,8 +110,9 @@ class CellSystem(HashedOnce):
 
     ``items`` is kept in canonical triangle order so equality is
     bit-for-bit; ``residual_items`` stores the verification report of the
-    producing step (solver or file load).  The hash and the value map are
-    computed once per instance and never pickled.
+    producing step (solver or file load).  The hash, the value map and the
+    operator blocks built from the system are computed once per instance,
+    freed with it and never pickled.
     """
 
     graph: str
@@ -160,7 +156,8 @@ def cell_system(g: GraphSpec, values: Mapping[OrientedTriangle, complex], **kw) 
     missing = [t for t in tris if t not in values]
     if missing:
         raise GraphError(f"missing cell values for triangles {missing}")
-    unknown = [t for t in values if t not in _triangle_set(g)]
+    known = set(tris)
+    unknown = [t for t in values if t not in known]
     if unknown:
         raise GraphError(f"not triangles of {g.name!r}: {unknown}")
     return CellSystem(graph=g.name, items=tuple((t, complex(values[t])) for t in tris), **kw)
@@ -453,8 +450,9 @@ def load_cells(g: GraphSpec, path: str) -> CellSystem:
         }
     except (KeyError, TypeError, ValueError) as exc:
         raise CellFileError(f"bad cell row: {exc}") from exc
+    known = set(enumerate_triangles(g))
     for tri in values:
-        if tri not in _triangle_set(g):
+        if tri not in known:
             raise CellFileError(f"{tri} is not a triangle of {g.name!r}")
     stored = data.get("checksum")
     if stored is not None:

@@ -137,7 +137,7 @@ def _graph_of(args) -> GraphSpec:
     name = getattr(args, "graph", None)
     if not name:
         raise GraphError("no graph given (name or --graph-file)")
-    return get_graph(name.lower())
+    return get_graph(name)
 
 
 def _cells_of(g: GraphSpec, args) -> CellSystem:

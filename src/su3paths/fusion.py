@@ -16,12 +16,11 @@ compared against essential-path counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Tuple
 
 import numpy as np
 
-from .graphs import GraphError, GraphSpec, adjacency_matrix
+from .graphs import GraphError, GraphSpec, adjacency_matrix, cached_on
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +46,7 @@ def _type_bound(max_type) -> int:
     return int(p) + int(q)
 
 
-@lru_cache(maxsize=None)
+@cached_on(0)
 def _fusion_raw(g: GraphSpec, bound: int) -> Mapping[Tuple[int, int], FusionMatrix]:
     a = adjacency_matrix(g)
     n = a.shape[0]

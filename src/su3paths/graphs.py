@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -51,13 +51,15 @@ class Vertex:
 
 
 class HashedOnce:
-    """Mixin for frozen dataclasses used as cache keys.
+    """Mixin for frozen dataclasses used as cache keys and cache owners.
 
     The hash is computed once per instance, over the same fields that
-    ``__eq__`` compares.  Only the fields are pickled, so the hash and any
-    other derived attribute are rebuilt in the receiving process.
-    ``@dataclass`` replaces an inherited ``__hash__``, so each subclass
-    binds ``__hash__ = HashedOnce.__hash__`` in its body.
+    ``__eq__`` compares.  ``_memo`` holds the results of ``cached_on``
+    functions owned by the instance, so they are freed with it.  Only the
+    fields are pickled, so the hash, the memo and any other derived
+    attribute are rebuilt in the receiving process.  ``@dataclass``
+    replaces an inherited ``__hash__``, so each subclass binds
+    ``__hash__ = HashedOnce.__hash__`` in its body.
     """
 
     def __hash__(self) -> int:
@@ -70,6 +72,36 @@ class HashedOnce:
     def _hash(self) -> int:
         return hash(tuple(getattr(self, f.name) for f in fields(self) if f.compare))
 
+    @cached_property
+    def _memo(self) -> dict:
+        return {}
+
+
+def cached_on(owner: int):
+    """Memoize a function in the ``_memo`` of its argument at position ``owner``.
+
+    Arguments are passed positionally.  The key is one flat tuple: the
+    function, then every argument except the owner.  A key never refers
+    to its owner, so no reference cycle keeps a result alive: the results
+    die with the last reference to the owner.
+    """
+
+    def decorate(fn):
+        @wraps(fn)
+        def memoized(*args):
+            key = (fn, *args[:owner], *args[owner + 1 :])
+            memo = args[owner]._memo
+            try:
+                return memo[key]
+            except KeyError:
+                pass
+            value = memo[key] = fn(*args)
+            return value
+
+        return memoized
+
+    return decorate
+
 
 @dataclass(frozen=True)
 class GraphSpec(HashedOnce):
@@ -78,9 +110,10 @@ class GraphSpec(HashedOnce):
     ``sigma_edges`` is an ordered tuple of (from, to) vertex-id pairs; the
     order is part of the value (it fixes matrix layouts downstream).
 
-    Derived data (the hash, lookup maps, adjacency and walk table) is
-    computed on first use and kept on the instance, so it is freed with
-    the graph.  It is never pickled.
+    Derived data (the hash, lookup maps, adjacency, walk table, spectral
+    data, bases, triangles and fusion matrices) is computed on first use
+    and kept on the instance, so it is freed with the graph.  It is never
+    pickled.
     """
 
     name: str
@@ -244,12 +277,10 @@ class SpectralData:
 
     beta  -- largest adjacency eigenvalue, equals 1 + 2*cos(2*pi/kappa)
     mu    -- vertex id -> quantum dimension (smallest entry exactly 1)
-    q     -- exp(i*pi/kappa)
     """
 
     beta: float
     mu: Mapping[str, float]
-    q: complex
     kappa: int
 
     @property
@@ -258,9 +289,9 @@ class SpectralData:
         return loop_parameter(self.kappa)
 
 
-@lru_cache(maxsize=None)
+@cached_on(0)
 def spectral_data(g: GraphSpec) -> SpectralData:
-    """Compute (beta, mu, q) for a validated graph.
+    """Compute (beta, mu) for a validated graph.
 
     Dense eigensolve of the adjacency matrix; the PF eigenvector is
     rescaled so that its minimum entry is exactly 1.  Raises SpectralError
@@ -294,7 +325,7 @@ def spectral_data(g: GraphSpec) -> SpectralData:
             f"PF eigenvalue {beta!r} does not match 1+2cos(2pi/{g.kappa}) = {formula!r}"
         )
     mu = MappingProxyType({v.id: float(vec[i]) for i, v in enumerate(g.vertices)})
-    return SpectralData(beta=beta, mu=mu, q=complex(np.exp(1j * math.pi / g.kappa)), kappa=g.kappa)
+    return SpectralData(beta=beta, mu=mu, kappa=g.kappa)
 
 
 # ----------------------------------------------------------------------
@@ -393,12 +424,19 @@ def graph_names() -> Tuple[str, ...]:
     return tuple(sorted(_BUILDERS))
 
 
-@lru_cache(maxsize=None)
 def get_graph(name: str) -> GraphSpec:
-    """Look up a built-in graph by (case-insensitive) registry name."""
+    """Look up a built-in graph by (case-insensitive) registry name.
+
+    Every spelling of a name gives the same object, so the data derived
+    on it is computed once."""
     key = name.lower()
     if key not in _BUILDERS:
         raise GraphError(f"unknown graph {name!r}; known: {', '.join(graph_names())}")
+    return _builtin_graph(key)
+
+
+@lru_cache(maxsize=None)
+def _builtin_graph(key: str) -> GraphSpec:
     return _BUILDERS[key]()
 
 

@@ -32,14 +32,13 @@ tests for an explicit mixed-word counterexample).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
 from .cells import CellSystem, OrientedTriangle
-from .graphs import GraphSpec, spectral_data
+from .graphs import GraphSpec, cached_on, spectral_data
 from .paths import (
     EdgeTag,
     ElementaryPath,
@@ -160,10 +159,14 @@ def _check_slot(i: int, lo: int, hi: int, what: str):
 
 
 # ----------------------------------------------------------------------
-# operator builders (cached; matrices are immutable)
+# operator builders
+#
+# annihilation, creation, cup and cap blocks are kept on the cell system
+# (keyed by graph, grading, position and tag) and freed with it; matrices
+# are immutable.  tl_u and tl_f multiply cached blocks and keep nothing.
 
 
-@lru_cache(maxsize=None)
+@cached_on(1)
 def annihilation(g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int) -> LinearOperator:
     """C_i: contract the pair at positions (i, i+1).
 
@@ -196,7 +199,7 @@ def annihilation(g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int) 
     return LinearOperator(grading, codomain, m, ANNIHILATION, i)
 
 
-@lru_cache(maxsize=None)
+@cached_on(1)
 def creation(g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int) -> LinearOperator:
     """C+_i: expand the step at position i into a like pair through every
     completing triangle.  Conjugate transpose of the matching
@@ -243,7 +246,7 @@ def creation(g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int) -> L
     return LinearOperator(grading, codomain, m, CREATION, i)
 
 
-@lru_cache(maxsize=None)
+@cached_on(1)
 def cup(g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int) -> LinearOperator:
     """Contract a mixed-tag return v_{i-1} b v_{i-1} at positions (i, i+1),
     weight sqrt(mu(b)/mu(v_{i-1})).  Like-tag pairs give the zero block."""
@@ -264,7 +267,7 @@ def cup(g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int) -> Linear
     return LinearOperator(grading, codomain, m, CUP, i)
 
 
-@lru_cache(maxsize=None)
+@cached_on(1)
 def cap_oriented(
     g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int, first_tag: EdgeTag
 ) -> LinearOperator:
@@ -299,7 +302,6 @@ def cap(
     )
 
 
-@lru_cache(maxsize=None)
 def tl_u(g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int) -> LinearOperator:
     """U_i = C+_i C_i: contract the pair at (i, i+1) and re-expand.
     Zero block on mixed-tag patterns."""
@@ -313,7 +315,6 @@ def tl_u(g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int) -> Linea
     return LinearOperator(grading, grading, cre.matrix @ ann.matrix, U, i)
 
 
-@lru_cache(maxsize=None)
 def tl_f(g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int) -> LinearOperator:
     """F_i = U_i U_{i+1} U_i - U_i (closed-triangle replacement)."""
     n = grading.length

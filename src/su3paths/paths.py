@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import GraphSpec
+from .graphs import GraphSpec, cached_on
 
 #: refuse to materialize gradings with more basis paths than this
 MAX_PATH_SPACE = 10**6
@@ -189,10 +188,10 @@ def path_space_dim(g: GraphSpec, grading: PathGrading) -> int:
     return int(m[g.index(grading.start), g.index(grading.end)])
 
 
-@lru_cache(maxsize=None)
+@cached_on(0)
 def enumerate_paths(g: GraphSpec, grading: PathGrading) -> Tuple[ElementaryPath, ...]:
     """All elementary paths realizing the grading, in lexicographic order
-    of their vertex sequences.  Deterministic; cached per grading.
+    of their vertex sequences.  Deterministic; cached per grading on g.
 
     Raises PathSpaceTooLarge when the dimension exceeds MAX_PATH_SPACE,
     and PathCountMismatch if the enumeration disagrees with the count.
@@ -202,27 +201,29 @@ def enumerate_paths(g: GraphSpec, grading: PathGrading) -> Tuple[ElementaryPath,
     if dim > MAX_PATH_SPACE:
         raise PathSpaceTooLarge(f"{grading} has {dim} basis paths (cap {MAX_PATH_SPACE})")
     out = []
-
-    def walk(prefix):
-        i = len(prefix) - 1
-        if i == len(grading.word):
-            if prefix[-1] == grading.end:
-                out.append(ElementaryPath(tuple(prefix), grading.word))
-            return
-        tag = grading.word[i]
-        nxt = g.out_neighbors(prefix[-1]) if tag is EdgeTag.SIGMA else g.in_neighbors(prefix[-1])
-        for v in nxt:  # neighbor maps are pre-sorted -> lexicographic output
-            prefix.append(v)
-            walk(prefix)
-            prefix.pop()
-
-    walk([grading.start])
+    _extend_walks(g, grading, [grading.start], out)
     if len(out) != dim:
         raise PathCountMismatch(f"enumerated {len(out)} paths on {grading}, counted {dim}")
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+def _extend_walks(g: GraphSpec, grading: PathGrading, prefix: list, out: list) -> None:
+    """Depth-first completion of prefix along the grading's word.  A module
+    function rather than a closure, so no reference cycle holds g."""
+    i = len(prefix) - 1
+    if i == len(grading.word):
+        if prefix[-1] == grading.end:
+            out.append(ElementaryPath(tuple(prefix), grading.word))
+        return
+    tag = grading.word[i]
+    nxt = g.out_neighbors(prefix[-1]) if tag is EdgeTag.SIGMA else g.in_neighbors(prefix[-1])
+    for v in nxt:  # neighbor maps are pre-sorted -> lexicographic output
+        prefix.append(v)
+        _extend_walks(g, grading, prefix, out)
+        prefix.pop()
+
+
+@cached_on(0)
 def _basis_index(g: GraphSpec, grading: PathGrading):
     return {p: i for i, p in enumerate(enumerate_paths(g, grading))}
 

@@ -46,6 +46,11 @@ def test_registry_shapes():
         validate_graph(g)
 
 
+def test_get_graph_spellings_share_one_graph():
+    for name in graph_names():
+        assert get_graph(name.upper()) is get_graph(name)
+
+
 def test_get_graph_unknown():
     with pytest.raises(GraphError):
         get_graph("f4")

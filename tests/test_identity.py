@@ -1,6 +1,8 @@
-"""Hashing, pickling and word coercion of the frozen value types."""
+"""Hashing, pickling and word coercion of the frozen value types, and the
+lifetime of the data cached on graphs and cell systems."""
 
 import copy
+import gc
 import os
 import pickle
 import subprocess
@@ -15,15 +17,23 @@ from su3paths import (
     EdgeTag,
     ElementaryPath,
     PathGrading,
+    annihilation,
     build_a_graph,
+    cap_oriented,
     conjugate_graph,
+    creation,
+    cup,
+    enumerate_paths,
+    gauge_transform,
     get_graph,
     graph_from_dict,
     graph_names,
     graph_to_dict,
     parse_word,
     path_space_dim,
+    random_gauge,
     shipped_cells,
+    spectral_data,
 )
 
 
@@ -92,7 +102,13 @@ def test_unpickled_objects_rehash_under_another_hash_seed(tmp_path):
     hash(cells)
     cells.values
     path_space_dim(g, PathGrading("1_0", "2_1", parse_word("sb")))
+    grading = PathGrading("1_0", "1_0", parse_word("sb"))
+    assert enumerate_paths(g, grading)
+    assert cup(g, cells, grading, 1).shape[1] == path_space_dim(g, grading)
     assert g.has_edge("1_0", "2_1") and g.out_neighbors("2_1")
+    assert g._memo and cells._memo
+    for obj in (g, cells):
+        assert "_memo" not in obj.__getstate__()
     blob = tmp_path / "objects.pkl"
     blob.write_bytes(pickle.dumps((g, cells)))
     seed = os.environ.get("PYTHONHASHSEED")
@@ -107,6 +123,36 @@ def test_unpickled_objects_rehash_under_another_hash_seed(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "ok"
+
+
+def test_cached_data_dies_with_its_owner():
+    """Blocks and graph data need no cycle collection: they are freed
+    as soon as the last reference to their owner goes."""
+    g = build_a_graph(2)
+    cells = gauge_transform(shipped_cells(g), random_gauge(g, 7))
+    grading = PathGrading("1", "3b", parse_word("ss"))
+    blocks = [
+        annihilation(g, cells, grading, 1),
+        creation(g, cells, grading, 1),
+        cup(g, cells, PathGrading("3", "3", parse_word("sb")), 1),
+        cap_oriented(g, cells, grading, 1, EdgeTag.SIGMA_BAR),
+    ]
+    assert all(b.matrix.any() for b in blocks)
+    refs = [weakref.ref(b) for b in blocks]
+    spectral = weakref.ref(spectral_data(g))
+    del blocks
+    assert all(r() is not None for r in refs)  # the cell system holds them
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        del cells
+        assert [r() for r in refs] == [None] * len(refs)
+        assert spectral() is not None  # the graph holds it
+        del g
+        assert spectral() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_typed_words_are_kept():
