@@ -111,8 +111,9 @@ class CellSystem(HashedOnce):
     ``items`` is kept in canonical triangle order so equality is
     bit-for-bit; ``residual_items`` stores the verification report of the
     producing step (solver or file load).  The hash, the value map and the
-    operator blocks built from the system are computed once per instance,
-    freed with it and never pickled.
+    annihilation and cup blocks built from the system are computed once
+    per instance, freed with it and never pickled; creation and cap are
+    rebuilt as their conjugate transposes on each call.
     """
 
     graph: str

@@ -27,7 +27,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -337,12 +337,18 @@ def cmd_verify_tl(args) -> CommandResult:
     return _result(args, 0 if passed else 1, "\n".join(lines), payload)
 
 
+def _decomposition_verdict(rep: Mapping[str, float]) -> Tuple[Dict[str, float], bool]:
+    """The residual entries of a verify_decomposition report, and whether
+    the sweep passed: no failed grading and every residual under CHECK_TOL."""
+    residuals = {k: v for k, v in rep.items() if k not in ("gradings", "failures", "max_len")}
+    return residuals, rep["failures"] == 0 and all(v < CHECK_TOL for v in residuals.values())
+
+
 def cmd_verify_decomposition(args) -> CommandResult:
     g = _graph_of(args)
     cells = _cells_of(g, args)
     rep = dict(verify_decomposition(g, cells, max_len=args.max_len))
-    residuals = {k: v for k, v in rep.items() if k not in ("gradings", "failures", "max_len")}
-    passed = rep["failures"] == 0 and all(v < CHECK_TOL for v in residuals.values())
+    residuals, passed = _decomposition_verdict(rep)
     payload = {
         "graph": g.name,
         "max_len": int(rep["max_len"]),
@@ -895,8 +901,7 @@ def run_report(g: GraphSpec, cells: CellSystem, max_len: int) -> CommandResult:
 
     def decomposition_check() -> Tuple[bool, str]:
         rep = dict(verify_decomposition(g, cells, max_len=max_len))
-        residuals = {k: v for k, v in rep.items() if k not in ("gradings", "failures", "max_len")}
-        ok = rep["failures"] == 0 and all(v < CHECK_TOL for v in residuals.values())
+        residuals, ok = _decomposition_verdict(rep)
         return ok, (
             f"{int(rep['gradings'])} gradings, {int(rep['failures'])} failures, "
             f"worst residual {_e(max(residuals.values()))}"

@@ -42,6 +42,7 @@ from .fusion import fusion_matrix
 from .graphs import GraphError, GraphSpec, spectral_data
 from .operators import (
     LinearOperator,
+    _mnorm,
     annihilation,
     cap_oriented,
     collapsed_grading,
@@ -299,10 +300,6 @@ class DecompositionReport:
     @property
     def dim_raised(self) -> int:
         return int(sum(self.raised_dims))
-
-
-def _mnorm(x: np.ndarray) -> float:
-    return float(np.abs(x).max()) if x.size else 0.0
 
 
 def decompose_space(

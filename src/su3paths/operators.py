@@ -10,13 +10,14 @@ v_0 .. v_n, word w_1 .. w_n):
   T/sqrt(mu(v_{i-1}) mu(v_{i+1})) for sigma-sigma and the conjugate cell
   for the mirrored pair; every other tag pattern gives the zero block.
 * creation C+_i (1 <= i <= n) expands the single step at position i into
-  the like-tagged pair through every completing triangle; weights are
-  chosen so that the matrix is exactly the conjugate transpose of the
-  matching annihilation.
+  the like-tagged pair through every completing triangle.  It is defined
+  as the conjugate transpose of the annihilation that contracts that
+  pair, so the cell weights are written once.
 * cup (1 <= i <= n-1) contracts a mixed-tag return v_{i-1} b v_{i-1},
   weight sqrt(mu(b)/mu(v_{i-1})) (the collapsed cell over mu); cap
   inserts returns through every neighbor, one operator per insertion
-  order since the two orders land in different codomain words.
+  order since the two orders land in different codomain words.  Cap is
+  defined as the conjugate transpose of the matching cup.
 
 U_i = C+_i C_i is an endomorphism of each graded block.  verify_tl
 sweeps all gradings up to a word length and reports max residuals for:
@@ -161,9 +162,11 @@ def _check_slot(i: int, lo: int, hi: int, what: str):
 # ----------------------------------------------------------------------
 # operator builders
 #
-# annihilation, creation, cup and cap blocks are kept on the cell system
-# (keyed by graph, grading, position and tag) and freed with it; matrices
-# are immutable.  tl_u and tl_f multiply cached blocks and keep nothing.
+# annihilation and cup blocks are kept on the cell system (keyed by graph,
+# grading and position) and freed with it; matrices are immutable.
+# creation and cap return a fresh conjugate transpose of one of those
+# blocks on each call, and tl_u and tl_f multiply blocks; none of these
+# four keeps anything.
 
 
 @cached_on(1)
@@ -199,51 +202,12 @@ def annihilation(g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int) 
     return LinearOperator(grading, codomain, m, ANNIHILATION, i)
 
 
-@cached_on(1)
 def creation(g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int) -> LinearOperator:
     """C+_i: expand the step at position i into a like pair through every
-    completing triangle.  Conjugate transpose of the matching
-    annihilation by construction."""
-    n = grading.length
-    _check_slot(i, 1, n, "creation")
-    codomain = expanded_grading(grading, i)
-    dom = enumerate_paths(g, grading)
-    idx = _basis_index(g, codomain)
-    mu = spectral_data(g).mu
-    values = cells.values
-    m = np.zeros((len(idx), len(dom)), dtype=complex)
-    t = grading.word[i - 1]
-    pair = codomain.word[i - 1]
-    for col, p in enumerate(dom):
-        a, c = p.vertices[i - 1], p.vertices[i]
-        scale = np.sqrt(mu[a] * mu[c])
-        if t is EdgeTag.SIGMA_BAR:
-            # new pair is sigma-sigma through m: arrows a->m, m->c
-            for mid in g.out_neighbors(a):
-                if not g.has_edge(mid, c):
-                    continue
-                val = values.get(OrientedTriangle((a, mid, c)))
-                if val is None or val == 0:
-                    continue
-                q = ElementaryPath(
-                    p.vertices[:i] + (mid,) + p.vertices[i:],
-                    p.word[: i - 1] + (pair, pair) + p.word[i:],
-                )
-                m[idx[q], col] += np.conj(val) / scale
-        else:
-            # new pair is barred: arrows m->a, c->m
-            for mid in g.in_neighbors(a):
-                if not g.has_edge(c, mid):
-                    continue
-                val = values.get(OrientedTriangle((a, c, mid)))
-                if val is None or val == 0:
-                    continue
-                q = ElementaryPath(
-                    p.vertices[:i] + (mid,) + p.vertices[i:],
-                    p.word[: i - 1] + (pair, pair) + p.word[i:],
-                )
-                m[idx[q], col] += val / scale
-    return LinearOperator(grading, codomain, m, CREATION, i)
+    completing triangle; the conjugate transpose of the annihilation that
+    contracts that pair."""
+    _check_slot(i, 1, grading.length, "creation")
+    return annihilation(g, cells, expanded_grading(grading, i), i).adjoint()
 
 
 @cached_on(1)
@@ -267,39 +231,15 @@ def cup(g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int) -> Linear
     return LinearOperator(grading, codomain, m, CUP, i)
 
 
-@cached_on(1)
 def cap_oriented(
     g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int, first_tag: EdgeTag
 ) -> LinearOperator:
     """Insert a return v_{i-1} b v_{i-1} before position i, one term per
     neighbor b, weight sqrt(mu(b)/mu(v_{i-1})); first_tag fixes the
-    insertion order and hence the codomain word."""
-    n = grading.length
-    _check_slot(i, 1, n + 1, "cap")
-    first_tag = EdgeTag(first_tag)
-    codomain = cap_grading(grading, i, first_tag)
-    dom = enumerate_paths(g, grading)
-    idx = _basis_index(g, codomain)
-    mu = spectral_data(g).mu
-    m = np.zeros((len(idx), len(dom)), dtype=complex)
-    for col, p in enumerate(dom):
-        a = p.vertices[i - 1]
-        nbrs = g.out_neighbors(a) if first_tag is EdgeTag.SIGMA else g.in_neighbors(a)
-        for b in nbrs:
-            q = ElementaryPath(p.vertices[:i] + (b, a) + p.vertices[i:], codomain.word)
-            m[idx[q], col] += np.sqrt(mu[b] / mu[a])
-    return LinearOperator(grading, codomain, m, CAP, i)
-
-
-def cap(
-    g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int
-) -> Tuple[LinearOperator, LinearOperator]:
-    """Both insertion orders of the return pair; the two orders have
-    different codomain words, hence two operators."""
-    return (
-        cap_oriented(g, cells, grading, i, EdgeTag.SIGMA),
-        cap_oriented(g, cells, grading, i, EdgeTag.SIGMA_BAR),
-    )
+    insertion order and hence the codomain word.  The conjugate transpose
+    of the cup that closes that return."""
+    _check_slot(i, 1, grading.length + 1, "cap")
+    return cup(g, cells, cap_grading(grading, i, first_tag), i).adjoint()
 
 
 def tl_u(g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int) -> LinearOperator:
@@ -499,7 +439,12 @@ def verify_tl(
 
 def verify_adjointness(g: GraphSpec, cells: CellSystem, max_len: int = 4) -> float:
     """Max deviation of creation from annihilation^H and of cap from
-    cup^H over all gradings with |word| <= max_len."""
+    cup^H over all gradings with |word| <= max_len.
+
+    creation and cap are built as those conjugate transposes, so this
+    checks that each pair meets on matching gradings and positions; the
+    weights themselves are checked against loop-built blocks in the tests.
+    """
     from .paths import iter_gradings, path_space_dim
 
     worst = 0.0

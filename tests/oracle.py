@@ -1,0 +1,131 @@
+"""Loop-built creation and cap blocks: the reference for the library.
+
+The library builds creation as annihilation^H and cap as cup^H, so
+comparing those pairs with each other only checks a conjugate
+transpose.  These builders fill every entry of creation and cap directly
+from the cell weights and the Perron-Frobenius data, one basis path at a
+time, so comparing the library with them checks the weights themselves.
+"""
+
+import numpy as np
+
+from su3paths import (
+    EdgeTag,
+    ElementaryPath,
+    LinearOperator,
+    cap_oriented,
+    creation,
+    enumerate_paths,
+    iter_gradings,
+    path_space_dim,
+    spectral_data,
+)
+from su3paths.cells import OrientedTriangle
+from su3paths.operators import (
+    CAP,
+    CREATION,
+    _check_slot,
+    _mnorm,
+    cap_grading,
+    expanded_grading,
+)
+from su3paths.paths import _basis_index
+
+
+def loop_creation(g, cells, grading, i) -> LinearOperator:
+    """C+_i: expand the step at position i into a like pair through every
+    completing triangle."""
+    n = grading.length
+    _check_slot(i, 1, n, "creation")
+    codomain = expanded_grading(grading, i)
+    dom = enumerate_paths(g, grading)
+    idx = _basis_index(g, codomain)
+    mu = spectral_data(g).mu
+    values = cells.values
+    m = np.zeros((len(idx), len(dom)), dtype=complex)
+    t = grading.word[i - 1]
+    pair = codomain.word[i - 1]
+    for col, p in enumerate(dom):
+        a, c = p.vertices[i - 1], p.vertices[i]
+        scale = np.sqrt(mu[a] * mu[c])
+        if t is EdgeTag.SIGMA_BAR:
+            # new pair is sigma-sigma through m: arrows a->m, m->c
+            for mid in g.out_neighbors(a):
+                if not g.has_edge(mid, c):
+                    continue
+                val = values.get(OrientedTriangle((a, mid, c)))
+                if val is None or val == 0:
+                    continue
+                q = ElementaryPath(
+                    p.vertices[:i] + (mid,) + p.vertices[i:],
+                    p.word[: i - 1] + (pair, pair) + p.word[i:],
+                )
+                m[idx[q], col] += np.conj(val) / scale
+        else:
+            # new pair is barred: arrows m->a, c->m
+            for mid in g.in_neighbors(a):
+                if not g.has_edge(c, mid):
+                    continue
+                val = values.get(OrientedTriangle((a, c, mid)))
+                if val is None or val == 0:
+                    continue
+                q = ElementaryPath(
+                    p.vertices[:i] + (mid,) + p.vertices[i:],
+                    p.word[: i - 1] + (pair, pair) + p.word[i:],
+                )
+                m[idx[q], col] += val / scale
+    return LinearOperator(grading, codomain, m, CREATION, i)
+
+
+def loop_cap_oriented(g, cells, grading, i, first_tag) -> LinearOperator:
+    """Insert a return v_{i-1} b v_{i-1} before position i, one term per
+    neighbor b, weight sqrt(mu(b)/mu(v_{i-1})); first_tag fixes the
+    insertion order and hence the codomain word."""
+    n = grading.length
+    _check_slot(i, 1, n + 1, "cap")
+    first_tag = EdgeTag(first_tag)
+    codomain = cap_grading(grading, i, first_tag)
+    dom = enumerate_paths(g, grading)
+    idx = _basis_index(g, codomain)
+    mu = spectral_data(g).mu
+    m = np.zeros((len(idx), len(dom)), dtype=complex)
+    for col, p in enumerate(dom):
+        a = p.vertices[i - 1]
+        nbrs = g.out_neighbors(a) if first_tag is EdgeTag.SIGMA else g.in_neighbors(a)
+        for b in nbrs:
+            q = ElementaryPath(p.vertices[:i] + (b, a) + p.vertices[i:], codomain.word)
+            m[idx[q], col] += np.sqrt(mu[b] / mu[a])
+    return LinearOperator(grading, codomain, m, CAP, i)
+
+
+def oracle_deviation(g, cells, max_len: int) -> float:
+    """Compare every creation and cap block on the gradings of nonzero
+    dimension with |word| < max_len (so creation reaches words of length
+    max_len, as in verify_adjointness) with its loop-built counterpart.
+
+    Asserts that domain, codomain, kind and position agree and returns
+    the largest entry difference.
+    """
+    worst = 0.0
+    for grading in iter_gradings(g, max_len - 1):
+        if path_space_dim(g, grading) == 0:
+            continue
+        n = grading.length
+        for i in range(1, n + 1):
+            lib = creation(g, cells, grading, i)
+            worst = max(worst, _deviation(lib, loop_creation(g, cells, grading, i)))
+        for i in range(1, n + 2):
+            for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
+                lib = cap_oriented(g, cells, grading, i, tag)
+                worst = max(worst, _deviation(lib, loop_cap_oriented(g, cells, grading, i, tag)))
+    return worst
+
+
+def _deviation(lib: LinearOperator, ref: LinearOperator) -> float:
+    assert (lib.domain, lib.codomain, lib.kind, lib.position) == (
+        ref.domain,
+        ref.codomain,
+        ref.kind,
+        ref.position,
+    )
+    return _mnorm(lib.matrix - ref.matrix)

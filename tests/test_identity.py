@@ -10,6 +10,7 @@ import sys
 import weakref
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import su3paths
@@ -19,11 +20,13 @@ from su3paths import (
     PathGrading,
     annihilation,
     build_a_graph,
+    cap_grading,
     cap_oriented,
     conjugate_graph,
     creation,
     cup,
     enumerate_paths,
+    expanded_grading,
     gauge_transform,
     get_graph,
     graph_from_dict,
@@ -131,13 +134,24 @@ def test_cached_data_dies_with_its_owner():
     g = build_a_graph(2)
     cells = gauge_transform(shipped_cells(g), random_gauge(g, 7))
     grading = PathGrading("1", "3b", parse_word("ss"))
+    # creation and cap keep nothing: each call returns the conjugate
+    # transpose of the annihilation or cup block it is built from
     blocks = [
         annihilation(g, cells, grading, 1),
-        creation(g, cells, grading, 1),
+        annihilation(g, cells, expanded_grading(grading, 1), 1),
         cup(g, cells, PathGrading("3", "3", parse_word("sb")), 1),
-        cap_oriented(g, cells, grading, 1, EdgeTag.SIGMA_BAR),
+        cup(g, cells, cap_grading(grading, 1, EdgeTag.SIGMA_BAR), 1),
     ]
     assert all(b.matrix.any() for b in blocks)
+    built = [
+        creation(g, cells, grading, 1),
+        cap_oriented(g, cells, grading, 1, EdgeTag.SIGMA_BAR),
+    ]
+    assert [(b.domain, b.codomain, b.kind) for b in built] == [
+        (grading, blocks[1].domain, "CREATION"),
+        (grading, blocks[3].domain, "CAP"),
+    ]
+    assert all(np.array_equal(b.matrix, a.matrix.conj().T) for b, a in zip(built, blocks[1::2]))
     refs = [weakref.ref(b) for b in blocks]
     spectral = weakref.ref(spectral_data(g))
     del blocks
