@@ -33,6 +33,8 @@ import numpy as np
 from .graphs import GraphError, GraphSpec, HashedOnce, cached_on, spectral_data
 
 SUM_RULE_TOL = 1e-9
+_SOLVER_STARTS = 8  # Levenberg-Marquardt starts before solve_cells gives up
+_VERIFY_LEN = 4  # word length of the relation sweep a solved system carries
 
 
 class CellSolveError(RuntimeError):
@@ -232,8 +234,6 @@ def solve_cells(
     g: GraphSpec,
     seed: int = 0,
     tol: float = SUM_RULE_TOL,
-    verify_len: int = 4,
-    n_starts: int = 8,
 ) -> CellSystem:
     """Solve for a cell system satisfying the operator relations.
 
@@ -242,7 +242,7 @@ def solve_cells(
     relation residuals when the positive-real candidate fails.  The
     result is put in the canonical gauge (greedy positivization along the
     triangle list) and carries the verification report up to word length
-    ``verify_len``.  Deterministic for a fixed seed.
+    4.  Deterministic for a fixed seed.
     """
     from scipy.optimize import least_squares
 
@@ -286,7 +286,7 @@ def solve_cells(
 
     if best_res > tol:
         rng = np.random.default_rng(seed)
-        for start in range(n_starts):
+        for start in range(_SOLVER_STARTS):
             if start == 0:
                 theta = np.zeros(len(tris))
             else:
@@ -309,7 +309,7 @@ def solve_cells(
             )
 
     best = canonical_gauge(g, best)
-    report = verify_tl(g, best, max_len=verify_len)
+    report = verify_tl(g, best, max_len=_VERIFY_LEN)
     return best.with_residuals(report.summary())
 
 

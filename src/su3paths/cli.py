@@ -46,6 +46,8 @@ from .paths import (
     ElementaryPath,
     PathGrading,
     PathSpaceTooLarge,
+    PathVector,
+    _basis_index,
     enumerate_paths,
     make_path,
     parse_word,
@@ -68,6 +70,7 @@ from .operators import annihilation, verify_adjointness, verify_tl
 from .essential import (
     DecompositionError,
     EssentialBasis,
+    _null_space,
     essential_basis,
     essential_dims,
     factorize_path,
@@ -493,8 +496,7 @@ def cmd_factorize(args) -> CommandResult:
     rec = factorize_path(g, cells, p)
     ess = is_structurally_essential(g, cells, p)
     replay = replay_record(g, cells, rec)
-    paths = enumerate_paths(g, p.grading)
-    coef = complex(replay.coefficients[paths.index(p)])
+    coef = complex(replay.coefficients[_basis_index(g, p.grading)[p]])
     passed = abs(coef) > 1e-10
     events = []
     lines = [f"factorize {p} word {word_str(word) or '(empty)'} on {g.name}"]
@@ -678,14 +680,9 @@ def _membership_residual(
 ) -> float:
     """Distance of a combination from the essential subspace of its grading."""
     word = _infer_word(g, terms[0][0])
-    grading = PathGrading(terms[0][0][0], terms[0][0][-1], word)
-    paths = enumerate_paths(g, grading)
-    index = {p.vertices: k for k, p in enumerate(paths)}
-    vec = np.zeros(len(paths), dtype=np.complex128)
-    for verts, coef in terms:
-        vec[index[tuple(verts)]] = coef
-    vec = vec / np.linalg.norm(vec)
-    basis = essential_basis(g, cells, grading)
+    combo = PathVector.from_terms(g, [(c, ElementaryPath(tuple(v), word)) for v, c in terms])
+    vec = combo.coefficients / combo.norm()
+    basis = essential_basis(g, cells, combo.grading)
     if basis.dim == 0:
         return 1.0
     B = np.column_stack([v.coefficients for v in basis.vectors])
@@ -801,10 +798,7 @@ def _check_e5_ratios(g: GraphSpec, cells: CellSystem) -> Tuple[bool, str]:
         grading = PathGrading(f"1_{i}", f"2_{i}", (EdgeTag.SIGMA_BAR,) * 3)
         paths = enumerate_paths(g, grading)
         pos = {p.vertices[2]: k for k, p in enumerate(paths)}
-        M = annihilation(g, cells, grading, 2).matrix
-        _, s, vh = np.linalg.svd(M)
-        rank = int((s > 1e-9 * s.max()).sum()) if s.size else 0
-        null = vh[rank:].conj().T
+        null, _ = _null_space(annihilation(g, cells, grading, 2).matrix)
         if null.shape[1] != 1:
             bad.append(f"slot-2 kernel dim at 1_{i}")
             continue

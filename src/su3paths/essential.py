@@ -55,6 +55,7 @@ from .paths import (
     ElementaryPath,
     PathGrading,
     PathVector,
+    _basis_index,
     concatenate,
     enumerate_paths,
     iter_gradings,
@@ -94,6 +95,16 @@ def kernel_operators(
     return tuple(ops)
 
 
+def _null_space(matrix: np.ndarray):
+    """Orthonormal basis (columns) of the numerical null space of matrix,
+    plus its singular values.  The rank counts singular values above
+    NULL_TOL times the largest one."""
+    _, svals, vh = np.linalg.svd(matrix)
+    smax = svals[0] if len(svals) else 0.0
+    rank = int(np.sum(svals > NULL_TOL * smax)) if smax > 0 else 0
+    return vh[rank:].conj().T, svals
+
+
 def raw_kernel(g: GraphSpec, cells: CellSystem, grading: PathGrading):
     """Orthonormal basis (columns) of the joint kernel, ignoring the level
     clause, plus the singular values backing the rank decision."""
@@ -103,11 +114,8 @@ def raw_kernel(g: GraphSpec, cells: CellSystem, grading: PathGrading):
     ops = kernel_operators(g, cells, grading)
     if not ops:
         return np.eye(dim, dtype=complex), ()
-    stack = np.vstack([op.matrix for op in ops])
-    _, svals, vh = np.linalg.svd(stack)
-    smax = svals[0] if len(svals) else 0.0
-    rank = int(np.sum(svals > NULL_TOL * smax)) if smax > 0 else 0
-    return vh[rank:].conj().T, tuple(float(s) for s in svals)
+    null, svals = _null_space(np.vstack([op.matrix for op in ops]))
+    return null, tuple(float(s) for s in svals)
 
 
 @dataclass(frozen=True)
@@ -231,17 +239,12 @@ class Decomposer:
         self._memo: dict = {}
 
     def sources(self, grading: PathGrading):
-        """(slot, source grading, raising operator) per slot of the word."""
-        out = []
-        w = grading.word
-        for i in range(1, grading.length):
-            if w[i - 1] == w[i]:
-                src = collapsed_grading(grading, i)
-                out.append((i, src, creation(self.g, self.cells, src, i)))
-            else:
-                src = cup_grading(grading, i)
-                out.append((i, src, cap_oriented(self.g, self.cells, src, i, w[i - 1])))
-        return out
+        """(slot, source grading, raising operator) per slot of the word.
+        Each raising operator is the adjoint of the lowering one there: a
+        creation out of the collapsed word, or a cap out of the word with
+        the mixed pair removed."""
+        ops = kernel_operators(self.g, self.cells, grading)
+        return [(op.position, op.codomain, op.adjoint()) for op in ops]
 
     def basis(self, grading: PathGrading):
         if grading in self._memo:
@@ -480,8 +483,8 @@ def factorize_path(g: GraphSpec, cells: CellSystem, p: ElementaryPath) -> Factor
                 collapsed_grading(current.grading, i).word,
             )
             op = creation(g, cells, core.grading, i)
-            row = enumerate_paths(g, current.grading).index(current)
-            col = enumerate_paths(g, core.grading).index(core)
+            row = _basis_index(g, current.grading)[current]
+            col = _basis_index(g, core.grading)[core]
             events.append(
                 PeelStep(
                     kind="CREATION",
@@ -514,8 +517,6 @@ def _concat_vector(g: GraphSpec, vec: PathVector, seg: ElementaryPath) -> PathVe
     grading = PathGrading(vec.grading.start, seg.end, vec.grading.word + seg.word)
     out = PathVector.zero(g, grading)
     basis = enumerate_paths(g, vec.grading)
-    from .paths import _basis_index
-
     idx = _basis_index(g, grading)
     for coeff, k in vec.support(tol=0.0):
         q = concatenate(basis[k], seg)

@@ -250,9 +250,8 @@ def tl_u(g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int) -> Linea
     if grading.word[i - 1] != grading.word[i]:
         dim = len(enumerate_paths(g, grading))
         return LinearOperator(grading, grading, np.zeros((dim, dim), complex), U, i)
-    ann = annihilation(g, cells, grading, i)
-    cre = creation(g, cells, ann.codomain, i)
-    return LinearOperator(grading, grading, cre.matrix @ ann.matrix, U, i)
+    c = annihilation(g, cells, grading, i).matrix
+    return LinearOperator(grading, grading, c.conj().T @ c, U, i)
 
 
 def tl_f(g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int) -> LinearOperator:
@@ -325,7 +324,6 @@ def verify_tl(
     g: GraphSpec,
     cells: CellSystem,
     max_len: int = 4,
-    lemma_constant: Optional[float] = None,
 ) -> TLReport:
     """Sweep every grading with |word| <= max_len and report max residuals.
 
@@ -336,10 +334,10 @@ def verify_tl(
     h3:     U_i U_{i+1} U_i - U_i = U_{i+1} U_i U_{i+1} - U_{i+1} on
             constant-tag runs of length 3.
     h4:     the quartic relation on constant-tag runs of length 4.
-    lemma:  F_i F_{i+1} F_i = K F_i on the same runs; K defaults to
-            [2]^2, the square of the loop parameter (equal to beta^2 on
-            the smallest graph, where the two candidates coincide), and
-            the best-fit K is reported alongside.
+    lemma:  F_i F_{i+1} F_i = K F_i on the same runs, with K = [2]^2,
+            the square of the loop parameter (equal to beta^2 on the
+            smallest graph, where the two candidates coincide); the
+            best-fit K is reported alongside.
     f_square: F_i^2 = [2] beta F_i on runs of length 3.
     cupcap: cup_i cap_i = beta 1 per insertion order, C_i C+_i = [2] 1,
             and (C_i C+_i)^2 = 1 + cup cap on every grading.
@@ -350,7 +348,7 @@ def verify_tl(
 
     sd = spectral_data(g)
     delta, beta = sd.delta, sd.beta
-    kconst = float(delta**2 if lemma_constant is None else lemma_constant)
+    kconst = float(delta**2)
 
     keys = ("h1", "h2", "h3", "h4", "lemma", "f_square", "cupcap", "sum_rule")
     res = {k: 0.0 for k in keys}

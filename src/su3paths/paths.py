@@ -7,6 +7,12 @@ the coarser type (alpha, beta) counts s- and b-steps.  Spaces are graded
 by (start vertex, end vertex, word): the grading is the unit on which
 operators act, and elementary paths in lexicographic vertex order are
 its orthonormal basis.
+
+Counts and bases both grow one step at a time along the word, and both
+are kept on the graph: a word's walk-count matrix is its prefix's times
+one step matrix, and a grading's basis is built from the bases of its
+prefix gradings.  _basis_index is the one map from a basis path to its
+position.
 """
 
 from __future__ import annotations
@@ -193,34 +199,33 @@ def enumerate_paths(g: GraphSpec, grading: PathGrading) -> Tuple[ElementaryPath,
     """All elementary paths realizing the grading, in lexicographic order
     of their vertex sequences.  Deterministic; cached per grading on g.
 
+    Grown from the prefix word, as the counts are: the basis of
+    start -> end along w + (t,) is the union, over every v with a t-step
+    v -> end and a nonzero count start -> v along w, of the cached basis
+    of that prefix grading with end appended.
+
     Raises PathSpaceTooLarge when the dimension exceeds MAX_PATH_SPACE,
     and PathCountMismatch if the enumeration disagrees with the count.
     """
-    g.index(grading.start), g.index(grading.end)
+    start, end, word = grading.start, grading.end, grading.word
+    g.index(start), g.index(end)
     dim = path_space_dim(g, grading)
     if dim > MAX_PATH_SPACE:
         raise PathSpaceTooLarge(f"{grading} has {dim} basis paths (cap {MAX_PATH_SPACE})")
-    out = []
-    _extend_walks(g, grading, [grading.start], out)
-    if len(out) != dim:
-        raise PathCountMismatch(f"enumerated {len(out)} paths on {grading}, counted {dim}")
-    return tuple(out)
-
-
-def _extend_walks(g: GraphSpec, grading: PathGrading, prefix: list, out: list) -> None:
-    """Depth-first completion of prefix along the grading's word.  A module
-    function rather than a closure, so no reference cycle holds g."""
-    i = len(prefix) - 1
-    if i == len(grading.word):
-        if prefix[-1] == grading.end:
-            out.append(ElementaryPath(tuple(prefix), grading.word))
-        return
-    tag = grading.word[i]
-    nxt = g.out_neighbors(prefix[-1]) if tag is EdgeTag.SIGMA else g.in_neighbors(prefix[-1])
-    for v in nxt:  # neighbor maps are pre-sorted -> lexicographic output
-        prefix.append(v)
-        _extend_walks(g, grading, prefix, out)
-        prefix.pop()
+    if not word:
+        walks = [(start,)] if start == end else []
+    else:
+        head = word[:-1]
+        last = g.in_neighbors(end) if word[-1] is EdgeTag.SIGMA else g.out_neighbors(end)
+        walks = []
+        for v in last:
+            prefix = PathGrading(start, v, head)
+            if path_space_dim(g, prefix):
+                walks.extend(p.vertices + (end,) for p in enumerate_paths(g, prefix))
+        walks.sort()
+    if len(walks) != dim:
+        raise PathCountMismatch(f"enumerated {len(walks)} paths on {grading}, counted {dim}")
+    return tuple(ElementaryPath(vs, word) for vs in walks)
 
 
 @cached_on(0)

@@ -1,10 +1,15 @@
-"""Loop-built creation and cap blocks: the reference for the library.
+"""Reference builders the library is checked against.
 
-The library builds creation as annihilation^H and cap as cup^H, so
-comparing those pairs with each other only checks a conjugate
-transpose.  These builders fill every entry of creation and cap directly
-from the cell weights and the Perron-Frobenius data, one basis path at a
-time, so comparing the library with them checks the weights themselves.
+Loop-built creation and cap blocks: the library builds creation as
+annihilation^H and cap as cup^H, so comparing those pairs with each
+other only checks a conjugate transpose.  These builders fill every
+entry of creation and cap directly from the cell weights and the
+Perron-Frobenius data, one basis path at a time, so comparing the
+library with them checks the weights themselves.
+
+A depth-first walker for bases: the library grows each basis from the
+bases of its prefix gradings; the walker completes every walk from the
+start vertex along the whole word and keeps those that end right.
 """
 
 import numpy as np
@@ -13,6 +18,7 @@ from su3paths import (
     EdgeTag,
     ElementaryPath,
     LinearOperator,
+    PathGrading,
     cap_oriented,
     creation,
     enumerate_paths,
@@ -129,3 +135,24 @@ def _deviation(lib: LinearOperator, ref: LinearOperator) -> float:
         ref.position,
     )
     return _mnorm(lib.matrix - ref.matrix)
+
+
+def walk_paths(g, grading: PathGrading):
+    """Basis of the grading by depth-first walk, in lexicographic order."""
+    out = []
+    _extend_walks(g, grading, [grading.start], out)
+    return tuple(out)
+
+
+def _extend_walks(g, grading: PathGrading, prefix: list, out: list) -> None:
+    i = len(prefix) - 1
+    if i == len(grading.word):
+        if prefix[-1] == grading.end:
+            out.append(ElementaryPath(tuple(prefix), grading.word))
+        return
+    tag = grading.word[i]
+    nxt = g.out_neighbors(prefix[-1]) if tag is EdgeTag.SIGMA else g.in_neighbors(prefix[-1])
+    for v in nxt:  # neighbor maps are pre-sorted -> lexicographic output
+        prefix.append(v)
+        _extend_walks(g, grading, prefix, out)
+        prefix.pop()

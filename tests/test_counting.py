@@ -1,6 +1,7 @@
 """Walk-count tables: exactness against the plain object-dtype product."""
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -69,8 +70,12 @@ def test_long_constant_words_stay_exact(length):
 
 def test_enumeration_count_mismatch_is_a_typed_error(a2, monkeypatch):
     grading = PathGrading("1", "3", parse_word("s"))
-    monkeypatch.setattr(paths_mod, "path_space_dim", lambda g, gr: 2)
-    with pytest.raises(PathCountMismatch, match="enumerated 1 paths"):
+    counted = paths_mod.path_space_dim
+    # a wrong count for this grading only: its prefix gradings count right
+    monkeypatch.setattr(
+        paths_mod, "path_space_dim", lambda g, gr: 2 if gr == grading else counted(g, gr)
+    )
+    with pytest.raises(PathCountMismatch, match=re.escape(f"enumerated 1 paths on {grading},")):
         enumerate_paths.__wrapped__(a2, grading)
     assert issubclass(PathCountMismatch, RuntimeError)
 

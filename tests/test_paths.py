@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from su3paths import (
     EdgeTag,
@@ -10,7 +12,10 @@ from su3paths import (
     PathGrading,
     PathVector,
     concatenate,
+    conjugate_graph,
     enumerate_paths,
+    get_graph,
+    graph_names,
     inner_product,
     is_valid_path,
     iter_gradings,
@@ -21,6 +26,7 @@ from su3paths import (
     word_str,
     word_type,
 )
+from oracle import walk_paths
 
 
 def test_word_parsing_roundtrip():
@@ -75,6 +81,31 @@ def test_dim_matches_enumeration_sweep(a2):
     for grading in iter_gradings(a2, 4):
         dim = path_space_dim(a2, grading)
         assert dim == len(enumerate_paths(a2, grading))
+
+
+def _oracle_graphs():
+    return [get_graph(name) for name in graph_names()] + [conjugate_graph(get_graph("e5"))]
+
+
+@pytest.mark.parametrize("g", _oracle_graphs(), ids=lambda g: g.name)
+def test_enumeration_matches_walk_oracle(g):
+    for grading in iter_gradings(g, 4):
+        assert enumerate_paths(g, grading) == walk_paths(g, grading), str(grading)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(graph_names()),
+    text=st.text(alphabet="sb", max_size=6),
+    ends=st.tuples(st.integers(0, 20), st.integers(0, 20)),
+)
+def test_enumeration_matches_walk_oracle_on_random_words(name, text, ends):
+    g = get_graph(name)
+    ids = g.vertex_ids()
+    a, b = (ids[k % len(ids)] for k in ends)
+    grading = PathGrading(a, b, parse_word(text))
+    # uncached call, so the basis is rebuilt from the prefix bases
+    assert enumerate_paths.__wrapped__(g, grading) == walk_paths(g, grading)
 
 
 def test_dim_example_e5(e5):
