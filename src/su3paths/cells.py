@@ -26,7 +26,7 @@ import os
 from dataclasses import dataclass, replace
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -58,18 +58,6 @@ class OrientedTriangle:
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", canonical_rotation(*self.vertices))
-
-    @property
-    def x(self):
-        return self.vertices[0]
-
-    @property
-    def y(self):
-        return self.vertices[1]
-
-    @property
-    def z(self):
-        return self.vertices[2]
 
     def edges(self) -> Tuple[Tuple[str, str], ...]:
         x, y, z = self.vertices
@@ -133,9 +121,6 @@ class CellSystem(HashedOnce):
     @property
     def residuals(self) -> Mapping[str, float]:
         return MappingProxyType(dict(self.residual_items))
-
-    def triangles(self) -> Tuple[OrientedTriangle, ...]:
-        return tuple(t for t, _ in self.items)
 
     def cell(self, x: str, y: str, z: str) -> complex:
         """Cell of the oriented cycle through x, y, z (any rotation)."""
@@ -433,14 +418,17 @@ def load_cells(g: GraphSpec, path: str) -> CellSystem:
     the arrow sum rule at 1e-9 a warning is recorded in the system (the
     file is still returned so it can be inspected)."""
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise CellFileError(f"{path!r} is not JSON: {exc}") from exc
     try:
         graph_name = data["graph"]
         rows = data["cells"]
         seed = data.get("seed")
-        residuals = data.get("residuals", {})
+        residuals = {str(k): float(v) for k, v in data.get("residuals", {}).items()}
         warnings = list(data.get("warnings", []))
-    except (KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CellFileError(f"bad cell file structure: {exc}") from exc
     if graph_name != g.name:
         raise CellFileError(f"cell file is for graph {graph_name!r}, not {g.name!r}")

@@ -1,4 +1,4 @@
-"""Command-line frontend wiring all the modules together.
+"""Command-line frontend: parses arguments, runs the library, formats output.
 
 Commands:
 
@@ -17,7 +17,8 @@ Graph names are case-insensitive registry keys (a2..a5, e5); --graph-file
 loads the JSON graph schema instead.  --format json (or --json) prints
 exactly one JSON document with sorted keys and no extra whitespace, so
 identical invocations are byte-identical.  Exit status is 0 iff every
-check the command ran passed.
+check the command ran passed.  The paper's reference results that the
+report checks against live in reference.py.
 """
 
 from __future__ import annotations
@@ -38,22 +39,18 @@ from .graphs import (
     graph_names,
     graph_to_dict,
     load_graph,
-    q_number,
     spectral_data,
 )
 from .paths import (
-    EdgeTag,
     ElementaryPath,
     PathGrading,
     PathSpaceTooLarge,
-    PathVector,
     _basis_index,
+    _infer_word,
     enumerate_paths,
     make_path,
     parse_word,
-    path_space_dim,
     word_str,
-    word_type,
 )
 from .cells import (
     CellFileError,
@@ -66,11 +63,9 @@ from .cells import (
     shipped_cells,
     solve_cells,
 )
-from .operators import annihilation, verify_adjointness, verify_tl
+from .operators import verify_adjointness, verify_tl
 from .essential import (
     DecompositionError,
-    EssentialBasis,
-    _null_space,
     essential_basis,
     essential_dims,
     factorize_path,
@@ -80,8 +75,15 @@ from .essential import (
     words_of_type,
 )
 from .fusion import admissible_triangles, fusion_matrices, fusion_matrix, fusion_table
-
-CHECK_TOL = 1e-8
+from .reference import (
+    CHECK_TOL,
+    MEMBERSHIP_GRAPHS,
+    _e,
+    _f,
+    check_a2_table,
+    check_e5_ratios,
+    check_memberships,
+)
 
 
 @dataclass(frozen=True)
@@ -101,14 +103,6 @@ class CommandResult:
 
 def _dump(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _f(x: float) -> str:
-    return f"{float(x):.12g}"
-
-
-def _e(x: float) -> str:
-    return f"{float(x):.3e}"
 
 
 def _cpair(z: complex) -> List[float]:
@@ -165,20 +159,6 @@ def _parse_path_arg(text: str) -> Tuple[str, ...]:
     if not all(verts):
         raise ValueError(f"bad --path {text!r}")
     return verts
-
-
-def _infer_word(g: GraphSpec, vertices: Sequence[str]) -> Tuple[EdgeTag, ...]:
-    """Tag sequence of a vertex run when every step is unambiguous."""
-    tags = []
-    for u, v in zip(vertices, vertices[1:]):
-        fwd, bwd = g.has_edge(u, v), g.has_edge(v, u)
-        if fwd and not bwd:
-            tags.append(EdgeTag.SIGMA)
-        elif bwd and not fwd:
-            tags.append(EdgeTag.SIGMA_BAR)
-        else:
-            raise GraphError(f"step {u}->{v} is {'ambiguous' if fwd else 'not an arrow'} in {g.name}")
-    return tuple(tags)
 
 
 # ----------------------------------------------------------------------
@@ -609,217 +589,6 @@ def cmd_fusion_module(args) -> CommandResult:
 # ----------------------------------------------------------------------
 # report: one-shot reproduction of the known results for a graph
 
-# Reference multiplication table for the a2 graph (row x column).
-_A2_TABLE_ROWS = {
-    "1": ("1", "3", "6", "3b", "6b", "8"),
-    "3": ("3", "3b+6", "8", "1+8", "3b", "6b+3"),
-    "6": ("6", "8", "6b", "3", "1", "3b"),
-    "3b": ("3b", "1+8", "3", "6b+3", "8", "6+3b"),
-    "6b": ("6b", "3b", "1", "8", "6", "3"),
-    "8": ("8", "6b+3", "3b", "6+3b", "3", "1+8"),
-}
-_A2_ORDER = ("1", "3", "6", "3b", "6b", "8")
-
-
-def _a2_reference_table() -> Mapping[Tuple[str, str], Mapping[str, int]]:
-    out = {}
-    for x, row in _A2_TABLE_ROWS.items():
-        for y, cell in zip(_A2_ORDER, row):
-            prods: dict = {}
-            for tok in cell.split("+"):
-                prods[tok] = prods.get(tok, 0) + 1
-            out[(x, y)] = prods
-    return out
-
-
-# Reference essential paths of the a2 graph: all single-path rows, per type.
-_A2_SINGLES = {
-    (0, 0): ["1", "3", "3b", "6", "6b", "8"],
-    (1, 0): ["1 3", "3 3b", "3 6", "3b 1", "3b 8", "6 8", "6b 3b", "8 6b", "8 3"],
-    (0, 1): ["1 3b", "3b 3", "3b 6b", "3 1", "3 8", "6b 8", "6 3", "8 6", "8 3b"],
-    (2, 0): ["6 8 6b", "6b 3b 1", "1 3 6"],
-    (0, 2): ["6b 8 6", "6 3 1", "1 3b 6b"],
-    (1, 1): [
-        "1 3 8", "1 3b 8", "8 3 1", "8 3b 1", "3 3b 6b", "3 8 6b",
-        "6b 3b 3", "6b 8 3", "3b 3 6", "3b 8 6", "6 3 3b", "6 8 3b",
-    ],
-}
-
-
-def _a2_reference_combos(g: GraphSpec) -> List[Tuple[str, List[Tuple[str, float]]]]:
-    """Two-term kernel combinations on a2: (label, [(vertex run, coefficient)]).
-
-    The diagonal rows pair one combination per word; each is essential on
-    its own, so they are checked per word.
-    """
-    sd = spectral_data(g)
-    mu = sd.mu
-    r2 = math.sqrt(q_number(2, g.kappa))
-
-    def mr(a: str, b: str) -> float:
-        return math.sqrt(mu[a] / mu[b])
-
-    return [
-        ("(3 6 8)-sqrt[2](3 3b 8)", [("3 6 8", 1.0), ("3 3b 8", -r2)]),
-        ("(3b 1 3)-sqrt[2](3b 8 3)", [("3b 1 3", 1.0), ("3b 8 3", -r2)]),
-        ("(8 6b 3b)-sqrt[2](8 3 3b)", [("8 6b 3b", 1.0), ("8 3 3b", -r2)]),
-        ("(3b 6b 8)-sqrt[2](3b 3 8)", [("3b 6b 8", 1.0), ("3b 3 8", -r2)]),
-        ("(3 1 3b)-sqrt[2](3 8 3b)", [("3 1 3b", 1.0), ("3 8 3b", -r2)]),
-        ("(8 6 3)-sqrt[2](8 3b 3)", [("8 6 3", 1.0), ("8 3b 3", -r2)]),
-        ("(3 1 3)-sqrt([1]/[8])(3 8 3)", [("3 1 3", 1.0), ("3 8 3", -mr("1", "8"))]),
-        ("(3 3b 3)-sqrt([3b]/[6])(3 6 3)", [("3 3b 3", 1.0), ("3 6 3", -mr("3b", "6"))]),
-        ("(3b 1 3b)-sqrt([1]/[8])(3b 8 3b)", [("3b 1 3b", 1.0), ("3b 8 3b", -mr("1", "8"))]),
-        ("(3b 3 3b)-sqrt([3]/[6b])(3b 6b 3b)", [("3b 3 3b", 1.0), ("3b 6b 3b", -mr("3", "6b"))]),
-        ("(8 6b 8)-sqrt([6b]/[3])(8 3 8)", [("8 6b 8", 1.0), ("8 3 8", -mr("6b", "3"))]),
-        ("(8 6 8)-sqrt([6]/[3b])(8 3b 8)", [("8 6 8", 1.0), ("8 3b 8", -mr("6", "3b"))]),
-    ]
-
-
-def _membership_residual(
-    g: GraphSpec, cells: CellSystem, terms: List[Tuple[Tuple[str, ...], complex]]
-) -> float:
-    """Distance of a combination from the essential subspace of its grading."""
-    word = _infer_word(g, terms[0][0])
-    combo = PathVector.from_terms(g, [(c, ElementaryPath(tuple(v), word)) for v, c in terms])
-    vec = combo.coefficients / combo.norm()
-    basis = essential_basis(g, cells, combo.grading)
-    if basis.dim == 0:
-        return 1.0
-    B = np.column_stack([v.coefficients for v in basis.vectors])
-    return float(np.linalg.norm(vec - B @ (B.conj().T @ vec)))
-
-
-def _single_terms(run: str) -> List[Tuple[Tuple[str, ...], complex]]:
-    return [(tuple(run.split()), 1.0)]
-
-
-def _check_a2_memberships(g: GraphSpec, cells: CellSystem) -> Tuple[bool, str]:
-    worst = 0.0
-    count = 0
-    bad = []
-    for tp, runs in _A2_SINGLES.items():
-        for run in runs:
-            r = _membership_residual(g, cells, _single_terms(run))
-            worst = max(worst, r)
-            count += 1
-            if r > CHECK_TOL:
-                bad.append(f"({run})")
-    for label, combo in _a2_reference_combos(g):
-        r = _membership_residual(g, cells, [(tuple(run.split()), c) for run, c in combo])
-        worst = max(worst, r)
-        count += 1
-        if r > CHECK_TOL:
-            bad.append(label)
-    detail = f"{count} reference vectors, worst residual {_e(worst)}"
-    if bad:
-        detail += "; failing: " + ", ".join(bad)
-    return not bad, detail
-
-
-def _check_e5_memberships(g: GraphSpec, cells: CellSystem) -> Tuple[bool, str]:
-    sd = spectral_data(g)
-    mu = sd.mu
-    worst = 0.0
-    count = 0
-    bad = []
-
-    def check(label: str, terms) -> None:
-        nonlocal worst, count
-        r = _membership_residual(g, cells, terms)
-        worst = max(worst, r)
-        count += 1
-        if r > CHECK_TOL:
-            bad.append(label)
-
-    check("(1_3 2_4 1_2)", _single_terms("1_3 2_4 1_2"))
-    check("(1_3 2_4 2_3 1_1)", _single_terms("1_3 2_4 2_3 1_1"))
-    for i in range(6):
-        run = f"1_{i} 2_{(i + 2) % 6} 2_{(i + 4) % 6} 1_{(i + 3) % 6}"
-        check(f"({run})", _single_terms(run))
-    for i in range(6):
-        a, b, c = f"2_{(i + 5) % 6}", f"2_{(i + 2) % 6}", f"1_{(i + 5) % 6}"
-        coef = -2.0 * math.sqrt((mu[b] + mu[a]) / (2.0 * mu[c]))
-        check(
-            f"cup kernel at 2_{i}",
-            [
-                ((f"2_{i}", a, f"2_{i}"), 1.0),
-                ((f"2_{i}", b, f"2_{i}"), 1.0),
-                ((f"2_{i}", c, f"2_{i}"), coef),
-            ],
-        )
-    not_essential = make_path(
-        g, ("1_3", "2_4", "2_3", "2_2"), (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR, EdgeTag.SIGMA_BAR)
-    )
-    if is_structurally_essential(g, cells, not_essential):
-        bad.append("(1_3 2_4 2_3 2_2) wrongly essential")
-    count += 1
-    detail = f"{count} reference vectors, worst residual {_e(worst)}"
-    if bad:
-        detail += "; failing: " + ", ".join(bad)
-    return not bad, detail
-
-
-def _check_e5_ratios(g: GraphSpec, cells: CellSystem) -> Tuple[bool, str]:
-    """Cell-ratio structure of the longer reference combinations.
-
-    The level-2 rows pin two ratios: the center/skew cell ratio sqrt(beta)
-    and the corner/skew ratio 2^(1/4).  The (0,3) rows are recovered from
-    the kernel of the slot-2 annihilation alone: the joint kernel (and the
-    module action) give dimension 0 there, so they are one-sided kernel
-    vectors, not essential paths.
-    """
-    sd = spectral_data(g)
-    sqrt_beta = math.sqrt(sd.beta)
-    quarter = 2.0 ** 0.25
-    bad = []
-    worst = 0.0
-
-    def ratio_combo(a: str, m1: str, m2: str, b: str) -> Tuple[complex, float]:
-        # in-kernel two-term combination (a m1 b) - r (a m2 b) for word ss
-        r = cells.cell(a, m1, b) / cells.cell(a, m2, b)
-        res = _membership_residual(g, cells, [((a, m1, b), 1.0), ((a, m2, b), -r)])
-        return r, res
-
-    for i in range(6):
-        a, b = f"2_{i}", f"2_{(i + 2) % 6}"
-        r, res = ratio_combo(a, f"2_{(i + 4) % 6}", f"2_{(i + 1) % 6}", b)
-        worst = max(worst, res, abs(abs(r) - sqrt_beta))
-        if abs(abs(r) - sqrt_beta) > CHECK_TOL or res > CHECK_TOL:
-            bad.append(f"center ratio at 2_{i}")
-    for i in range(6):
-        a, b = f"2_{i}", f"2_{(i + 5) % 6}"
-        for other in (f"2_{(i + 1) % 6}", f"2_{(i + 4) % 6}"):
-            r, res = ratio_combo(a, f"1_{(i + 4) % 6}", other, b)
-            worst = max(worst, res, abs(abs(r) - quarter))
-            if abs(abs(r) - quarter) > CHECK_TOL or res > CHECK_TOL:
-                bad.append(f"corner ratio at 2_{i} via {other}")
-    # (0,3) rows: slot-2 kernel only
-    for i in range(6):
-        grading = PathGrading(f"1_{i}", f"2_{i}", (EdgeTag.SIGMA_BAR,) * 3)
-        paths = enumerate_paths(g, grading)
-        pos = {p.vertices[2]: k for k, p in enumerate(paths)}
-        null, _ = _null_space(annihilation(g, cells, grading, 2).matrix)
-        if null.shape[1] != 1:
-            bad.append(f"slot-2 kernel dim at 1_{i}")
-            continue
-        v = null[:, 0]
-        r = v[pos[f"2_{(i + 1) % 6}"]] / v[pos[f"2_{(i + 4) % 6}"]]
-        worst = max(worst, abs(abs(r) - sqrt_beta))
-        if abs(abs(r) - sqrt_beta) > CHECK_TOL:
-            bad.append(f"slot-2 kernel ratio at 1_{i}")
-        joint = essential_basis(g, cells, grading)
-        F = fusion_matrix(g, (0, 3))
-        predicted = int(F.matrix[g.index(f"1_{i}"), g.index(f"2_{i}")])
-        if joint.raw_dim != 0 or predicted != 0:
-            bad.append(f"(0,3) joint kernel at 1_{i}: dim {joint.raw_dim}, predicted {predicted}")
-    detail = (
-        f"center/skew ratio sqrt(beta)={_f(sqrt_beta)}, corner/skew ratio 2^(1/4)={_f(quarter)}, "
-        f"slot-2 kernel ratios match, joint (0,3) kernel trivial as predicted; worst {_e(worst)}"
-    )
-    if bad:
-        detail = "failing: " + ", ".join(bad)
-    return not bad, detail
-
 
 def run_report(g: GraphSpec, cells: CellSystem, max_len: int) -> CommandResult:
     """One-shot reproduction report for a graph with the given cells."""
@@ -839,18 +608,6 @@ def run_report(g: GraphSpec, cells: CellSystem, max_len: int) -> CommandResult:
         mu_min = min(sd.mu[v] for v in g.vertex_ids())
         ok = dev < 1e-10 and abs(mu_min - 1.0) < 1e-10
         return ok, f"beta {_f(sd.beta)} vs 1+2cos(2pi/{g.kappa}) (dev {_e(dev)}), min mu {_f(mu_min)}"
-
-    def table_check() -> Tuple[bool, str]:
-        table = fusion_table(g)
-        ref = _a2_reference_table()
-        bad = [
-            f"{x}*{y}"
-            for (x, y), prods in ref.items()
-            if {z: m for z, m in table[(x, y)].items() if m} != prods
-        ]
-        if bad:
-            return False, "products off: " + ", ".join(sorted(bad))
-        return True, f"all {len(ref)} products match the reference table"
 
     def integrality_check() -> Tuple[bool, str]:
         top = min(g.level, 3)
@@ -903,14 +660,13 @@ def run_report(g: GraphSpec, cells: CellSystem, max_len: int) -> CommandResult:
 
     run("spectral", spectral_check)
     if g.name == "a2":
-        run("fusion-table", table_check)
+        run("fusion-table", lambda: check_a2_table(g))
     run("fusion-integrality", integrality_check)
     run("essential-dims", dims_check)
-    if g.name == "a2":
-        run("kernel-membership", lambda: _check_a2_memberships(g, cells))
+    if g.name in MEMBERSHIP_GRAPHS:
+        run("kernel-membership", lambda: check_memberships(g, cells))
     if g.name == "e5":
-        run("kernel-membership", lambda: _check_e5_memberships(g, cells))
-        run("kernel-ratios", lambda: _check_e5_ratios(g, cells))
+        run("kernel-ratios", lambda: check_e5_ratios(g, cells))
     run("relations", tl_check)
     run("adjointness", adjoint_check)
     run("decomposition", decomposition_check)

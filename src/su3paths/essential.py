@@ -39,7 +39,7 @@ import numpy as np
 
 from .cells import CellSystem, OrientedTriangle
 from .fusion import fusion_matrix
-from .graphs import GraphError, GraphSpec, spectral_data
+from .graphs import GraphError, GraphSpec
 from .operators import (
     LinearOperator,
     _mnorm,
@@ -462,7 +462,6 @@ def is_structurally_essential(g: GraphSpec, cells: CellSystem, p: ElementaryPath
 def factorize_path(g: GraphSpec, cells: CellSystem, p: ElementaryPath) -> FactorizationRecord:
     """Constructive split of p into raising operations on an essential
     core and essential suffix concatenations."""
-    mu = spectral_data(g).mu
     events = []
     current = p
     while True:
@@ -482,33 +481,28 @@ def factorize_path(g: GraphSpec, cells: CellSystem, p: ElementaryPath) -> Factor
                 current.vertices[:i] + current.vertices[i + 1 :],
                 collapsed_grading(current.grading, i).word,
             )
-            op = creation(g, cells, core.grading, i)
-            row = _basis_index(g, current.grading)[current]
-            col = _basis_index(g, core.grading)[core]
-            events.append(
-                PeelStep(
-                    kind="CREATION",
-                    position=i,
-                    vertex=current.vertices[i],
-                    first_tag=None,
-                    weight=complex(op.matrix[row, col]),
-                )
-            )
+            first_tag = None
+            raising = creation(g, cells, core.grading, i).matrix
         else:
-            b, a = current.vertices[i], current.vertices[i - 1]
             core = ElementaryPath(
                 current.vertices[:i] + current.vertices[i + 2 :],
                 cup_grading(current.grading, i).word,
             )
-            events.append(
-                PeelStep(
-                    kind="CAP",
-                    position=i,
-                    vertex=b,
-                    first_tag=current.word[i - 1],
-                    weight=complex(np.sqrt(mu[b] / mu[a])),
-                )
+            first_tag = current.word[i - 1]
+            # the cap block is the cup's conjugate transpose and cup entries
+            # are real; the plain transpose keeps their imaginary zeros +0.0
+            raising = cup(g, cells, current.grading, i).matrix.T
+        row = _basis_index(g, current.grading)[current]
+        col = _basis_index(g, core.grading)[core]
+        events.append(
+            PeelStep(
+                kind=kind,
+                position=i,
+                vertex=current.vertices[i],
+                first_tag=first_tag,
+                weight=complex(raising[row, col]),
             )
+        )
         current = core
     return FactorizationRecord(original=p, core=current, events=tuple(events))
 

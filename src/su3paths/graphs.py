@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache, wraps
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -234,6 +234,9 @@ def validate_graph(g: GraphSpec) -> None:
             raise GraphError("adjacency matrix is not irreducible (graph disconnected)")
     tris = [v.tri for v in g.vertices if v.tri is not None]
     if tris:
+        for tri in tris:
+            if len(tri) != 2 or not all(isinstance(x, int) for x in tri):
+                raise GraphError(f"triangular coordinates {tri!r} are not a pair of integers")
         if len(set(tris)) != len(tris):
             raise GraphError("duplicate triangular coordinates")
         for l1, l2 in tris:
@@ -483,4 +486,8 @@ def save_graph(g: GraphSpec, path: str) -> None:
 
 def load_graph(path: str) -> GraphSpec:
     with open(path, "r", encoding="utf-8") as fh:
-        return graph_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise GraphError(f"{path!r} is not JSON: {exc}") from exc
+    return graph_from_dict(data)

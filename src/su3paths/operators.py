@@ -23,11 +23,11 @@ U_i = C+_i C_i is an endomorphism of each graded block.  verify_tl
 sweeps all gradings up to a word length and reports max residuals for:
 the quadratic relation U^2 = [2] U, commutation at distance, the
 two-sided triangle identity, the quartic relation, the F-lemma
-F_i F_{i+1} F_i = K F_i, and the cup-cap identities.  The triangle
-identities are evaluated at positions where every operator involved
-acts on a constant-tag run; on other patterns the operators involved
-are not all triangle moves and the identities do not apply (see
-tests for an explicit mixed-word counterexample).
+F_i F_{i+1} F_i = K F_i with F_i = U_i U_{i+1} U_i - U_i, and the cup-cap
+identities.  The triangle identities are evaluated at positions where
+every operator involved acts on a constant-tag run; on other patterns
+the operators involved are not all triangle moves and the identities do
+not apply (see tests for an explicit mixed-word counterexample).
 """
 
 from __future__ import annotations
@@ -55,18 +55,8 @@ CREATION = "CREATION"
 CUP = "CUP"
 CAP = "CAP"
 U = "U"
-F = "F"
-COMPOSITE = "COMPOSITE"
 
-_ADJOINT_KIND = {
-    ANNIHILATION: CREATION,
-    CREATION: ANNIHILATION,
-    CUP: CAP,
-    CAP: CUP,
-    U: U,
-    F: F,
-    COMPOSITE: COMPOSITE,
-}
+_ADJOINT_KIND = {ANNIHILATION: CREATION, CREATION: ANNIHILATION, CUP: CAP, CAP: CUP, U: U}
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,23 +95,6 @@ class LinearOperator:
             kind=_ADJOINT_KIND[self.kind],
             position=self.position,
         )
-
-    def compose(self, other: "LinearOperator") -> "LinearOperator":
-        """self after other (matrix product self.matrix @ other.matrix)."""
-        if other.codomain != self.domain:
-            raise GradingMismatch(
-                f"cannot compose: inner gradings {other.codomain} != {self.domain}"
-            )
-        return LinearOperator(
-            domain=other.domain,
-            codomain=self.codomain,
-            matrix=self.matrix @ other.matrix,
-            kind=COMPOSITE,
-            position=self.position,
-        )
-
-    def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        return self.compose(other)
 
 
 # ----------------------------------------------------------------------
@@ -165,8 +138,8 @@ def _check_slot(i: int, lo: int, hi: int, what: str):
 # annihilation and cup blocks are kept on the cell system (keyed by graph,
 # grading and position) and freed with it; matrices are immutable.
 # creation and cap return a fresh conjugate transpose of one of those
-# blocks on each call, and tl_u and tl_f multiply blocks; none of these
-# four keeps anything.
+# blocks on each call, and tl_u multiplies one; none of these three keeps
+# anything.
 
 
 @cached_on(1)
@@ -254,29 +227,9 @@ def tl_u(g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int) -> Linea
     return LinearOperator(grading, grading, c.conj().T @ c, U, i)
 
 
-def tl_f(g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int) -> LinearOperator:
-    """F_i = U_i U_{i+1} U_i - U_i (closed-triangle replacement)."""
-    n = grading.length
-    _check_slot(i, 1, n - 2, "tl_f")
-    ui = tl_u(g, cells, grading, i).matrix
-    uj = tl_u(g, cells, grading, i + 1).matrix
-    return LinearOperator(grading, grading, ui @ uj @ ui - ui, F, i)
-
-
-# ----------------------------------------------------------------------
-# path-level conveniences
-
-
 def apply_annihilation(g, cells, p: ElementaryPath, i: int) -> PathVector:
+    """C_i applied to one elementary path."""
     return annihilation(g, cells, p.grading, i).apply(PathVector.from_path(g, p))
-
-
-def apply_cup(g, cells, p: ElementaryPath, i: int) -> PathVector:
-    return cup(g, cells, p.grading, i).apply(PathVector.from_path(g, p))
-
-
-def apply_cap(g, cells, p: ElementaryPath, i: int, first_tag: EdgeTag) -> PathVector:
-    return cap_oriented(g, cells, p.grading, i, first_tag).apply(PathVector.from_path(g, p))
 
 
 # ----------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import GraphSpec, cached_on
+from .graphs import GraphError, GraphSpec, cached_on
 
 #: refuse to materialize gradings with more basis paths than this
 MAX_PATH_SPACE = 10**6
@@ -117,6 +117,20 @@ class ElementaryPath:
 
     def __str__(self) -> str:
         return "(" + " ".join(self.vertices) + ")"
+
+
+def _infer_word(g: GraphSpec, vertices: Sequence[str]) -> Word:
+    """Tag sequence of a vertex run when every step is unambiguous."""
+    tags = []
+    for u, v in zip(vertices, vertices[1:]):
+        fwd, bwd = g.has_edge(u, v), g.has_edge(v, u)
+        if fwd and not bwd:
+            tags.append(EdgeTag.SIGMA)
+        elif bwd and not fwd:
+            tags.append(EdgeTag.SIGMA_BAR)
+        else:
+            raise GraphError(f"step {u}->{v} is {'ambiguous' if fwd else 'not an arrow'} in {g.name}")
+    return tuple(tags)
 
 
 def step_is_valid(g: GraphSpec, u: str, v: str, tag: EdgeTag) -> bool:
@@ -271,9 +285,6 @@ class PathVector:
     def support(self, tol: float = 1e-12):
         """(coefficient, index) pairs of entries with magnitude above tol."""
         return [(c, i) for i, c in enumerate(self.coefficients) if abs(c) > tol]
-
-    def copy(self) -> "PathVector":
-        return PathVector(self.grading, self.coefficients.copy())
 
     def __add__(self, other: "PathVector") -> "PathVector":
         if self.grading != other.grading:

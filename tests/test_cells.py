@@ -17,6 +17,7 @@ from su3paths import (
     enumerate_triangles,
     gauge_transform,
     get_graph,
+    graph_names,
     load_cells,
     max_sum_rule_residual,
     random_gauge,
@@ -165,15 +166,33 @@ def test_cell_system_requires_all_triangles(a2, a2_cells):
         cell_system(a2, vals)
 
 
-def test_persistence_roundtrip(tmp_path, a2, a2_cells):
-    p = tmp_path / "a2.json"
-    save_cells(a2_cells, str(p))
-    loaded = load_cells(a2, str(p))
-    assert loaded.items == a2_cells.items
-    d = json.loads(p.read_text())
-    assert set(d) >= {"graph", "cells", "seed", "checksum"}
-    assert d["graph"] == "a2"
-    assert all(set(row) == {"tri", "re", "im"} for row in d["cells"])
+def test_persistence_roundtrip(tmp_path):
+    for name in graph_names():
+        g = get_graph(name)
+        cs = shipped_cells(g)
+        p = tmp_path / f"{name}.json"
+        save_cells(cs, str(p))
+        assert load_cells(g, str(p)) == cs
+        d = json.loads(p.read_text())
+        assert set(d) >= {"graph", "cells", "seed", "checksum"}
+        assert d["graph"] == name
+        assert all(set(row) == {"tri", "re", "im"} for row in d["cells"])
+
+
+# each edit leaves the checksummed fields (graph, seed, cells) intact
+CORRUPT_CELL_FILES = {
+    "residuals-list": lambda d: json.dumps({**d, "residuals": [1e-12]}),
+    "residual-not-number": lambda d: json.dumps({**d, "residuals": {"h1": "small"}}),
+    "not-json": lambda d: json.dumps(d)[:-1],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_CELL_FILES))
+def test_corrupt_cell_file_is_a_typed_error(tmp_path, a2, a2_cells, case):
+    p = tmp_path / "bad.json"
+    p.write_text(CORRUPT_CELL_FILES[case](cells_to_dict(a2_cells)))
+    with pytest.raises(CellFileError):
+        load_cells(a2, str(p))
 
 
 def test_persistence_checksum_and_name_validation(tmp_path, a2, e5, a2_cells):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from su3paths import enumerate_triangles, get_graph, graph_to_dict, save_cells
+from su3paths import enumerate_triangles, get_graph, graph_to_dict, save_cells, shipped_cells
 from su3paths.cells import cells_to_dict
 from su3paths.cli import dispatch, main
 
@@ -150,6 +150,17 @@ def test_cells_verify_flags_zeros(tmp_path):
     assert r.status == 1
 
 
+def test_corrupt_cell_file_exits_with_an_error_line(tmp_path, capsys):
+    d = cells_to_dict(shipped_cells(get_graph("a2")))
+    d["residuals"] = []
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(d))
+    code = main(["cells", "verify", "a2", "--in", str(p)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
 def test_report_happy_and_broken(tmp_path):
     ok = run("report", "a2", "--max-len", "2")
     assert ok.status == 0
@@ -174,8 +185,6 @@ def test_graph_file_argument(tmp_path):
 
 
 def test_cells_dir_env(tmp_path, monkeypatch):
-    from su3paths import shipped_cells
-
     g = get_graph("a2")
     save_cells(shipped_cells(g), str(tmp_path / "a2.json"))
     monkeypatch.setenv("SU3PATHS_CELLS_DIR", str(tmp_path))

@@ -21,12 +21,19 @@ from su3paths import (
     essential_basis,
     essential_dims,
     factorize_path,
+    gauge_transform,
+    get_graph,
+    graph_names,
     is_structurally_essential,
+    iter_gradings,
     kernel_operators,
     make_path,
     parse_word,
+    path_space_dim,
+    random_gauge,
     raw_kernel,
     replay_record,
+    shipped_cells,
     spectral_data,
     verify_decomposition,
     words_of_type,
@@ -123,6 +130,21 @@ def test_zero_cells_break_the_count(a2):
     assert any(ess > fus for _, _, _, ess, fus in rep.mismatches)
     # one-step spaces carry no operator, so they still match
     assert essential_dims(a2, zeros, (1, 0)).matches_fusion
+
+
+def test_dimensions_invariant_under_random_gauges_on_every_graph():
+    for name in graph_names():
+        g = get_graph(name)
+        base = shipped_cells(g)
+        gradings = [gr for gr in iter_gradings(g, 2) if path_space_dim(g, gr) > 0]
+
+        def dims(cells):
+            bases = (essential_basis(g, cells, gr) for gr in gradings)
+            return [(eb.raw_dim, eb.dim) for eb in bases]
+
+        ref = dims(base)
+        for seed in (1, 2):
+            assert dims(gauge_transform(base, random_gauge(g, seed))) == ref, (name, seed)
 
 
 def test_level_clause_exclusions(a2, a2_cells):

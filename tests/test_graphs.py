@@ -156,23 +156,26 @@ def test_build_a_graph_counts():
         validate_graph(g)
 
 
-def test_conjugate_graph(a2):
-    gc = conjugate_graph(a2)
-    assert np.array_equal(adjacency_matrix(gc), adjacency_matrix(a2).T)
-    sd, sdc = spectral_data(a2), spectral_data(gc)
-    assert abs(sd.beta - sdc.beta) < 1e-12
+def test_conjugate_graph():
+    for name in graph_names():
+        g = get_graph(name)
+        gc = conjugate_graph(g)
+        assert conjugate_graph(gc) == g  # involution
+        assert np.array_equal(adjacency_matrix(gc), adjacency_matrix(g).T)
+        assert abs(spectral_data(g).beta - spectral_data(gc).beta) < 1e-12
 
 
-def test_serialization_roundtrip(tmp_path, e5):
-    d = graph_to_dict(e5)
-    assert set(d) >= {"name", "kappa", "vertices", "sigma_edges"}
-    g2 = graph_from_dict(d)
-    assert g2 == e5
-    p = tmp_path / "e5.json"
-    save_graph(e5, str(p))
-    assert load_graph(str(p)) == e5
+def test_serialization_roundtrip(tmp_path):
+    for name in graph_names():
+        g = get_graph(name)
+        d = graph_to_dict(g)
+        assert set(d) >= {"name", "kappa", "vertices", "sigma_edges"}
+        assert graph_from_dict(d) == g
+        p = tmp_path / f"{name}.json"
+        save_graph(g, str(p))
+        assert load_graph(str(p)) == g
     # file is plain JSON with the documented keys
-    raw = json.loads(p.read_text())
+    raw = json.loads((tmp_path / "e5.json").read_text())
     assert raw["kappa"] == 8
     assert ["1_0", None] not in raw["vertices"]  # vertices are objects
 
@@ -180,5 +183,21 @@ def test_serialization_roundtrip(tmp_path, e5):
 def test_load_graph_validates(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text(json.dumps({"name": "x", "kappa": 5, "vertices": [], "sigma_edges": []}))
+    with pytest.raises(GraphError):
+        load_graph(str(p))
+
+
+def _a2_with_short_tri() -> str:
+    d = graph_to_dict(get_graph("a2"))
+    d["vertices"][0]["tri"] = [1]
+    return json.dumps(d)
+
+
+@pytest.mark.parametrize(
+    "text", [_a2_with_short_tri(), "{not json"], ids=["tri-not-a-pair", "not-json"]
+)
+def test_corrupt_graph_file_is_a_typed_error(tmp_path, text):
+    p = tmp_path / "bad.json"
+    p.write_text(text)
     with pytest.raises(GraphError):
         load_graph(str(p))

@@ -9,10 +9,9 @@ from su3paths import (
     EdgeTag,
     GradingMismatch,
     PathGrading,
+    PathVector,
     annihilation,
     apply_annihilation,
-    apply_cap,
-    apply_cup,
     cap_oriented,
     cell_system,
     collapsed_grading,
@@ -29,7 +28,6 @@ from su3paths import (
     random_gauge,
     shipped_cells,
     spectral_data,
-    tl_f,
     tl_u,
     verify_adjointness,
     verify_tl,
@@ -116,19 +114,23 @@ def test_e5_contraction_examples(e5, e5_cells):
     assert target.vertices == ("1_3", "2_4", "2_2")
 
 
+def _cup_path(g, cells, p, i):
+    return cup(g, cells, p.grading, i).apply(PathVector.from_path(g, p))
+
+
 def test_cup_contracts_mixed_return(a2, a2_cells):
     p = make_path(a2, ("3", "3b", "3"), "sb")
-    out = apply_cup(a2, a2_cells, p, 1)
+    out = _cup_path(a2, a2_cells, p, 1)
     assert out.grading == PathGrading("3", "3", ())
     assert np.allclose(out.coefficients, [1.0])  # sqrt(mu(3b)/mu(3)) = 1
 
     q = make_path(a2, ("3", "6", "3"), "sb")
-    out = apply_cup(a2, a2_cells, q, 1)
+    out = _cup_path(a2, a2_cells, q, 1)
     assert abs(out.coefficients[0] - math.sqrt(1.0 / PHI)) < 1e-12
 
     # like-tag slot: zero block
     r = make_path(a2, ("1", "3", "6"), "ss")
-    assert not apply_cup(a2, a2_cells, r, 1).coefficients.any()
+    assert not _cup_path(a2, a2_cells, r, 1).coefficients.any()
 
 
 def test_cap_cup_loop(a2, a2_cells):
@@ -143,7 +145,8 @@ def test_cap_cup_loop(a2, a2_cells):
 
 def test_cap_apply(a2, a2_cells):
     p = make_path(a2, ("3", "6"), "s")
-    out = apply_cap(a2, a2_cells, p, 1, EdgeTag.SIGMA)
+    cap = cap_oriented(a2, a2_cells, p.grading, 1, EdgeTag.SIGMA)
+    out = cap.apply(PathVector.from_path(a2, p))
     # one term per out-neighbor of 3, inserted before the step
     terms = {
         enumerate_paths(a2, out.grading)[i].vertices: c for c, i in out.support()
@@ -171,10 +174,12 @@ def test_tl_u_quadratic(a2, a2_cells):
 
 
 def test_tl_f_on_runs(a2, a2_cells):
+    # F_i = U_i U_{i+1} U_i - U_i, as verify_tl forms it from the U blocks
     sd = spectral_data(a2)
     grading = PathGrading("1", "6b", parse_word("ssss"))
-    f1 = tl_f(a2, a2_cells, grading, 1).matrix
-    f2 = tl_f(a2, a2_cells, grading, 2).matrix
+    u1, u2, u3 = (tl_u(a2, a2_cells, grading, i).matrix for i in (1, 2, 3))
+    f1 = u1 @ u2 @ u1 - u1
+    f2 = u2 @ u3 @ u2 - u2
     assert np.allclose(f1 @ f1, sd.delta * sd.beta * f1, atol=1e-10)
     assert np.allclose(f1 @ f2 @ f1, sd.delta**2 * f1, atol=1e-10)
 
@@ -209,14 +214,10 @@ def test_zero_cells_fail_h1(a2):
     assert rep.residuals["sum_rule"] > 1.0
 
 
-def test_compose_and_apply_guards(a2, a2_cells):
+def test_apply_guards(a2, a2_cells):
     g1 = PathGrading("3", "8", parse_word("ss"))
-    g2 = PathGrading("3", "3", parse_word("sb"))
     op1 = annihilation(a2, a2_cells, g1, 1)
-    op2 = cup(a2, a2_cells, g2, 1)
-    with pytest.raises(GradingMismatch):
-        op1.compose(op2)
-    vec = apply_cup(a2, a2_cells, make_path(a2, ("3", "3b", "3"), "sb"), 1)
+    vec = _cup_path(a2, a2_cells, make_path(a2, ("3", "3b", "3"), "sb"), 1)
     with pytest.raises(GradingMismatch):
         op1.apply(vec)
     with pytest.raises(ValueError):
