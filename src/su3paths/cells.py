@@ -31,9 +31,10 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from .graphs import GraphError, GraphSpec, HashedOnce, cached_on, spectral_data
+from .paths import EdgeTag
 
 SUM_RULE_TOL = 1e-9
-_SOLVER_STARTS = 8  # Levenberg-Marquardt starts before solve_cells gives up
+_SOLVER_STARTS = 8  # trust-region-reflective starts before solve_cells gives up
 _VERIFY_LEN = 4  # word length of the relation sweep a solved system carries
 
 
@@ -83,6 +84,18 @@ def enumerate_triangles(g: GraphSpec) -> Tuple[OrientedTriangle, ...]:
     return tuple(sorted(tris))
 
 
+@cached_on(0)
+def _triangle_index(g: GraphSpec) -> Mapping[Tuple[str, str, str], int]:
+    """Position in ``enumerate_triangles(g)`` of every triangle, under each
+    of its three rotations."""
+    out = {}
+    for k, tri in enumerate(enumerate_triangles(g)):
+        x, y, z = tri.vertices
+        for rot in ((x, y, z), (y, z, x), (z, x, y)):
+            out[rot] = k
+    return MappingProxyType(out)
+
+
 def collapsed_cell(g: GraphSpec, a: str, m: str) -> float:
     """Forced cell sqrt(mu(a) mu(m)) of the back-and-forth sequence a m a.
 
@@ -98,12 +111,16 @@ def collapsed_cell(g: GraphSpec, a: str, m: str) -> float:
 class CellSystem(HashedOnce):
     """Immutable assignment of a complex cell to every triangle of a graph.
 
-    ``items`` is kept in canonical triangle order so equality is
-    bit-for-bit; ``residual_items`` stores the verification report of the
-    producing step (solver or file load).  The hash, the value map and the
-    annihilation and cup blocks built from the system are computed once
-    per instance, freed with it and never pickled; creation and cap are
-    rebuilt as their conjugate transposes on each call.
+    ``items`` is kept in canonical triangle order (that of
+    ``enumerate_triangles``) so equality is bit-for-bit;
+    ``residual_items`` stores the verification report of the producing
+    step (solver or file load).  ``vector`` holds the cells as one
+    complex array in that order: an annihilation block gathers from it
+    (conjugated on sigma-bar pairs) through its graph's pattern.  The
+    hash, the value map, the vector and the annihilation and cup blocks
+    built from the system are computed once per instance, freed with it
+    and never pickled; creation and cap are rebuilt as their conjugate
+    transposes on each call.
     """
 
     graph: str
@@ -117,6 +134,13 @@ class CellSystem(HashedOnce):
     @cached_property
     def values(self) -> Mapping[OrientedTriangle, complex]:
         return MappingProxyType(dict(self.items))
+
+    @cached_property
+    def vector(self) -> np.ndarray:
+        """The cells in triangle order, as a read-only complex array."""
+        v = np.array([t for _, t in self.items], dtype=complex)
+        v.setflags(write=False)
+        return v
 
     @property
     def residuals(self) -> Mapping[str, float]:
@@ -173,46 +197,132 @@ def max_sum_rule_residual(g: GraphSpec, cells: CellSystem) -> float:
     return max(res.values()) if res else 0.0
 
 
-def _pure_run_gradings(g: GraphSpec, length: int):
-    """Gradings with constant word (sigma^n or sigma-bar^n) and dim > 0."""
-    from .paths import EdgeTag, PathGrading, path_space_dim
+class _Relations:
+    """The residual that solve_cells minimizes, with its Jacobian.
 
-    out = []
-    for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
-        word = (tag,) * length
-        for a in g.vertex_ids():
-            for b in g.vertex_ids():
-                grading = PathGrading(a, b, word)
-                if path_space_dim(g, grading) > 0:
-                    out.append(grading)
-    return out
+    Both take the real parameters x = (Re T, Im T), cells in triangle
+    order, and read nothing but x and the graph's annihilation patterns,
+    so no CellSystem is built per evaluation.  The rows are:
+
+    * per arrow, the sum of |T|^2 over its triangles minus [2] mu mu;
+    * per constant three-letter grading, the real and imaginary parts of
+      U1 U2 U1 - U1 - (U2 U1 U2 - U2) and of U1^2 - [2] U1, where
+      U = C^H C on the slot's annihilation block C.
+
+    Gradings whose slot-1 and slot-2 blocks have equal shapes are
+    evaluated as one batch (e5 has 96 gradings in 6 batches).  C is
+    linear in T on a sigma pair and in conj(T) on a sigma-bar pair, so
+    dC/dRe T_k is the pattern's entries 1/den on triangle k and dC/dIm T_k
+    is i (sigma) or -i (sigma-bar) times that; then
+    dU = dC^H C + C^H dC, and the product rule gives the relation rows.
+    """
+
+    def __init__(self, g: GraphSpec):
+        from .operators import annihilation_pattern
+
+        tris = enumerate_triangles(g)
+        sd = spectral_data(g)
+        self.delta = sd.delta
+        arrows = list(g.sigma_edges)
+        self.incidence = np.zeros((len(arrows), len(tris)))
+        for j, t in enumerate(tris):
+            for e in t.edges():
+                self.incidence[arrows.index(e), j] = 1.0
+        self.target = np.array([sd.delta * sd.mu[u] * sd.mu[v] for u, v in arrows])
+        by_shape: dict = {}
+        for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
+            p1, p2 = (annihilation_pattern(g, (tag,) * 3, i) for i in (1, 2))
+            for s, (_, dim) in enumerate(p1.shapes):
+                if dim:
+                    key = (tuple(p1.shapes[s]), tuple(p2.shapes[s]))
+                    by_shape.setdefault(key, []).append(((p1, s), (p2, s)))
+        k = len(tris)
+        self.batches = [
+            (_PatternBatch([p1 for p1, _ in pairs], k), _PatternBatch([p2 for _, p2 in pairs], k))
+            for pairs in by_shape.values()
+        ]
+
+    def residual(self, x: np.ndarray) -> np.ndarray:
+        k = len(x) // 2
+        t = x[:k] + 1j * x[k:]
+        parts = [self.incidence @ (x[:k] ** 2 + x[k:] ** 2) - self.target]
+        for b1, b2 in self.batches:
+            u1, u2 = _gram(b1.blocks(t)), _gram(b2.blocks(t))
+            d = (u1 @ u2 @ u1 - u1) - (u2 @ u1 @ u2 - u2)
+            h1 = u1 @ u1 - self.delta * u1
+            parts += [d.real.ravel(), d.imag.ravel(), h1.real.ravel(), h1.imag.ravel()]
+        return np.concatenate(parts)
+
+    def jacobian(self, x: np.ndarray) -> np.ndarray:
+        k = len(x) // 2
+        t = x[:k] + 1j * x[k:]
+        rows = [np.hstack([2.0 * self.incidence * x[:k], 2.0 * self.incidence * x[k:]])]
+        for b1, b2 in self.batches:
+            c1, c2 = b1.blocks(t), b2.blocks(t)
+            u1, u2 = _gram(c1), _gram(c2)
+            u12, u21 = u1 @ u2, u2 @ u1
+            one = np.broadcast_to(np.eye(u1.shape[-1]), u1.shape)
+            eye = np.eye(u1.shape[-1] ** 2)
+            # both relations are linear in dU1 and dU2, so each is a sum of
+            # maps dU -> A dU B, applied to every parameter's dU at once
+            d1 = _vec_map(one, u21) + _vec_map(u12, one) - _vec_map(u2, u2) - eye
+            d2 = _vec_map(u1, u1) - _vec_map(one, u12) - _vec_map(u21, one) + eye
+            h1 = _vec_map(one, u1) + _vec_map(u1, one) - self.delta * eye
+            du1, du2 = b1.gram_derivatives(c1), b2.gram_derivatives(c2)
+            for dm in (du1 @ d1 + du2 @ d2, du1 @ h1):
+                flat = dm.swapaxes(-1, -2).reshape(-1, 2 * k)
+                rows += [flat.real, flat.imag]
+        return np.vstack(rows)
 
 
-def _solver_residual_vector(g: GraphSpec, cells: CellSystem, gradings) -> np.ndarray:
-    """Sum-rule residuals plus the neighbouring-collapse identity
-    U1 U2 U1 - U1 = U2 U1 U2 - U2 on constant three-letter words."""
-    from .operators import tl_u
+def _gram(c: np.ndarray) -> np.ndarray:
+    return c.conj().swapaxes(-1, -2) @ c
 
-    sd = spectral_data(g)
-    delta = sd.delta
-    parts = [
-        np.array(
-            [v for v in sum_rule_residuals(g, cells).values()]
-            if g.sigma_edges
-            else [],
-            dtype=float,
+
+def _vec_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked M with vec(X) @ M = vec(a X b), for row-major vec."""
+    g, n, _ = a.shape
+    m = a.swapaxes(-1, -2)[:, :, None, :, None] * b[:, None, :, None, :]
+    return m.reshape(g, n * n, n * n)
+
+
+class _PatternBatch:
+    """Blocks of equal shape, each a (pattern, grading number) pair,
+    stacked on a leading axis."""
+
+    def __init__(self, blocks, k: int):
+        self.k = k
+        first, s = blocks[0]
+        self.shape = (len(blocks),) + tuple(first.shapes[s])
+        spans = [(p, p.entries(s)) for p, s in blocks]
+        self.at = (
+            np.repeat(np.arange(len(spans)), [len(p.tri[e]) for p, e in spans]),
+            np.concatenate([p.rows[e] for p, e in spans]),
+            np.concatenate([p.cols[e] for p, e in spans]),
         )
-    ]
-    for grading in gradings:
-        u1 = tl_u(g, cells, grading, 1).matrix
-        u2 = tl_u(g, cells, grading, 2).matrix
-        d = (u1 @ u2 @ u1 - u1) - (u2 @ u1 @ u2 - u2)
-        parts.append(d.real.ravel())
-        parts.append(d.imag.ravel())
-        h1 = u1 @ u1 - delta * u1
-        parts.append(h1.real.ravel())
-        parts.append(h1.imag.ravel())
-    return np.concatenate(parts) if parts else np.zeros(0)
+        self.tri = np.concatenate([p.tri[e] for p, e in spans])
+        self.scale = 1.0 / np.concatenate([p.den[e] for p, e in spans])
+        self.conj = np.concatenate([np.full(len(p.tri[e]), p.conj) for p, e in spans])
+        # dC/dIm T = phase dC/dRe T, per block
+        self.phase = np.array([-1j if p.conj else 1j for p, _ in spans])[:, None, None, None]
+
+    def blocks(self, t: np.ndarray) -> np.ndarray:
+        """The stacked blocks C for cells t, all in one gather and scatter."""
+        c = np.zeros(self.shape, dtype=complex)
+        w = t[self.tri]
+        c[self.at] = np.where(self.conj, w.conj(), w) * self.scale
+        return c
+
+    def gram_derivatives(self, c: np.ndarray) -> np.ndarray:
+        """d(C^H C)/dx, shape (batch, 2k, n * n), Re T before Im T."""
+        g, r, n = self.shape
+        # C^H dC/dRe T_k: each column of dC holds at most one entry
+        a = np.zeros((g, self.k, n, n), dtype=complex)
+        gi, row, col = self.at
+        a[gi, self.tri, :, col] = c[gi, row, :].conj() * self.scale[:, None]
+        ah = a.conj().swapaxes(-1, -2)
+        du = np.concatenate([a + ah, self.phase * a + self.phase.conj() * ah], axis=1)
+        return du.reshape(g, 2 * self.k, n * n)
 
 
 def solve_cells(
@@ -223,11 +333,13 @@ def solve_cells(
     """Solve for a cell system satisfying the operator relations.
 
     Magnitudes come from the linear arrow sum rules; phases start at +1
-    and fall back to seeded Levenberg-Marquardt descent on the stacked
-    relation residuals when the positive-real candidate fails.  The
-    result is put in the canonical gauge (greedy positivization along the
-    triangle list) and carries the verification report up to word length
-    4.  Deterministic for a fixed seed.
+    and fall back to seeded trust-region-reflective descent
+    (scipy's ``least_squares`` with its default ``trf`` method and the
+    analytic Jacobian of ``_Relations``) on the stacked relation
+    residuals when the positive-real candidate fails.  The result is put
+    in the canonical gauge (greedy positivization along the triangle
+    list) and carries the verification report up to word length 4.
+    Deterministic for a fixed seed.
     """
     from scipy.optimize import least_squares
 
@@ -236,18 +348,13 @@ def solve_cells(
     tris = enumerate_triangles(g)
     if not tris:
         raise CellSolveError(f"graph {g.name!r} has no triangles")
-    sd = spectral_data(g)
-    delta = sd.delta
     arrows = list(g.sigma_edges)
     orphan = [e for e in arrows if not any(e in t.edges() for t in tris)]
     if orphan:
         raise CellSolveError(f"arrows on no triangle cannot satisfy the sum rule: {orphan}")
 
-    m = np.zeros((len(arrows), len(tris)))
-    for j, t in enumerate(tris):
-        for e in t.edges():
-            m[arrows.index(e), j] = 1.0
-    rhs = np.array([delta * sd.mu[u] * sd.mu[v] for u, v in arrows])
+    relations = _Relations(g)
+    m, rhs = relations.incidence, relations.target
     s, *_ = np.linalg.lstsq(m, rhs, rcond=None)
     if np.abs(m @ s - rhs).max() > 1e-10 or s.min() < -1e-10:
         raise CellSolveError(
@@ -256,18 +363,11 @@ def solve_cells(
         )
     s = np.maximum(s, 0.0)
 
-    gradings = _pure_run_gradings(g, 3)
+    def max_residual(x: np.ndarray) -> float:
+        return float(np.abs(relations.residual(x)).max())
 
-    def build(values: np.ndarray) -> CellSystem:
-        return cell_system(g, dict(zip(tris, values)), seed=seed)
-
-    def fvec(x: np.ndarray) -> np.ndarray:
-        vals = x[: len(tris)] + 1j * x[len(tris) :]
-        return _solver_residual_vector(g, build(vals), gradings)
-
-    candidate = build(np.sqrt(s).astype(complex))
-    best = candidate
-    best_res = float(np.abs(_solver_residual_vector(g, candidate, gradings)).max())
+    best = np.concatenate([np.sqrt(s), np.zeros(len(tris))])
+    best_res = max_residual(best)
 
     if best_res > tol:
         rng = np.random.default_rng(seed)
@@ -278,12 +378,17 @@ def solve_cells(
                 theta = rng.uniform(-np.pi, np.pi, size=len(tris))
             t0 = np.sqrt(s) * np.exp(1j * theta)
             x0 = np.concatenate([t0.real, t0.imag])
-            fit = least_squares(fvec, x0, xtol=1e-15, ftol=1e-15, gtol=1e-15)
-            vals = fit.x[: len(tris)] + 1j * fit.x[len(tris) :]
-            cand = build(vals)
-            res = float(np.abs(_solver_residual_vector(g, cand, gradings)).max())
+            fit = least_squares(
+                relations.residual,
+                x0,
+                jac=relations.jacobian,
+                xtol=1e-15,
+                ftol=1e-15,
+                gtol=1e-15,
+            )
+            res = max_residual(fit.x)
             if res < best_res:
-                best, best_res = cand, res
+                best, best_res = fit.x, res
             if best_res < tol * 1e-2:
                 break
         if best_res > tol:
@@ -293,9 +398,10 @@ def solve_cells(
                 {"best": best_res},
             )
 
-    best = canonical_gauge(g, best)
-    report = verify_tl(g, best, max_len=_VERIFY_LEN)
-    return best.with_residuals(report.summary())
+    values = best[: len(tris)] + 1j * best[len(tris) :]
+    cells = canonical_gauge(g, cell_system(g, dict(zip(tris, values)), seed=seed))
+    report = verify_tl(g, cells, max_len=_VERIFY_LEN)
+    return cells.with_residuals(report.summary())
 
 
 # ----------------------------------------------------------------------
@@ -413,10 +519,12 @@ def save_cells(cells: CellSystem, path: str) -> None:
 def load_cells(g: GraphSpec, path: str) -> CellSystem:
     """Load and cross-check a cell file against the graph.
 
-    Errors on schema violations, graph-name mismatch, rows that are not
-    triangles of g, or a checksum mismatch.  If the loaded values fail
-    the arrow sum rule at 1e-9 a warning is recorded in the system (the
-    file is still returned so it can be inspected)."""
+    Errors on schema violations (among them warnings that are not a
+    list of strings and a seed that is not an integer or null),
+    graph-name mismatch, rows that are not triangles of g, or a checksum
+    mismatch.  If the loaded values fail the arrow sum rule at 1e-9 a
+    warning is recorded in the system (the file is still returned so it
+    can be inspected)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -427,9 +535,13 @@ def load_cells(g: GraphSpec, path: str) -> CellSystem:
         rows = data["cells"]
         seed = data.get("seed")
         residuals = {str(k): float(v) for k, v in data.get("residuals", {}).items()}
-        warnings = list(data.get("warnings", []))
+        warnings = data.get("warnings", [])
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise CellFileError(f"bad cell file structure: {exc}") from exc
+    if not (isinstance(warnings, list) and all(isinstance(w, str) for w in warnings)):
+        raise CellFileError(f"cell file warnings must be a list of strings, not {warnings!r}")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+        raise CellFileError(f"cell file seed must be an integer or null, not {seed!r}")
     if graph_name != g.name:
         raise CellFileError(f"cell file is for graph {graph_name!r}, not {g.name!r}")
     try:

@@ -9,6 +9,10 @@ v_0 .. v_n, word w_1 .. w_n):
   positions (i, i+1) through the triangle it closes, weight
   T/sqrt(mu(v_{i-1}) mu(v_{i+1})) for sigma-sigma and the conjugate cell
   for the mirrored pair; every other tag pattern gives the zero block.
+  So a block is linear in the cells.  The graph keeps, per word and
+  position, the cell-free pattern of every grading's block (entry
+  positions, triangle and denominator per entry), and a cell system's
+  block is one gather from its cell vector and one scatter.
 * creation C+_i (1 <= i <= n) expands the single step at position i into
   the like-tagged pair through every completing triangle.  It is defined
   as the conjugate transpose of the annihilation that contracts that
@@ -38,7 +42,7 @@ from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
-from .cells import CellSystem, OrientedTriangle
+from .cells import CellSystem, _triangle_index
 from .graphs import GraphSpec, cached_on, spectral_data
 from .paths import (
     EdgeTag,
@@ -48,6 +52,7 @@ from .paths import (
     PathVector,
     _basis_index,
     enumerate_paths,
+    path_space_dim,
 )
 
 ANNIHILATION = "ANNIHILATION"
@@ -135,11 +140,111 @@ def _check_slot(i: int, lo: int, hi: int, what: str):
 # ----------------------------------------------------------------------
 # operator builders
 #
-# annihilation and cup blocks are kept on the cell system (keyed by graph,
-# grading and position) and freed with it; matrices are immutable.
-# creation and cap return a fresh conjugate transpose of one of those
-# blocks on each call, and tl_u multiplies one; none of these three keeps
-# anything.
+# annihilation patterns are kept on the graph (keyed by word and
+# position); annihilation and cup blocks are kept on the cell system
+# (keyed by graph, grading and position) and freed with it; patterns and
+# matrices are immutable.  creation and cap return a fresh conjugate
+# transpose of one of those blocks on each call, and tl_u multiplies one;
+# none of these three keeps anything.
+
+
+@dataclass(frozen=True, eq=False)
+class AnnihilationPattern:
+    """Cell-free part of C_i on every grading of one word.
+
+    The grading start -> end has grading number s = V * index(start) +
+    index(end), for V vertices.  Its block has shape ``shapes[s]`` and
+    its entries are those at positions ``offsets[s]:offsets[s + 1]`` of
+    the entry arrays: entry k sits at (rows[k], cols[k]) and is the cell
+    of triangle tri[k] (its position in ``enumerate_triangles(g)``) over
+    den[k] = sqrt(mu(a) mu(c)), or on a sigma-bar pair (``conj``) the
+    conjugate cell.  Every column holds at most one entry.  The arrays
+    are read-only.
+    """
+
+    offsets: np.ndarray
+    shapes: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    tri: np.ndarray
+    den: np.ndarray
+    conj: bool
+
+    def entries(self, s: int) -> slice:
+        return slice(self.offsets[s], self.offsets[s + 1])
+
+    def block(self, vector: np.ndarray, s: int) -> np.ndarray:
+        """Block of grading s for the cell vector, one gather and one scatter.
+
+        The entries are rounded as the loop builder rounds them: a cell
+        over a real denominator part by part, and a conjugate cell (a
+        NumPy scalar) times the reciprocal of the denominator.
+        Adding onto zeros leaves no negative zero in the block.
+        """
+        m = np.zeros(self.shapes[s], dtype=complex)
+        k = self.entries(s)
+        t, den = vector[self.tri[k]], self.den[k]
+        if self.conj:
+            m[self.rows[k], self.cols[k]] += t.conj() * (1.0 / den)
+        else:
+            m[self.rows[k], self.cols[k]] += t.real / den + 1j * (t.imag / den)
+        return m
+
+
+def _grading_number(g: GraphSpec, grading: PathGrading) -> int:
+    return g.index(grading.start) * len(g.vertices) + g.index(grading.end)
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    a = np.array(values, dtype=dtype)
+    a.setflags(write=False)
+    return a
+
+
+@cached_on(0)
+def annihilation_pattern(g: GraphSpec, word: Tuple[EdgeTag, ...], i: int) -> AnnihilationPattern:
+    """Where the cells enter C_i on each grading of the word (a tuple of
+    EdgeTag, as in PathGrading), kept on the graph.
+
+    sigma-sigma pairs contract through the triangle v_{i-1} v_i v_{i+1}
+    when its closing arrow exists; the mirrored pair through the
+    triangle v_{i-1} v_{i+1} v_i, conjugated; mixed pairs have no entry.
+    Bases are enumerated only for gradings whose block can hold one.
+    """
+    _check_slot(i, 1, len(word) - 1, "annihilation")
+    mu = spectral_data(g).mu
+    tris = _triangle_index(g)
+    like = word[i - 1] == word[i]
+    shapes, offsets = [], [0]
+    rows, cols, tri, den = [], [], [], []
+    for start in g.vertex_ids():
+        for end in g.vertex_ids():
+            grading = PathGrading(start, end, word)
+            codomain = collapsed_grading(grading, i)
+            shape = (path_space_dim(g, codomain), path_space_dim(g, grading))
+            shapes.append(shape)
+            if like and all(shape):
+                idx = _basis_index(g, codomain)
+                for col, p in enumerate(enumerate_paths(g, grading)):
+                    a, mid, c = p.vertices[i - 1], p.vertices[i], p.vertices[i + 1]
+                    k = tris.get((a, mid, c) if word[i] is EdgeTag.SIGMA else (a, c, mid))
+                    if k is None:
+                        continue
+                    q = ElementaryPath(p.vertices[:i] + p.vertices[i + 1 :], codomain.word)
+                    rows.append(idx[q])
+                    cols.append(col)
+                    tri.append(k)
+                    den.append(np.sqrt(mu[a] * mu[c]))
+            offsets.append(len(rows))
+    return AnnihilationPattern(
+        offsets=_frozen(offsets, np.int32),
+        shapes=_frozen(shapes, np.int32),
+        rows=_frozen(rows, np.int32),
+        cols=_frozen(cols, np.int32),
+        tri=_frozen(tri, np.int32),
+        den=_frozen(den, float),
+        conj=like and word[i] is EdgeTag.SIGMA_BAR,
+    )
 
 
 @cached_on(1)
@@ -149,30 +254,12 @@ def annihilation(g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int) 
     sigma-sigma pairs contract through the triangle v_{i-1} v_i v_{i+1}
     (when its closing arrow exists) with weight T/sqrt(mu mu); the
     mirrored pair uses the conjugate cell; mixed pairs give the zero
-    block.
+    block.  The graph's pattern for the word places the entries, the
+    cell vector fills them.
     """
-    n = grading.length
-    _check_slot(i, 1, n - 1, "annihilation")
-    codomain = collapsed_grading(grading, i)
-    dom = enumerate_paths(g, grading)
-    idx = _basis_index(g, codomain)
-    mu = spectral_data(g).mu
-    values = cells.values
-    m = np.zeros((len(idx), len(dom)), dtype=complex)
-    t1, t2 = grading.word[i - 1], grading.word[i]
-    if t1 == t2:
-        for col, p in enumerate(dom):
-            a, mid, c = p.vertices[i - 1], p.vertices[i], p.vertices[i + 1]
-            if t1 is EdgeTag.SIGMA:
-                val = values.get(OrientedTriangle((a, mid, c)))
-            else:
-                val = values.get(OrientedTriangle((a, c, mid)))
-                val = None if val is None else np.conj(val)
-            if val is None or val == 0:
-                continue
-            q = ElementaryPath(p.vertices[:i] + p.vertices[i + 1 :], codomain.word)
-            m[idx[q], col] += val / np.sqrt(mu[a] * mu[c])
-    return LinearOperator(grading, codomain, m, ANNIHILATION, i)
+    pattern = annihilation_pattern(g, grading.word, i)
+    m = pattern.block(cells.vector, _grading_number(g, grading))
+    return LinearOperator(grading, collapsed_grading(grading, i), m, ANNIHILATION, i)
 
 
 def creation(g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int) -> LinearOperator:
@@ -297,7 +384,7 @@ def verify_tl(
     sum_rule: the per-arrow cell normalization.
     """
     from .cells import max_sum_rule_residual
-    from .paths import iter_gradings, path_space_dim
+    from .paths import iter_gradings
 
     sd = spectral_data(g)
     delta, beta = sd.delta, sd.beta
@@ -396,7 +483,7 @@ def verify_adjointness(g: GraphSpec, cells: CellSystem, max_len: int = 4) -> flo
     checks that each pair meets on matching gradings and positions; the
     weights themselves are checked against loop-built blocks in the tests.
     """
-    from .paths import iter_gradings, path_space_dim
+    from .paths import iter_gradings
 
     worst = 0.0
     for grading in iter_gradings(g, max_len - 1):

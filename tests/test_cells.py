@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from su3paths import (
     CellFileError,
@@ -27,7 +28,7 @@ from su3paths import (
     spectral_data,
     sum_rule_residuals,
 )
-from su3paths.cells import cells_to_dict
+from su3paths.cells import _checksum_payload, _Relations, cells_to_dict
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 SQRT_PHI = math.sqrt(PHI)
@@ -126,6 +127,44 @@ def test_solver_other_seed_same_canonical_values(a2, a2_cells):
         assert abs(v - dict(a2_cells.items)[tri]) < 1e-6
 
 
+def test_solver_reaches_the_optimizer_on_e5(e5, e5_cells, monkeypatch):
+    # the positive-real start fails on e5, so least_squares has to run
+    fits = []
+    least_squares = scipy.optimize.least_squares
+
+    def counted(*args, **kwargs):
+        fits.append(least_squares(*args, **kwargs))
+        return fits[-1]
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", counted)
+    c = solve_cells(e5, seed=1)
+    assert fits and fits[0].njev > 0
+    assert [tri for tri, _ in c.items] == [tri for tri, _ in e5_cells.items]
+    assert np.abs(c.vector - e5_cells.vector).max() < 1e-9
+    for key in ("cupcap", "f_square", "h1", "h2", "h3", "h4", "lemma", "sum_rule"):
+        assert c.residuals[key] < 1e-8, key
+    assert not c.warnings
+
+
+@pytest.mark.parametrize("name", ["a2", "e5"])
+def test_solver_jacobian_matches_central_differences(name):
+    g = get_graph(name)
+    relations = _Relations(g)
+    k = len(enumerate_triangles(g))
+    rng = np.random.default_rng(17)
+    h = 1e-6
+    for _ in range(2):
+        t = rng.normal(size=k) + 1j * rng.normal(size=k)
+        x = np.concatenate([t.real, t.imag])
+        step = h * np.eye(2 * k)
+        numeric = np.column_stack(
+            [(relations.residual(x + e) - relations.residual(x - e)) / (2 * h) for e in step]
+        )
+        analytic = relations.jacobian(x)
+        assert analytic.shape == numeric.shape == (len(relations.residual(x)), 2 * k)
+        assert np.abs(analytic - numeric).max() <= 1e-6 * np.abs(numeric).max()
+
+
 def test_gauge_transform_invariants(a2, a2_cells):
     phases = random_gauge(a2, seed=11)
     assert all(abs(abs(p) - 1.0) < 1e-12 for p in phases.values())
@@ -179,11 +218,20 @@ def test_persistence_roundtrip(tmp_path):
         assert all(set(row) == {"tri", "re", "im"} for row in d["cells"])
 
 
-# each edit leaves the checksummed fields (graph, seed, cells) intact
+def _with_seed(d, seed) -> str:
+    """The file with another seed, under a checksum that matches it."""
+    checksum = _checksum_payload(d["graph"], seed, d["cells"])
+    return json.dumps({**d, "seed": seed, "checksum": checksum})
+
+
+# each edit keeps the checksum valid, so only the edited field is at fault
 CORRUPT_CELL_FILES = {
     "residuals-list": lambda d: json.dumps({**d, "residuals": [1e-12]}),
     "residual-not-number": lambda d: json.dumps({**d, "residuals": {"h1": "small"}}),
     "not-json": lambda d: json.dumps(d)[:-1],
+    "warnings-string": lambda d: json.dumps({**d, "warnings": "abc"}),
+    "seed-dict": lambda d: _with_seed(d, {"n": 1}),
+    "seed-list": lambda d: _with_seed(d, [1]),
 }
 
 

@@ -19,6 +19,7 @@ from su3paths import (
     ElementaryPath,
     PathGrading,
     annihilation,
+    annihilation_pattern,
     build_a_graph,
     cap_grading,
     cap_oriented,
@@ -152,18 +153,23 @@ def test_cached_data_dies_with_its_owner():
         (grading, blocks[3].domain, "CAP"),
     ]
     assert all(np.array_equal(b.matrix, a.matrix.conj().T) for b, a in zip(built, blocks[1::2]))
+    # the cell-free pattern of an annihilation block is the graph's
+    pattern = annihilation_pattern(g, grading.word, 1)
+    assert pattern is annihilation_pattern(g, grading.word, 1)
+    number = g.index(grading.start) * len(g.vertices) + g.index(grading.end)
+    assert np.array_equal(pattern.block(cells.vector, number), blocks[0].matrix)
     refs = [weakref.ref(b) for b in blocks]
-    spectral = weakref.ref(spectral_data(g))
-    del blocks
+    graph_held = [weakref.ref(spectral_data(g)), weakref.ref(pattern)]
+    del blocks, pattern
     assert all(r() is not None for r in refs)  # the cell system holds them
     enabled = gc.isenabled()
     gc.disable()
     try:
         del cells
         assert [r() for r in refs] == [None] * len(refs)
-        assert spectral() is not None  # the graph holds it
+        assert all(r() is not None for r in graph_held)  # the graph holds them
         del g
-        assert spectral() is None
+        assert [r() for r in graph_held] == [None] * len(graph_held)
     finally:
         if enabled:
             gc.enable()

@@ -33,7 +33,7 @@ from su3paths import (
     verify_tl,
 )
 
-from oracle import oracle_deviation
+from oracle import annihilation_deviation, oracle_deviation
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 E5_SBB_COEF = 0.7356603157342366  # |cell| / (1 + sqrt(2)) on the worked 4-step path
@@ -91,6 +91,17 @@ def test_creation_and_cap_match_loop_oracle(name, gauged):
         # complex cells: a dropped conjugation would show
         assert max(abs(v.imag) for v in cells.values.values()) > 0.1
     assert oracle_deviation(g, cells, max_len=4) <= 1e-12
+
+
+@pytest.mark.parametrize("gauged", [False, True], ids=["shipped", "random-gauge"])
+@pytest.mark.parametrize("name,max_len", [("a2", 4), ("a3", 3), ("a4", 3), ("a5", 3), ("e5", 4)])
+def test_annihilation_matches_loop_oracle(name, max_len, gauged):
+    g = get_graph(name)
+    cells = shipped_cells(g)
+    if gauged:
+        cells = gauge_transform(cells, random_gauge(g, 5))
+        assert max(abs(v.imag) for v in cells.values.values()) > 0.1
+    assert annihilation_deviation(g, cells, max_len) <= 1e-14
 
 
 def test_e5_contraction_examples(e5, e5_cells):
