@@ -51,8 +51,8 @@ from .paths import (
     PathGrading,
     PathVector,
     _basis_index,
+    _walk_counts,
     enumerate_paths,
-    path_space_dim,
 )
 
 ANNIHILATION = "ANNIHILATION"
@@ -176,10 +176,12 @@ class AnnihilationPattern:
     def block(self, vector: np.ndarray, s: int) -> np.ndarray:
         """Block of grading s for the cell vector, one gather and one scatter.
 
-        The entries are rounded as the loop builder rounds them: a cell
-        over a real denominator part by part, and a conjugate cell (a
-        NumPy scalar) times the reciprocal of the denominator.
-        Adding onto zeros leaves no negative zero in the block.
+        The entries are rounded as the loop builder in tests/oracle.py
+        rounds them, so blocks on cells read from a file match it bit for
+        bit: a cell is divided by its real denominator part by part (as
+        Python divides a complex number by a float), and a conjugate cell
+        is multiplied by the reciprocal (as NumPy divides).  Adding onto
+        zeros leaves no negative zero in the block.
         """
         m = np.zeros(self.shapes[s], dtype=complex)
         k = self.entries(s)
@@ -203,47 +205,45 @@ def _frozen(values, dtype) -> np.ndarray:
 
 @cached_on(0)
 def annihilation_pattern(g: GraphSpec, word: Tuple[EdgeTag, ...], i: int) -> AnnihilationPattern:
-    """Where the cells enter C_i on each grading of the word (a tuple of
-    EdgeTag, as in PathGrading), kept on the graph.
+    """Where the cells enter C_i on each grading of the word, kept on the graph.
 
     sigma-sigma pairs contract through the triangle v_{i-1} v_i v_{i+1}
     when its closing arrow exists; the mirrored pair through the
     triangle v_{i-1} v_{i+1} v_i, conjugated; mixed pairs have no entry.
     Bases are enumerated only for gradings whose block can hold one.
     """
+    word = tuple(EdgeTag(t) for t in word)
     _check_slot(i, 1, len(word) - 1, "annihilation")
+    collapsed = word[: i - 1] + (word[i - 1].opposite,) + word[i + 1 :]
+    dims, codims = _walk_counts(g, word), _walk_counts(g, collapsed)
+    like, sigma = word[i - 1] is word[i], word[i] is EdgeTag.SIGMA
+    ids = g.vertex_ids()
     mu = spectral_data(g).mu
     tris = _triangle_index(g)
-    like = word[i - 1] == word[i]
-    shapes, offsets = [], [0]
+    counts = np.zeros(dims.size, dtype=np.int32)
     rows, cols, tri, den = [], [], [], []
-    for start in g.vertex_ids():
-        for end in g.vertex_ids():
-            grading = PathGrading(start, end, word)
-            codomain = collapsed_grading(grading, i)
-            shape = (path_space_dim(g, codomain), path_space_dim(g, grading))
-            shapes.append(shape)
-            if like and all(shape):
-                idx = _basis_index(g, codomain)
-                for col, p in enumerate(enumerate_paths(g, grading)):
-                    a, mid, c = p.vertices[i - 1], p.vertices[i], p.vertices[i + 1]
-                    k = tris.get((a, mid, c) if word[i] is EdgeTag.SIGMA else (a, c, mid))
-                    if k is None:
-                        continue
-                    q = ElementaryPath(p.vertices[:i] + p.vertices[i + 1 :], codomain.word)
-                    rows.append(idx[q])
-                    cols.append(col)
-                    tri.append(k)
-                    den.append(np.sqrt(mu[a] * mu[c]))
-            offsets.append(len(rows))
+    nonzero = np.flatnonzero((dims != 0) & (codims != 0)) if like else []
+    for s in nonzero:
+        grading = PathGrading(ids[s // len(ids)], ids[s % len(ids)], word)
+        idx = _basis_index(g, PathGrading(grading.start, grading.end, collapsed))
+        for col, p in enumerate(enumerate_paths(g, grading)):
+            a, mid, c = p.vertices[i - 1], p.vertices[i], p.vertices[i + 1]
+            k = tris.get((a, mid, c) if sigma else (a, c, mid))
+            if k is None:
+                continue
+            rows.append(idx[ElementaryPath(p.vertices[:i] + p.vertices[i + 1 :], collapsed)])
+            cols.append(col)
+            tri.append(k)
+            den.append(np.sqrt(mu[a] * mu[c]))
+            counts[s] += 1
     return AnnihilationPattern(
-        offsets=_frozen(offsets, np.int32),
-        shapes=_frozen(shapes, np.int32),
+        offsets=_frozen(np.concatenate([[0], np.cumsum(counts)]), np.int32),
+        shapes=_frozen(np.stack([codims.ravel(), dims.ravel()], axis=1), np.int64),
         rows=_frozen(rows, np.int32),
         cols=_frozen(cols, np.int32),
         tri=_frozen(tri, np.int32),
         den=_frozen(den, float),
-        conj=like and word[i] is EdgeTag.SIGMA_BAR,
+        conj=like and not sigma,
     )
 
 
@@ -384,7 +384,7 @@ def verify_tl(
     sum_rule: the per-arrow cell normalization.
     """
     from .cells import max_sum_rule_residual
-    from .paths import iter_gradings
+    from .paths import iter_gradings, path_space_dim
 
     sd = spectral_data(g)
     delta, beta = sd.delta, sd.beta
@@ -483,7 +483,7 @@ def verify_adjointness(g: GraphSpec, cells: CellSystem, max_len: int = 4) -> flo
     checks that each pair meets on matching gradings and positions; the
     weights themselves are checked against loop-built blocks in the tests.
     """
-    from .paths import iter_gradings
+    from .paths import iter_gradings, path_space_dim
 
     worst = 0.0
     for grading in iter_gradings(g, max_len - 1):

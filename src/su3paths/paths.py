@@ -189,13 +189,19 @@ class PathGrading:
 def path_space_dim(g: GraphSpec, grading: PathGrading) -> int:
     """Dimension of the grading without enumeration.
 
-    Entry (start, end) of the ordered product of step matrices (adjacency
-    for SIGMA, its transpose for SIGMA_BAR) in exact integers.  Each
-    word's product is its prefix's product times one step matrix, kept in
-    the graph's walk table, so words sharing a prefix share its product.
+    Entry (start, end) of the word's walk-count matrix.
     """
+    m = _walk_counts(g, grading.word)
+    return int(m[g.index(grading.start), g.index(grading.end)])
+
+
+def _walk_counts(g: GraphSpec, word: Word) -> np.ndarray:
+    """Dimensions of every (start, end) grading of a typed word: the
+    ordered product of step matrices (adjacency for SIGMA, its transpose
+    for SIGMA_BAR) in exact integers.  Each word's product is its
+    prefix's product times one step matrix, kept in the graph's walk
+    table, so words sharing a prefix share its product."""
     table = g.walk_table
-    word = grading.word
     known = len(word)
     while word[:known] not in table:
         known -= 1
@@ -205,7 +211,7 @@ def path_space_dim(g: GraphSpec, grading: PathGrading) -> int:
         m = m @ (a if word[k] is EdgeTag.SIGMA else a.T)
         m.flags.writeable = False
         table[word[: k + 1]] = m
-    return int(m[g.index(grading.start), g.index(grading.end)])
+    return m
 
 
 @cached_on(0)

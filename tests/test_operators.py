@@ -11,6 +11,7 @@ from su3paths import (
     PathGrading,
     PathVector,
     annihilation,
+    annihilation_pattern,
     apply_annihilation,
     cap_oriented,
     cell_system,
@@ -102,6 +103,14 @@ def test_annihilation_matches_loop_oracle(name, max_len, gauged):
         cells = gauge_transform(cells, random_gauge(g, 5))
         assert max(abs(v.imag) for v in cells.values.values()) > 0.1
     assert annihilation_deviation(g, cells, max_len) <= 1e-14
+
+
+def test_annihilation_pattern_of_a_spelled_word(e5):
+    spelled = annihilation_pattern(e5, "bbb", 2)
+    typed = annihilation_pattern(e5, parse_word("bbb"), 2)
+    assert spelled is not typed and spelled.conj and typed.conj
+    for field in ("offsets", "shapes", "rows", "cols", "tri", "den"):
+        assert np.array_equal(getattr(spelled, field), getattr(typed, field))
 
 
 def test_e5_contraction_examples(e5, e5_cells):
