@@ -180,16 +180,18 @@ class AnnihilationPattern:
         rounds them, so blocks on cells read from a file match it bit for
         bit: a cell is divided by its real denominator part by part (as
         Python divides a complex number by a float), and a conjugate cell
-        is multiplied by the reciprocal (as NumPy divides).  Adding onto
-        zeros leaves no negative zero in the block.
+        is multiplied by the reciprocal (as NumPy divides).  Adding 0.0
+        turns a negative zero into 0.0, as filling a zero block by
+        addition does there.
         """
-        m = np.zeros(self.shapes[s], dtype=complex)
+        m = np.zeros(self.shapes[s].tolist(), dtype=complex)
         k = self.entries(s)
         t, den = vector[self.tri[k]], self.den[k]
         if self.conj:
-            m[self.rows[k], self.cols[k]] += t.conj() * (1.0 / den)
+            values = t.conj() * (1.0 / den)
         else:
-            m[self.rows[k], self.cols[k]] += t.real / den + 1j * (t.imag / den)
+            values = t.real / den + 1j * (t.imag / den)
+        m[self.rows[k], self.cols[k]] = values + 0.0
         return m
 
 

@@ -191,7 +191,9 @@ def path_space_dim(g: GraphSpec, grading: PathGrading) -> int:
 
     Entry (start, end) of the word's walk-count matrix.
     """
-    m = _walk_counts(g, grading.word)
+    m = g.walk_table.get(grading.word)
+    if m is None:
+        m = _walk_counts(g, grading.word)
     return int(m[g.index(grading.start), g.index(grading.end)])
 
 
