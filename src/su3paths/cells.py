@@ -205,9 +205,9 @@ class _Relations:
     so no CellSystem is built per evaluation.  The rows are:
 
     * per arrow, the sum of |T|^2 over its triangles minus [2] mu mu;
-    * per constant three-letter grading, the real and imaginary parts of
-      U1 U2 U1 - U1 - (U2 U1 U2 - U2) and of U1^2 - [2] U1, where
-      U = C^H C on the slot's annihilation block C.
+    * per constant three-letter grading of nonzero dimension, the real
+      and imaginary parts of U1 U2 U1 - U1 - (U2 U1 U2 - U2) and of
+      U1^2 - [2] U1, where U = C^H C on the slot's annihilation block C.
 
     Gradings whose slot-1 and slot-2 blocks have equal shapes are
     evaluated as one batch (e5 has 96 gradings in 6 batches).  C is
@@ -238,7 +238,7 @@ class _Relations:
                     by_shape.setdefault(key, []).append(((p1, s), (p2, s)))
         k = len(tris)
         self.batches = [
-            (_PatternBatch([p1 for p1, _ in pairs], k), _PatternBatch([p2 for _, p2 in pairs], k))
+            (_PatternBatch([one for one, _ in pairs], k), _PatternBatch([two for _, two in pairs], k))
             for pairs in by_shape.values()
         ]
 
