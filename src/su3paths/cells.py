@@ -85,15 +85,17 @@ def enumerate_triangles(g: GraphSpec) -> Tuple[OrientedTriangle, ...]:
 
 
 @cached_on(0)
-def _triangle_index(g: GraphSpec) -> Mapping[Tuple[str, str, str], int]:
+def _triangle_table(g: GraphSpec) -> np.ndarray:
     """Position in ``enumerate_triangles(g)`` of every triangle, under each
-    of its three rotations."""
-    out = {}
+    of its three rotations, as a read-only V x V x V table by vertex
+    index; -1 where no triangle closes."""
+    n = len(g.vertices)
+    table = np.full((n, n, n), -1, dtype=np.int32)
     for k, tri in enumerate(enumerate_triangles(g)):
-        x, y, z = tri.vertices
-        for rot in ((x, y, z), (y, z, x), (z, x, y)):
-            out[rot] = k
-    return MappingProxyType(out)
+        x, y, z = (g.index(v) for v in tri.vertices)
+        table[(x, y, z), (y, z, x), (z, x, y)] = k
+    table.setflags(write=False)
+    return table
 
 
 def collapsed_cell(g: GraphSpec, a: str, m: str) -> float:
@@ -117,10 +119,11 @@ class CellSystem(HashedOnce):
     step (solver or file load).  ``vector`` holds the cells as one
     complex array in that order: an annihilation block gathers from it
     (conjugated on sigma-bar pairs) through its graph's pattern.  The
-    hash, the value map, the vector and the annihilation and cup blocks
-    built from the system are computed once per instance, freed with it
-    and never pickled; creation and cap are rebuilt as their conjugate
-    transposes on each call.
+    hash, the value map, the vector and the annihilation blocks built
+    from the system are computed once per instance, freed with it and
+    never pickled; cup blocks read no cell and are scattered from the
+    graph's pattern on each call, and creation and cap are rebuilt as
+    conjugate transposes on each call.
     """
 
     graph: str

@@ -111,9 +111,9 @@ class GraphSpec(HashedOnce):
     order is part of the value (it fixes matrix layouts downstream).
 
     Derived data (the hash, lookup maps, adjacency, walk table, spectral
-    data, bases, triangles, annihilation patterns and fusion matrices) is
-    computed on first use and kept on the instance, so it is freed with
-    the graph.  It is never pickled.
+    data, path arrays and bases, triangles, annihilation and cup patterns
+    and fusion matrices) is computed on first use and kept on the
+    instance, so it is freed with the graph.  It is never pickled.
     """
 
     name: str

@@ -21,7 +21,16 @@ v_0 .. v_n, word w_1 .. w_n):
   weight sqrt(mu(b)/mu(v_{i-1})) (the collapsed cell over mu); cap
   inserts returns through every neighbor, one operator per insertion
   order since the two orders land in different codomain words.  Cap is
-  defined as the conjugate transpose of the matching cup.
+  defined as the conjugate transpose of the matching cup.  Cup reads no
+  cell, so the graph keeps its whole pattern (entry positions and
+  weights) per word and position, and a block is one scatter from it;
+  cup blocks are not kept.
+
+Both patterns are found by index arithmetic on the graph's path arrays
+(paths.word_paths): select the rows whose three vertices at the slot
+close a triangle (annihilation) or a return (cup), delete the contracted
+column(s), and look the shorter rows up in the codomain word's array by
+their sort key.
 
 U_i = C+_i C_i is an endomorphism of each graded block.  verify_tl
 sweeps all gradings up to a word length and reports max residuals for:
@@ -36,13 +45,14 @@ not apply (see tests for an explicit mixed-word counterexample).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional, Tuple
 
 import numpy as np
 
-from .cells import CellSystem, _triangle_index
+from .cells import CellSystem, _triangle_table
 from .graphs import GraphSpec, cached_on, spectral_data
 from .paths import (
     EdgeTag,
@@ -50,9 +60,12 @@ from .paths import (
     GradingMismatch,
     PathGrading,
     PathVector,
-    _basis_index,
+    _grading_numbers,
+    _grading_offsets,
+    _row_keys,
     _walk_counts,
-    enumerate_paths,
+    path_space_dim,
+    word_paths,
 )
 
 ANNIHILATION = "ANNIHILATION"
@@ -140,38 +153,55 @@ def _check_slot(i: int, lo: int, hi: int, what: str):
 # ----------------------------------------------------------------------
 # operator builders
 #
-# annihilation patterns are kept on the graph (keyed by word and
-# position); annihilation and cup blocks are kept on the cell system
-# (keyed by graph, grading and position) and freed with it; patterns and
-# matrices are immutable.  creation and cap return a fresh conjugate
-# transpose of one of those blocks on each call, and tl_u multiplies one;
-# none of these three keeps anything.
+# annihilation and cup patterns are kept on the graph (keyed by word and
+# position) and built from the graph's word_paths arrays by index
+# arithmetic; annihilation blocks are kept on the cell system (keyed by
+# graph, grading and position) and freed with it.  A cup block is one
+# scatter from its pattern and is not kept: it reads no cell, and it is
+# cheaper to rebuild than to hold.  creation and cap return a fresh
+# conjugate transpose of an annihilation or cup block on each call, and
+# tl_u multiplies one; none of these keeps anything.  Patterns and
+# matrices are immutable.
 
 
 @dataclass(frozen=True, eq=False)
-class AnnihilationPattern:
-    """Cell-free part of C_i on every grading of one word.
+class _Pattern:
+    """Where the entries of one operator sit on every grading of one word.
 
     The grading start -> end has grading number s = V * index(start) +
     index(end), for V vertices.  Its block has shape ``shapes[s]`` and
     its entries are those at positions ``offsets[s]:offsets[s + 1]`` of
-    the entry arrays: entry k sits at (rows[k], cols[k]) and is the cell
-    of triangle tri[k] (its position in ``enumerate_triangles(g)``) over
-    den[k] = sqrt(mu(a) mu(c)), or on a sigma-bar pair (``conj``) the
-    conjugate cell.  Every column holds at most one entry.  The arrays
-    are read-only.
+    the entry arrays: entry k sits at (rows[k], cols[k]).  Every column
+    holds at most one entry.  The arrays are read-only.
     """
 
     offsets: np.ndarray
     shapes: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    tri: np.ndarray
-    den: np.ndarray
-    conj: bool
 
     def entries(self, s: int) -> slice:
         return slice(self.offsets[s], self.offsets[s + 1])
+
+    def _scatter(self, s: int, values: np.ndarray) -> np.ndarray:
+        m = np.zeros(self.shapes[s].tolist(), dtype=complex)
+        k = self.entries(s)
+        m[self.rows[k], self.cols[k]] = values
+        return m
+
+
+@dataclass(frozen=True, eq=False)
+class AnnihilationPattern(_Pattern):
+    """Cell-free part of C_i on every grading of one word.
+
+    Entry k is the cell of triangle tri[k] (its position in
+    ``enumerate_triangles(g)``) over den[k] = sqrt(mu(a) mu(c)), or on a
+    sigma-bar pair (``conj``) the conjugate cell.
+    """
+
+    tri: np.ndarray
+    den: np.ndarray
+    conj: bool
 
     def block(self, vector: np.ndarray, s: int) -> np.ndarray:
         """Block of grading s for the cell vector, one gather and one scatter.
@@ -184,15 +214,24 @@ class AnnihilationPattern:
         turns a negative zero into 0.0, as filling a zero block by
         addition does there.
         """
-        m = np.zeros(self.shapes[s].tolist(), dtype=complex)
         k = self.entries(s)
         t, den = vector[self.tri[k]], self.den[k]
         if self.conj:
             values = t.conj() * (1.0 / den)
         else:
             values = t.real / den + 1j * (t.imag / den)
-        m[self.rows[k], self.cols[k]] = values + 0.0
-        return m
+        return self._scatter(s, values + 0.0)
+
+
+@dataclass(frozen=True, eq=False)
+class CupPattern(_Pattern):
+    """Cup_i on every grading of one word: entry k has weight weight[k] =
+    sqrt(mu(b) / mu(a)) for the return a b a it closes."""
+
+    weight: np.ndarray
+
+    def block(self, s: int) -> np.ndarray:
+        return self._scatter(s, self.weight[self.entries(s)])
 
 
 def _grading_number(g: GraphSpec, grading: PathGrading) -> int:
@@ -205,6 +244,30 @@ def _frozen(values, dtype) -> np.ndarray:
     return a
 
 
+def _entries(g: GraphSpec, word, codomain, selected: np.ndarray, drop) -> dict:
+    """Shapes and entry positions of a pattern from word to codomain that
+    maps each selected row of word_paths(g, word) to the codomain path
+    left when the columns ``drop`` are deleted: the codomain row is found
+    by searchsorted on the sort key of word_paths, and both row and
+    column are counted from the start of their grading's slice."""
+    dom = word_paths(g, word)[selected]
+    numbers = _grading_numbers(g, dom)
+    keys = _row_keys(g, word_paths(g, codomain))
+    rows = np.searchsorted(keys, _row_keys(g, np.delete(dom, drop, axis=1)))
+    dims, codims = _walk_counts(g, word), _walk_counts(g, codomain)
+    return dict(
+        offsets=_frozen(np.searchsorted(numbers, np.arange(dims.size + 1)), np.int32),
+        shapes=_frozen(np.stack([codims.ravel(), dims.ravel()], axis=1), np.int64),
+        rows=_frozen(rows - _grading_offsets(g, codomain)[numbers], np.int32),
+        cols=_frozen(selected - _grading_offsets(g, word)[numbers], np.int32),
+    )
+
+
+def _mu_array(g: GraphSpec) -> np.ndarray:
+    mu = spectral_data(g).mu
+    return np.array([mu[v] for v in g.vertex_ids()])
+
+
 @cached_on(0)
 def annihilation_pattern(g: GraphSpec, word: Tuple[EdgeTag, ...], i: int) -> AnnihilationPattern:
     """Where the cells enter C_i on each grading of the word, kept on the graph.
@@ -212,40 +275,44 @@ def annihilation_pattern(g: GraphSpec, word: Tuple[EdgeTag, ...], i: int) -> Ann
     sigma-sigma pairs contract through the triangle v_{i-1} v_i v_{i+1}
     when its closing arrow exists; the mirrored pair through the
     triangle v_{i-1} v_{i+1} v_i, conjugated; mixed pairs have no entry.
-    Bases are enumerated only for gradings whose block can hold one.
+    The entries are found on the word's path array: a triangle lookup
+    per row, then the row without v_i is placed in the collapsed word.
     """
     word = tuple(EdgeTag(t) for t in word)
     _check_slot(i, 1, len(word) - 1, "annihilation")
     collapsed = word[: i - 1] + (word[i - 1].opposite,) + word[i + 1 :]
-    dims, codims = _walk_counts(g, word), _walk_counts(g, collapsed)
+    paths = word_paths(g, word)
+    a, mid, c = paths[:, i - 1], paths[:, i], paths[:, i + 1]
     like, sigma = word[i - 1] is word[i], word[i] is EdgeTag.SIGMA
-    ids = g.vertex_ids()
-    mu = spectral_data(g).mu
-    tris = _triangle_index(g)
-    counts = np.zeros(dims.size, dtype=np.int32)
-    rows, cols, tri, den = [], [], [], []
-    nonzero = np.flatnonzero((dims != 0) & (codims != 0)) if like else []
-    for s in nonzero:
-        grading = PathGrading(ids[s // len(ids)], ids[s % len(ids)], word)
-        idx = _basis_index(g, PathGrading(grading.start, grading.end, collapsed))
-        for col, p in enumerate(enumerate_paths(g, grading)):
-            a, mid, c = p.vertices[i - 1], p.vertices[i], p.vertices[i + 1]
-            k = tris.get((a, mid, c) if sigma else (a, c, mid))
-            if k is None:
-                continue
-            rows.append(idx[ElementaryPath(p.vertices[:i] + p.vertices[i + 1 :], collapsed)])
-            cols.append(col)
-            tri.append(k)
-            den.append(np.sqrt(mu[a] * mu[c]))
-            counts[s] += 1
+    tri = _triangle_table(g)[(a, mid, c) if sigma else (a, c, mid)]
+    selected = np.flatnonzero(like & (tri >= 0))
+    mu = _mu_array(g)
     return AnnihilationPattern(
-        offsets=_frozen(np.concatenate([[0], np.cumsum(counts)]), np.int32),
-        shapes=_frozen(np.stack([codims.ravel(), dims.ravel()], axis=1), np.int64),
-        rows=_frozen(rows, np.int32),
-        cols=_frozen(cols, np.int32),
-        tri=_frozen(tri, np.int32),
-        den=_frozen(den, float),
+        **_entries(g, word, collapsed, selected, i),
+        tri=_frozen(tri[selected], np.int32),
+        den=_frozen(np.sqrt(mu[a[selected]] * mu[c[selected]]), float),
         conj=like and not sigma,
+    )
+
+
+@cached_on(0)
+def cup_pattern(g: GraphSpec, word: Tuple[EdgeTag, ...], i: int) -> CupPattern:
+    """Cup_i on each grading of the word, kept on the graph.
+
+    A mixed pair closes every return v_{i-1} = v_{i+1} with weight
+    sqrt(mu(v_i) / mu(v_{i-1})) and reads no cell; like pairs have no
+    entry.  The returns are found on the word's path array, and each is
+    placed in the shorter word with v_i and v_{i+1} deleted.
+    """
+    word = tuple(EdgeTag(t) for t in word)
+    _check_slot(i, 1, len(word) - 1, "cup")
+    paths = word_paths(g, word)
+    a, b = paths[:, i - 1], paths[:, i]
+    selected = np.flatnonzero((word[i - 1] is not word[i]) & (a == paths[:, i + 1]))
+    mu = _mu_array(g)
+    return CupPattern(
+        **_entries(g, word, word[: i - 1] + word[i + 1 :], selected, [i, i + 1]),
+        weight=_frozen(np.sqrt(mu[b[selected]] / mu[a[selected]]), float),
     )
 
 
@@ -272,25 +339,15 @@ def creation(g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int) -> L
     return annihilation(g, cells, expanded_grading(grading, i), i).adjoint()
 
 
-@cached_on(1)
 def cup(g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int) -> LinearOperator:
     """Contract a mixed-tag return v_{i-1} b v_{i-1} at positions (i, i+1),
-    weight sqrt(mu(b)/mu(v_{i-1})).  Like-tag pairs give the zero block."""
-    n = grading.length
-    _check_slot(i, 1, n - 1, "cup")
-    codomain = cup_grading(grading, i)
-    dom = enumerate_paths(g, grading)
-    idx = _basis_index(g, codomain)
-    mu = spectral_data(g).mu
-    m = np.zeros((len(idx), len(dom)), dtype=complex)
-    t1, t2 = grading.word[i - 1], grading.word[i]
-    if t1 != t2:
-        for col, p in enumerate(dom):
-            if p.vertices[i - 1] != p.vertices[i + 1]:
-                continue
-            q = ElementaryPath(p.vertices[: i] + p.vertices[i + 2 :], codomain.word)
-            m[idx[q], col] += np.sqrt(mu[p.vertices[i]] / mu[p.vertices[i - 1]])
-    return LinearOperator(grading, codomain, m, CUP, i)
+    weight sqrt(mu(b)/mu(v_{i-1})).  Like-tag pairs give the zero block.
+
+    One scatter from the graph's cup pattern for the word; cells is not
+    read (every block builder takes the same arguments)."""
+    _check_slot(i, 1, grading.length - 1, "cup")
+    m = cup_pattern(g, grading.word, i).block(_grading_number(g, grading))
+    return LinearOperator(grading, cup_grading(grading, i), m, CUP, i)
 
 
 def cap_oriented(
@@ -310,7 +367,7 @@ def tl_u(g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int) -> Linea
     n = grading.length
     _check_slot(i, 1, n - 1, "tl_u")
     if grading.word[i - 1] != grading.word[i]:
-        dim = len(enumerate_paths(g, grading))
+        dim = path_space_dim(g, grading)
         return LinearOperator(grading, grading, np.zeros((dim, dim), complex), U, i)
     c = annihilation(g, cells, grading, i).matrix
     return LinearOperator(grading, grading, c.conj().T @ c, U, i)
@@ -386,7 +443,7 @@ def verify_tl(
     sum_rule: the per-arrow cell normalization.
     """
     from .cells import max_sum_rule_residual
-    from .paths import iter_gradings, path_space_dim
+    from .paths import iter_gradings
 
     sd = spectral_data(g)
     delta, beta = sd.delta, sd.beta
@@ -448,9 +505,9 @@ def verify_tl(
         for i in range(1, n + 2):
             comps = {}
             for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
-                cp = cap_oriented(g, cells, grading, i, tag)
-                cu = cup(g, cells, cp.codomain, i)
-                comps[tag] = cu.matrix @ cp.matrix
+                # one cup block per insertion order; the cap is its adjoint
+                cu = cup(g, cells, cap_grading(grading, i, tag), i).matrix
+                comps[tag] = cu @ cu.conj().T
                 bump("cupcap", _mnorm(comps[tag] - beta * eye), f"{here} i={i} cap {tag.value}")
             if i <= n:
                 cre = creation(g, cells, grading, i)
@@ -484,8 +541,11 @@ def verify_adjointness(g: GraphSpec, cells: CellSystem, max_len: int = 4) -> flo
     creation and cap are built as those conjugate transposes, so this
     checks that each pair meets on matching gradings and positions; the
     weights themselves are checked against loop-built blocks in the tests.
+    Each cup block is built once per (grading, position, insertion
+    order) and the cap is its adjoint, so for that pair the check is
+    that the cup closes the cap's return back onto the grading.
     """
-    from .paths import iter_gradings, path_space_dim
+    from .paths import iter_gradings
 
     worst = 0.0
     for grading in iter_gradings(g, max_len - 1):
@@ -502,7 +562,6 @@ def verify_adjointness(g: GraphSpec, cells: CellSystem, max_len: int = 4) -> flo
         n = grading.length
         for i in range(1, n + 2):
             for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
-                cp = cap_oriented(g, cells, grading, i, tag)
-                cu = cup(g, cells, cp.codomain, i)
-                worst = max(worst, _mnorm(cp.matrix - cu.matrix.conj().T))
+                if cup(g, cells, cap_grading(grading, i, tag), i).codomain != grading:
+                    return math.inf
     return worst

@@ -9,10 +9,13 @@ operators act, and elementary paths in lexicographic vertex order are
 its orthonormal basis.
 
 Counts and bases both grow one step at a time along the word, and both
-are kept on the graph: a word's walk-count matrix is its prefix's times
-one step matrix, and a grading's basis is built from the bases of its
-prefix gradings.  _basis_index is the one map from a basis path to its
-position.
+are kept on the graph, per word: a word's walk-count matrix is its
+prefix's times one step matrix, and its paths (word_paths) are an
+integer array of vertex indices, one row per path, grown from its
+prefix's rows through neighbour arrays.  The rows are sorted so that
+every grading is a contiguous slice in basis order; enumerate_paths
+turns one slice into ElementaryPath objects, and _basis_index is the
+one map from such a path to its position.
 """
 
 from __future__ import annotations
@@ -23,14 +26,14 @@ from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .graphs import GraphError, GraphSpec, cached_on
+from .graphs import GraphError, GraphSpec, HashedOnce, cached_on
 
-#: refuse to materialize gradings with more basis paths than this
+#: refuse to materialize words with more paths than this
 MAX_PATH_SPACE = 10**6
 
 
 class PathSpaceTooLarge(RuntimeError):
-    """Grading dimension exceeds the materialization cap."""
+    """A word has more paths than the materialization cap."""
 
 
 class GradingMismatch(ValueError):
@@ -164,16 +167,24 @@ def concatenate(p: ElementaryPath, q: ElementaryPath) -> Optional[ElementaryPath
 
 
 @dataclass(frozen=True)
-class PathGrading:
-    """One graded component: start and end vertices plus the exact word."""
+class PathGrading(HashedOnce):
+    """One graded component: start and end vertices plus the exact word.
+
+    Gradings key most memo entries, so the hash is computed once per
+    instance (HashedOnce) and never pickled.  It is computed on
+    construction, as HashedOnce would compute it on first use (which is
+    what an unpickled grading does)."""
 
     start: str
     end: str
     word: Word
 
+    __hash__ = HashedOnce.__hash__
+
     def __post_init__(self):
         if not _is_typed_word(self.word):
             object.__setattr__(self, "word", tuple(EdgeTag(t) for t in self.word))
+        self.__dict__["_hash"] = hash((self.start, self.end, self.word))
 
     @property
     def length(self) -> int:
@@ -217,37 +228,111 @@ def _walk_counts(g: GraphSpec, word: Word) -> np.ndarray:
 
 
 @cached_on(0)
+def _id_ranks(g: GraphSpec) -> np.ndarray:
+    """Rank of each vertex's id among the sorted ids, by vertex index.
+    Bases are in id order, which is not index order: on a2 the index
+    order is 1, 3b, 6b, 3, 8, 6."""
+    ranks = np.empty(len(g.vertices), dtype=np.int64)
+    ranks[np.argsort(g.vertex_ids(), kind="stable")] = np.arange(len(g.vertices))
+    ranks.setflags(write=False)
+    return ranks
+
+
+@cached_on(0)
+def _step_targets(g: GraphSpec, tag: EdgeTag) -> Tuple[np.ndarray, np.ndarray]:
+    """Neighbour arrays of one step: a tag step from vertex k reaches
+    targets[offsets[k]:offsets[k + 1]] (vertex indices)."""
+    a = g.adjacency if tag is EdgeTag.SIGMA else g.adjacency.T
+    src, dst = np.nonzero(a)
+    return np.searchsorted(src, np.arange(len(g.vertices) + 1)), dst.astype(np.int32)
+
+
+def _grading_numbers(g: GraphSpec, rows: np.ndarray) -> np.ndarray:
+    """Grading number V * index(start) + index(end) of each path row."""
+    return rows[:, 0].astype(np.int64) * len(g.vertices) + rows[:, -1]
+
+
+def _row_keys(g: GraphSpec, rows: np.ndarray) -> np.ndarray:
+    """Sort key of each path row of word_paths: the grading number, then
+    the id ranks of the interior vertices, as digits base V.  Exact
+    Python integers where int64 would overflow."""
+    n = len(g.vertices)
+    width = rows.shape[1]
+    dtype = np.int64 if n ** max(width, 2) < 2**63 else object
+    ranks = _id_ranks(g).astype(dtype)
+    keys = _grading_numbers(g, rows).astype(dtype)
+    for k in range(1, width - 1):
+        keys = keys * n + ranks[rows[:, k]]
+    return keys
+
+
+@cached_on(0)
+def word_paths(g: GraphSpec, word: Word) -> np.ndarray:
+    """Every path realizing the word, as a read-only (N, len(word) + 1)
+    int32 array of vertex indices; kept on the graph.
+
+    Rows are sorted by their key (_row_keys): grading by grading, in
+    grading-number order, so the basis of each grading is a contiguous
+    slice (_grading_offsets), and within a grading by the ids of the
+    interior vertices, which is the basis order of enumerate_paths.
+    Grown from the prefix word's rows: each row is extended by every
+    vertex one last-tag step from its end.
+
+    Raises PathSpaceTooLarge, before any row is built, when the walk
+    counts give the word more than MAX_PATH_SPACE paths.
+    """
+    word = tuple(EdgeTag(t) for t in word)
+    total = _walk_counts(g, word).sum()
+    if total > MAX_PATH_SPACE:
+        raise PathSpaceTooLarge(
+            f"word {word_str(word) or '()'} has {total} paths on {g.name} (cap {MAX_PATH_SPACE})"
+        )
+    if not word:
+        rows = np.arange(len(g.vertices), dtype=np.int32)[:, None]
+    else:
+        prev = word_paths(g, word[:-1])
+        offsets, targets = _step_targets(g, word[-1])
+        ends = prev[:, -1]
+        degree = offsets[ends + 1] - offsets[ends]
+        parent = np.repeat(np.arange(len(prev)), degree)
+        first = np.repeat(offsets[ends] - (np.cumsum(degree) - degree), degree)
+        rows = np.column_stack([prev[parent], targets[first + np.arange(len(parent))]])
+        rows = rows[np.argsort(_row_keys(g, rows), kind="stable")]
+    rows.setflags(write=False)
+    return rows
+
+
+@cached_on(0)
+def _grading_offsets(g: GraphSpec, word: Word) -> np.ndarray:
+    """Where each grading sits in word_paths(g, word): the grading with
+    number s = V * index(start) + index(end) is rows offsets[s]:offsets[s + 1]."""
+    numbers = _grading_numbers(g, word_paths(g, word))
+    offsets = np.searchsorted(numbers, np.arange(len(g.vertices) ** 2 + 1))
+    offsets.setflags(write=False)
+    return offsets
+
+
+@cached_on(0)
 def enumerate_paths(g: GraphSpec, grading: PathGrading) -> Tuple[ElementaryPath, ...]:
     """All elementary paths realizing the grading, in lexicographic order
     of their vertex sequences.  Deterministic; cached per grading on g.
 
-    Grown from the prefix word, as the counts are: the basis of
-    start -> end along w + (t,) is the union, over every v with a t-step
-    v -> end and a nonzero count start -> v along w, of the cached basis
-    of that prefix grading with end appended.
-
-    Raises PathSpaceTooLarge when the dimension exceeds MAX_PATH_SPACE,
-    and PathCountMismatch if the enumeration disagrees with the count.
+    The grading's slice of word_paths(g, grading.word), as ElementaryPath
+    objects.  Raises PathSpaceTooLarge when the grading's word has more
+    than MAX_PATH_SPACE paths over all of its gradings (the cap bounds
+    the word, not the grading), and PathCountMismatch if the slice
+    disagrees with the count.
     """
-    start, end, word = grading.start, grading.end, grading.word
-    g.index(start), g.index(end)
+    n = len(g.vertices)
+    s = g.index(grading.start) * n + g.index(grading.end)
+    word = grading.word
+    offsets = _grading_offsets(g, word)
+    rows = word_paths(g, word)[offsets[s] : offsets[s + 1]]
     dim = path_space_dim(g, grading)
-    if dim > MAX_PATH_SPACE:
-        raise PathSpaceTooLarge(f"{grading} has {dim} basis paths (cap {MAX_PATH_SPACE})")
-    if not word:
-        walks = [(start,)] if start == end else []
-    else:
-        head = word[:-1]
-        last = g.in_neighbors(end) if word[-1] is EdgeTag.SIGMA else g.out_neighbors(end)
-        walks = []
-        for v in last:
-            prefix = PathGrading(start, v, head)
-            if path_space_dim(g, prefix):
-                walks.extend(p.vertices + (end,) for p in enumerate_paths(g, prefix))
-        walks.sort()
-    if len(walks) != dim:
-        raise PathCountMismatch(f"enumerated {len(walks)} paths on {grading}, counted {dim}")
-    return tuple(ElementaryPath(vs, word) for vs in walks)
+    if len(rows) != dim:
+        raise PathCountMismatch(f"enumerated {len(rows)} paths on {grading}, counted {dim}")
+    ids = np.array(g.vertex_ids(), dtype=object)
+    return tuple(ElementaryPath(tuple(vs), word) for vs in ids[rows].tolist())
 
 
 @cached_on(0)

@@ -4,6 +4,11 @@ Loop-built annihilation blocks: the library fills each block from the
 cell vector through a pattern kept on the graph; the loop builder looks
 up every entry's cell by its triangle, one basis path at a time.
 
+Loop-built cup blocks: the library scatters each cup block from a
+pattern kept on the graph, found on the word's path array by index
+arithmetic; the loop builder contracts every basis path with a return
+at the slot, one path at a time.
+
 Loop-built creation and cap blocks: the library builds creation as
 annihilation^H and cap as cup^H, so comparing those pairs with each
 other only checks a conjugate transpose.  These builders fill every
@@ -35,11 +40,14 @@ from su3paths.operators import (
     ANNIHILATION,
     CAP,
     CREATION,
+    CUP,
     _check_slot,
     _mnorm,
     annihilation,
     cap_grading,
     collapsed_grading,
+    cup,
+    cup_grading,
     expanded_grading,
 )
 from su3paths.paths import _basis_index
@@ -92,6 +100,46 @@ def annihilation_deviation(g, cells, max_len: int) -> float:
             lib = annihilation(g, cells, grading, i)
             worst = max(worst, _deviation(lib, loop_annihilation(g, cells, grading, i)))
     return worst
+
+
+def loop_cup(g, cells, grading, i) -> LinearOperator:
+    """Contract a mixed-tag return v_{i-1} b v_{i-1} at positions (i, i+1),
+    weight sqrt(mu(b)/mu(v_{i-1})).  Like-tag pairs give the zero block."""
+    n = grading.length
+    _check_slot(i, 1, n - 1, "cup")
+    codomain = cup_grading(grading, i)
+    dom = enumerate_paths(g, grading)
+    idx = _basis_index(g, codomain)
+    mu = spectral_data(g).mu
+    m = np.zeros((len(idx), len(dom)), dtype=complex)
+    t1, t2 = grading.word[i - 1], grading.word[i]
+    if t1 != t2:
+        for col, p in enumerate(dom):
+            if p.vertices[i - 1] != p.vertices[i + 1]:
+                continue
+            q = ElementaryPath(p.vertices[: i] + p.vertices[i + 2 :], codomain.word)
+            m[idx[q], col] += np.sqrt(mu[p.vertices[i]] / mu[p.vertices[i - 1]])
+    return LinearOperator(grading, codomain, m, CUP, i)
+
+
+def cup_mismatches(g, cells, max_len: int) -> list:
+    """Every cup block verify_tl builds up to max_len (the cup closing
+    each cap insertion on the gradings of nonzero dimension) that is not
+    bit for bit the loop-built block, as (domain, position) pairs.
+
+    Asserts that domain, codomain, kind and position agree."""
+    bad = []
+    for grading in iter_gradings(g, max_len):
+        if path_space_dim(g, grading) == 0:
+            continue
+        for i in range(1, grading.length + 2):
+            for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
+                domain = cap_grading(grading, i, tag)
+                lib, ref = cup(g, cells, domain, i), loop_cup(g, cells, domain, i)
+                _deviation(lib, ref)
+                if lib.matrix.tobytes() != ref.matrix.tobytes():
+                    bad.append((str(domain), i))
+    return bad
 
 
 def loop_creation(g, cells, grading, i) -> LinearOperator:

@@ -1,9 +1,13 @@
 """Command-line surface: dispatch, formats, exit codes, file plumbing."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import su3paths
 from su3paths import enumerate_triangles, get_graph, graph_to_dict, save_cells, shipped_cells
 from su3paths.cells import cells_to_dict
 from su3paths.cli import dispatch, main
@@ -159,6 +163,36 @@ def test_corrupt_cell_file_exits_with_an_error_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+_CAPPED = """
+import sys
+import su3paths.paths
+su3paths.paths.MAX_PATH_SPACE = 20  # a2 words of length 3 have 24 paths each
+from su3paths.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def _run_capped(*argv):
+    src = os.path.dirname(os.path.dirname(su3paths.__file__))
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p),
+    )
+    return subprocess.run(
+        [sys.executable, "-c", _CAPPED, *argv], env=env, capture_output=True, text=True
+    )
+
+
+def test_path_space_cap_is_an_error_line_not_a_traceback():
+    report = _run_capped("report", "a2", "--max-len", "3")
+    assert report.returncode == 1 and "Traceback" not in report.stderr
+    capped = [line for line in report.stdout.splitlines() if "PathSpaceTooLarge" in line]
+    assert capped and all(line.split()[0] == "FAIL" for line in capped)
+    listing = _run_capped("paths", "enumerate", "a2", "--from", "1", "--to", "3", "--word", "sbs")
+    assert listing.returncode == 1 and listing.stdout == ""
+    assert listing.stderr == "error: word sbs has 24 paths on a2 (cap 20)\n"
 
 
 def test_report_happy_and_broken(tmp_path):

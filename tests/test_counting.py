@@ -13,13 +13,19 @@ from su3paths import (
     EdgeTag,
     PathCountMismatch,
     PathGrading,
+    PathSpaceTooLarge,
     adjacency_matrix,
+    annihilation_pattern,
+    build_a_graph,
     conjugate_graph,
+    cup,
     enumerate_paths,
     get_graph,
     graph_names,
     parse_word,
     path_space_dim,
+    shipped_cells,
+    word_paths,
 )
 
 
@@ -78,6 +84,25 @@ def test_enumeration_count_mismatch_is_a_typed_error(a2, monkeypatch):
     with pytest.raises(PathCountMismatch, match=re.escape(f"enumerated 1 paths on {grading},")):
         enumerate_paths.__wrapped__(a2, grading)
     assert issubclass(PathCountMismatch, RuntimeError)
+
+
+def test_path_space_cap_bounds_the_word(monkeypatch):
+    g = build_a_graph(2)  # a fresh graph: no word is materialized yet
+    cells = shipped_cells(g)
+    # every a2 word of length 2 has 15 paths, every word of length 3 has 24
+    monkeypatch.setattr(paths_mod, "MAX_PATH_SPACE", 20)
+    assert len(word_paths(g, parse_word("sb"))) == 15
+    grading = PathGrading("1", "3", parse_word("sbs"))
+    assert path_space_dim(g, grading) == 2  # the grading is small, its word is not
+    for call in (
+        lambda: enumerate_paths(g, grading),
+        lambda: annihilation_pattern(g, parse_word("ssb"), 1),
+        lambda: cup(g, cells, grading, 1),
+    ):
+        with pytest.raises(PathSpaceTooLarge, match=r"has 24 paths on a2 \(cap 20\)"):
+            call()
+    # the cap is checked against the walk counts, before any row is grown
+    assert not any(len(key[1]) == 3 for key in g._memo if key[0] is word_paths.__wrapped__)
 
 
 @settings(max_examples=80, deadline=None)

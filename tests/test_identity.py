@@ -26,6 +26,7 @@ from su3paths import (
     conjugate_graph,
     creation,
     cup,
+    cup_pattern,
     enumerate_paths,
     expanded_grading,
     gauge_transform,
@@ -38,6 +39,7 @@ from su3paths import (
     random_gauge,
     shipped_cells,
     spectral_data,
+    word_paths,
 )
 
 
@@ -84,13 +86,15 @@ import pickle, sys
 from su3paths import PathGrading, get_graph, parse_word, path_space_dim, shipped_cells
 
 with open(sys.argv[1], "rb") as fh:
-    g, cells = pickle.load(fh)
+    g, cells, grading = pickle.load(fh)
 fresh_g = get_graph("e5")
 fresh_cells = shipped_cells(fresh_g)
+fresh_grading = PathGrading("1_0", "1_0", parse_word("sb"))
 assert g == fresh_g and hash(g) == hash(fresh_g)
 assert cells == fresh_cells and hash(cells) == hash(fresh_cells)
-table = {fresh_g: "graph", fresh_cells: "cells"}
-assert table[g] == "graph" and table[cells] == "cells"
+assert grading == fresh_grading and hash(grading) == hash(fresh_grading)
+table = {fresh_g: "graph", fresh_cells: "cells", fresh_grading: "grading"}
+assert table[g] == "graph" and table[cells] == "cells" and table[grading] == "grading"
 assert g.has_edge("1_0", "2_1") and g.out_neighbors("1_0") == ("2_1",)
 assert path_space_dim(g, PathGrading("1_0", "2_1", parse_word("s"))) == 1
 assert cells.values == fresh_cells.values
@@ -108,13 +112,15 @@ def test_unpickled_objects_rehash_under_another_hash_seed(tmp_path):
     path_space_dim(g, PathGrading("1_0", "2_1", parse_word("sb")))
     grading = PathGrading("1_0", "1_0", parse_word("sb"))
     assert enumerate_paths(g, grading)
-    assert cup(g, cells, grading, 1).shape[1] == path_space_dim(g, grading)
+    like = PathGrading("1_0", "2_2", parse_word("ss"))
+    assert annihilation(g, cells, like, 1).shape[1] == path_space_dim(g, like)
     assert g.has_edge("1_0", "2_1") and g.out_neighbors("2_1")
     assert g._memo and cells._memo
-    for obj in (g, cells):
-        assert "_memo" not in obj.__getstate__()
+    for obj in (g, cells, grading):
+        assert "_hash" in vars(obj)
+        assert "_memo" not in obj.__getstate__() and "_hash" not in obj.__getstate__()
     blob = tmp_path / "objects.pkl"
-    blob.write_bytes(pickle.dumps((g, cells)))
+    blob.write_bytes(pickle.dumps((g, cells, grading)))
     seed = os.environ.get("PYTHONHASHSEED")
     src = os.path.dirname(os.path.dirname(su3paths.__file__))
     env = dict(
@@ -135,13 +141,14 @@ def test_cached_data_dies_with_its_owner():
     g = build_a_graph(2)
     cells = gauge_transform(shipped_cells(g), random_gauge(g, 7))
     grading = PathGrading("1", "3b", parse_word("ss"))
+    closing = cap_grading(grading, 1, EdgeTag.SIGMA_BAR)
     # creation and cap keep nothing: each call returns the conjugate
     # transpose of the annihilation or cup block it is built from
     blocks = [
         annihilation(g, cells, grading, 1),
         annihilation(g, cells, expanded_grading(grading, 1), 1),
         cup(g, cells, PathGrading("3", "3", parse_word("sb")), 1),
-        cup(g, cells, cap_grading(grading, 1, EdgeTag.SIGMA_BAR), 1),
+        cup(g, cells, closing, 1),
     ]
     assert all(b.matrix.any() for b in blocks)
     built = [
@@ -150,23 +157,34 @@ def test_cached_data_dies_with_its_owner():
     ]
     assert [(b.domain, b.codomain, b.kind) for b in built] == [
         (grading, blocks[1].domain, "CREATION"),
-        (grading, blocks[3].domain, "CAP"),
+        (grading, closing, "CAP"),
     ]
     assert all(np.array_equal(b.matrix, a.matrix.conj().T) for b, a in zip(built, blocks[1::2]))
-    # the cell-free pattern of an annihilation block is the graph's
+    # annihilation blocks are kept on the cell system, cup blocks are not
+    assert annihilation(g, cells, grading, 1) is blocks[0]
+    again = cup(g, cells, closing, 1)
+    assert again is not blocks[3] and again.matrix.tobytes() == blocks[3].matrix.tobytes()
+    # the cell-free patterns and the path arrays are the graph's
+    number = g.index(grading.start) * len(g.vertices) + g.index(grading.end)
     pattern = annihilation_pattern(g, grading.word, 1)
     assert pattern is annihilation_pattern(g, grading.word, 1)
-    number = g.index(grading.start) * len(g.vertices) + g.index(grading.end)
     assert np.array_equal(pattern.block(cells.vector, number), blocks[0].matrix)
-    refs = [weakref.ref(b) for b in blocks]
-    graph_held = [weakref.ref(spectral_data(g)), weakref.ref(pattern)]
-    del blocks, pattern
-    assert all(r() is not None for r in refs)  # the cell system holds them
+    returns = cup_pattern(g, closing.word, 1)
+    assert returns is cup_pattern(g, closing.word, 1)
+    assert np.array_equal(returns.block(number), blocks[3].matrix)
+    rows = word_paths(g, closing.word)
+    assert rows is word_paths(g, closing.word) and not rows.flags.writeable
+    kept = [weakref.ref(b) for b in blocks[:2]]
+    dropped = [weakref.ref(b) for b in blocks[2:]]
+    graph_held = [weakref.ref(x) for x in (spectral_data(g), pattern, returns, rows)]
     enabled = gc.isenabled()
     gc.disable()
     try:
+        del blocks, built, again, pattern, returns, rows
+        assert all(r() is not None for r in kept)  # the cell system holds them
+        assert [r() for r in dropped] == [None] * len(dropped)
         del cells
-        assert [r() for r in refs] == [None] * len(refs)
+        assert [r() for r in kept] == [None] * len(kept)
         assert all(r() is not None for r in graph_held)  # the graph holds them
         del g
         assert [r() for r in graph_held] == [None] * len(graph_held)

@@ -34,7 +34,7 @@ from su3paths import (
     verify_tl,
 )
 
-from oracle import annihilation_deviation, oracle_deviation
+from oracle import annihilation_deviation, cup_mismatches, oracle_deviation
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 E5_SBB_COEF = 0.7356603157342366  # |cell| / (1 + sqrt(2)) on the worked 4-step path
@@ -103,6 +103,13 @@ def test_annihilation_matches_loop_oracle(name, max_len, gauged):
         cells = gauge_transform(cells, random_gauge(g, 5))
         assert max(abs(v.imag) for v in cells.values.values()) > 0.1
     assert annihilation_deviation(g, cells, max_len) <= 1e-14
+
+
+@pytest.mark.parametrize("name,max_len", [("a2", 4), ("a3", 3), ("a4", 3), ("a5", 3), ("e5", 4)])
+def test_cup_matches_loop_oracle(name, max_len):
+    # every cup block verify_tl builds, so domains reach word length max_len + 2
+    g = get_graph(name)
+    assert cup_mismatches(g, shipped_cells(g), max_len) == []
 
 
 def test_annihilation_pattern_of_a_spelled_word(e5):

@@ -26,6 +26,7 @@ from su3paths import (
     word_str,
     word_type,
 )
+from su3paths.paths import _row_keys
 from oracle import walk_paths
 
 
@@ -106,6 +107,20 @@ def test_enumeration_matches_walk_oracle_on_random_words(name, text, ends):
     grading = PathGrading(a, b, parse_word(text))
     # uncached call, so the basis is rebuilt from the prefix bases
     assert enumerate_paths.__wrapped__(g, grading) == walk_paths(g, grading)
+
+
+@pytest.mark.parametrize("width", [3, 30], ids=["int64", "python-int"])
+def test_row_keys_follow_basis_order(a2, width):
+    # a2 vertex indices are not in id order (1, 3b, 6b, 3, 8, 6); rows 30
+    # vertices wide need keys past int64
+    rows = np.random.default_rng(width).integers(0, 6, size=(300, width)).astype(np.int32)
+    keys = _row_keys(a2, rows)
+    assert keys.dtype == (np.int64 if width == 3 else object)
+    ids = a2.vertex_ids()
+    expected = sorted(
+        range(len(rows)), key=lambda r: (*rows[r, [0, -1]], [ids[k] for k in rows[r, 1:-1]])
+    )
+    assert np.argsort(keys, kind="stable").tolist() == expected
 
 
 def test_dim_example_e5(e5):
