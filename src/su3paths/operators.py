@@ -60,6 +60,7 @@ from .paths import (
     GradingMismatch,
     PathGrading,
     PathVector,
+    _grading_number,
     _grading_numbers,
     _grading_offsets,
     _row_keys,
@@ -232,10 +233,6 @@ class CupPattern(_Pattern):
 
     def block(self, s: int) -> np.ndarray:
         return self._scatter(s, self.weight[self.entries(s)])
-
-
-def _grading_number(g: GraphSpec, grading: PathGrading) -> int:
-    return g.index(grading.start) * len(g.vertices) + g.index(grading.end)
 
 
 def _frozen(values, dtype) -> np.ndarray:

@@ -247,6 +247,12 @@ def _step_targets(g: GraphSpec, tag: EdgeTag) -> Tuple[np.ndarray, np.ndarray]:
     return np.searchsorted(src, np.arange(len(g.vertices) + 1)), dst.astype(np.int32)
 
 
+def _grading_number(g: GraphSpec, grading: PathGrading) -> int:
+    """V * index(start) + index(end): where the grading sits among a
+    word's gradings."""
+    return g.index(grading.start) * len(g.vertices) + g.index(grading.end)
+
+
 def _grading_numbers(g: GraphSpec, rows: np.ndarray) -> np.ndarray:
     """Grading number V * index(start) + index(end) of each path row."""
     return rows[:, 0].astype(np.int64) * len(g.vertices) + rows[:, -1]
@@ -323,8 +329,7 @@ def enumerate_paths(g: GraphSpec, grading: PathGrading) -> Tuple[ElementaryPath,
     the word, not the grading), and PathCountMismatch if the slice
     disagrees with the count.
     """
-    n = len(g.vertices)
-    s = g.index(grading.start) * n + g.index(grading.end)
+    s = _grading_number(g, grading)
     word = grading.word
     offsets = _grading_offsets(g, word)
     rows = word_paths(g, word)[offsets[s] : offsets[s + 1]]
