@@ -20,6 +20,7 @@ can be overridden with the SU3PATHS_CELLS_DIR environment variable.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -291,23 +292,27 @@ def _vec_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class _PatternBatch:
     """Blocks of equal shape, each a (pattern, grading number) pair,
-    stacked on a leading axis."""
+    stacked on a leading axis.  Each run of blocks from one pattern takes
+    its gather and scatter indices from the pattern (_Pattern.stack)."""
 
     def __init__(self, blocks, k: int):
         self.k = k
-        first, s = blocks[0]
-        self.shape = (len(blocks),) + tuple(first.shapes[s])
-        spans = [(p, p.entries(s)) for p, s in blocks]
-        self.at = (
-            np.repeat(np.arange(len(spans)), [len(p.tri[e]) for p, e in spans]),
-            np.concatenate([p.rows[e] for p, e in spans]),
-            np.concatenate([p.cols[e] for p, e in spans]),
-        )
-        self.tri = np.concatenate([p.tri[e] for p, e in spans])
-        self.scale = 1.0 / np.concatenate([p.den[e] for p, e in spans])
-        self.conj = np.concatenate([np.full(len(p.tri[e]), p.conj) for p, e in spans])
-        # dC/dIm T = phase dC/dRe T, per block
-        self.phase = np.array([-1j if p.conj else 1j for p, _ in spans])[:, None, None, None]
+        at, tri, den, conj, phase = [], [], [], [], []
+        for p, run in itertools.groupby(blocks, key=lambda block: block[0]):
+            numbers = np.array([s for _, s in run])
+            take, (which, rows, cols), shape = p.stack(numbers)
+            at.append((which + len(phase), rows, cols))
+            tri.append(p.tri[take])
+            den.append(p.den[take])
+            conj.append(np.full(len(take), p.conj))
+            # dC/dIm T = phase dC/dRe T, per block
+            phase += [-1j if p.conj else 1j] * len(numbers)
+        self.shape = (len(phase), *shape[1:])
+        self.at = tuple(np.concatenate(part) for part in zip(*at))
+        self.tri = np.concatenate(tri)
+        self.scale = 1.0 / np.concatenate(den)
+        self.conj = np.concatenate(conj)
+        self.phase = np.array(phase)[:, None, None, None]
 
     def blocks(self, t: np.ndarray) -> np.ndarray:
         """The stacked blocks C for cells t, all in one gather and scatter."""

@@ -1,9 +1,12 @@
 """Creation, annihilation, cup and cap operators on graded path spaces,
 and verification of the relations they satisfy.
 
-All operators are materialized as dense blocks per (grading, position);
-there is no global matrix.  Conventions (1-based positions, path
-v_0 .. v_n, word w_1 .. w_n):
+Every operator keeps a path's start and end, so on one word it is block
+diagonal over the word's (start, end) gradings.  The builders return
+one dense block per (grading, position); the relation sweeps stack the
+blocks of a word's gradings of equal dimension into one zero-padded
+array per position.  There is no global matrix.  Conventions (1-based
+positions, path v_0 .. v_n, word w_1 .. w_n):
 
 * annihilation C_i (1 <= i <= n-1) contracts a like-tagged pair at
   positions (i, i+1) through the triangle it closes, weight
@@ -33,14 +36,17 @@ column(s), and look the shorter rows up in the codomain word's array by
 their sort key.
 
 U_i = C+_i C_i is an endomorphism of each graded block.  verify_tl
-sweeps all gradings up to a word length and reports max residuals for:
-the quadratic relation U^2 = [2] U, commutation at distance, the
-two-sided triangle identity, the quartic relation, the F-lemma
+sweeps all words up to a length, with the gradings of one word and
+dimension evaluated as one batch, and reports max residuals for: the
+quadratic relation U^2 = [2] U, commutation at distance, the two-sided
+triangle identity, the quartic relation, the F-lemma
 F_i F_{i+1} F_i = K F_i with F_i = U_i U_{i+1} U_i - U_i, and the cup-cap
-identities.  The triangle identities are evaluated at positions where
-every operator involved acts on a constant-tag run; on other patterns
-the operators involved are not all triangle moves and the identities do
-not apply (see tests for an explicit mixed-word counterexample).
+identities; the worst location of each is named as if the gradings had
+been visited one at a time.  The triangle identities are evaluated at
+positions where every operator involved acts on a constant-tag run; on
+other patterns the operators involved are not all triangle moves and the
+identities do not apply (see tests for an explicit mixed-word
+counterexample).
 """
 
 from __future__ import annotations
@@ -60,11 +66,13 @@ from .paths import (
     GradingMismatch,
     PathGrading,
     PathVector,
+    Word,
     _grading_number,
     _grading_numbers,
     _grading_offsets,
     _row_keys,
     _walk_counts,
+    _words,
     path_space_dim,
     word_paths,
 )
@@ -120,30 +128,39 @@ class LinearOperator:
 # word surgery
 
 
+def _collapsed_word(word: Word, i: int) -> Word:
+    return word[: i - 1] + (word[i - 1].opposite,) + word[i + 1 :]
+
+
+def _expanded_word(word: Word, i: int) -> Word:
+    t = word[i - 1].opposite
+    return word[: i - 1] + (t, t) + word[i:]
+
+
+def _cup_word(word: Word, i: int) -> Word:
+    return word[: i - 1] + word[i + 1 :]
+
+
+def _cap_word(word: Word, i: int, first_tag: EdgeTag) -> Word:
+    return word[: i - 1] + (first_tag, first_tag.opposite) + word[i - 1 :]
+
+
 def collapsed_grading(grading: PathGrading, i: int) -> PathGrading:
     """Word with the pair at positions (i, i+1) replaced by the opposite of
     its first tag (for a like pair this is the triangle-collapse word)."""
-    w = grading.word
-    return PathGrading(grading.start, grading.end, w[: i - 1] + (w[i - 1].opposite,) + w[i + 1 :])
+    return PathGrading(grading.start, grading.end, _collapsed_word(grading.word, i))
 
 
 def expanded_grading(grading: PathGrading, i: int) -> PathGrading:
-    w = grading.word
-    t = w[i - 1].opposite
-    return PathGrading(grading.start, grading.end, w[: i - 1] + (t, t) + w[i:])
+    return PathGrading(grading.start, grading.end, _expanded_word(grading.word, i))
 
 
 def cup_grading(grading: PathGrading, i: int) -> PathGrading:
-    w = grading.word
-    return PathGrading(grading.start, grading.end, w[: i - 1] + w[i + 1 :])
+    return PathGrading(grading.start, grading.end, _cup_word(grading.word, i))
 
 
 def cap_grading(grading: PathGrading, i: int, first_tag: EdgeTag) -> PathGrading:
-    w = grading.word
-    first_tag = EdgeTag(first_tag)
-    return PathGrading(
-        grading.start, grading.end, w[: i - 1] + (first_tag, first_tag.opposite) + w[i - 1 :]
-    )
+    return PathGrading(grading.start, grading.end, _cap_word(grading.word, i, EdgeTag(first_tag)))
 
 
 def _check_slot(i: int, lo: int, hi: int, what: str):
@@ -161,8 +178,9 @@ def _check_slot(i: int, lo: int, hi: int, what: str):
 # scatter from its pattern and is not kept: it reads no cell, and it is
 # cheaper to rebuild than to hold.  creation and cap return a fresh
 # conjugate transpose of an annihilation or cup block on each call, and
-# tl_u multiplies one; none of these keeps anything.  Patterns and
-# matrices are immutable.
+# tl_u multiplies one; none of these keeps anything.  The stacks the
+# relation sweeps build (_Pattern.stacked) are not kept either.
+# Patterns and matrices are immutable.
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,6 +208,31 @@ class _Pattern:
         m[self.rows[k], self.cols[k]] = values
         return m
 
+    def stack(self, numbers: np.ndarray):
+        """Gather and scatter indices that stack the blocks of the gradings
+        ``numbers`` on a leading axis, in that order, each zero-padded to
+        the largest block's shape.
+
+        Returns (take, at, shape): entry take[j] of the pattern goes to
+        the stack position (at[0][j], at[1][j], at[2][j]), and the stack
+        has the given shape.  Zero rows or columns on the padded side
+        leave C^H C and C C^H unchanged.
+        """
+        lo, hi = self.offsets[numbers], self.offsets[numbers + 1]
+        counts = hi - lo
+        take = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+        at = (np.repeat(np.arange(len(numbers)), counts), self.rows[take], self.cols[take])
+        return take, at, (len(numbers), *self.shapes[numbers].max(axis=0).tolist())
+
+    def stacked(self, numbers: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """The blocks of the gradings ``numbers``, stacked (see ``stack``),
+        with entry k of the pattern set to values[k]: one gather and one
+        scatter."""
+        take, at, shape = self.stack(numbers)
+        m = np.zeros(shape, dtype=complex)
+        m[at] = values[take]
+        return m
+
 
 @dataclass(frozen=True, eq=False)
 class AnnihilationPattern(_Pattern):
@@ -204,24 +247,27 @@ class AnnihilationPattern(_Pattern):
     den: np.ndarray
     conj: bool
 
-    def block(self, vector: np.ndarray, s: int) -> np.ndarray:
-        """Block of grading s for the cell vector, one gather and one scatter.
+    def values(self, vector: np.ndarray, k=slice(None)) -> np.ndarray:
+        """Entries k (all of them by default) for the cell vector.
 
-        The entries are rounded as the loop builder in tests/oracle.py
-        rounds them, so blocks on cells read from a file match it bit for
-        bit: a cell is divided by its real denominator part by part (as
-        Python divides a complex number by a float), and a conjugate cell
-        is multiplied by the reciprocal (as NumPy divides).  Adding 0.0
+        They are rounded as the loop builder in tests/oracle.py rounds
+        them, so blocks on cells read from a file match it bit for bit: a
+        cell is divided by its real denominator part by part (as Python
+        divides a complex number by a float), and a conjugate cell is
+        multiplied by the reciprocal (as NumPy divides).  Adding 0.0
         turns a negative zero into 0.0, as filling a zero block by
         addition does there.
         """
-        k = self.entries(s)
         t, den = vector[self.tri[k]], self.den[k]
         if self.conj:
             values = t.conj() * (1.0 / den)
         else:
             values = t.real / den + 1j * (t.imag / den)
-        return self._scatter(s, values + 0.0)
+        return values + 0.0
+
+    def block(self, vector: np.ndarray, s: int) -> np.ndarray:
+        """Block of grading s for the cell vector, one gather and one scatter."""
+        return self._scatter(s, self.values(vector, self.entries(s)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,7 +323,6 @@ def annihilation_pattern(g: GraphSpec, word: Tuple[EdgeTag, ...], i: int) -> Ann
     """
     word = tuple(EdgeTag(t) for t in word)
     _check_slot(i, 1, len(word) - 1, "annihilation")
-    collapsed = word[: i - 1] + (word[i - 1].opposite,) + word[i + 1 :]
     paths = word_paths(g, word)
     a, mid, c = paths[:, i - 1], paths[:, i], paths[:, i + 1]
     like, sigma = word[i - 1] is word[i], word[i] is EdgeTag.SIGMA
@@ -285,7 +330,7 @@ def annihilation_pattern(g: GraphSpec, word: Tuple[EdgeTag, ...], i: int) -> Ann
     selected = np.flatnonzero(like & (tri >= 0))
     mu = _mu_array(g)
     return AnnihilationPattern(
-        **_entries(g, word, collapsed, selected, i),
+        **_entries(g, word, _collapsed_word(word, i), selected, i),
         tri=_frozen(tri[selected], np.int32),
         den=_frozen(np.sqrt(mu[a[selected]] * mu[c[selected]]), float),
         conj=like and not sigma,
@@ -308,7 +353,7 @@ def cup_pattern(g: GraphSpec, word: Tuple[EdgeTag, ...], i: int) -> CupPattern:
     selected = np.flatnonzero((word[i - 1] is not word[i]) & (a == paths[:, i + 1]))
     mu = _mu_array(g)
     return CupPattern(
-        **_entries(g, word, word[: i - 1] + word[i + 1 :], selected, [i, i + 1]),
+        **_entries(g, word, _cup_word(word, i), selected, [i, i + 1]),
         weight=_frozen(np.sqrt(mu[b[selected]] / mu[a[selected]]), float),
     )
 
@@ -377,10 +422,71 @@ def apply_annihilation(g, cells, p: ElementaryPath, i: int) -> PathVector:
 
 # ----------------------------------------------------------------------
 # relation verification
+#
+# Every operator keeps a path's start and end, so on one word it is block
+# diagonal over the word's gradings.  The sweeps visit words: the
+# gradings of a word with equal dimension d form one group, each slot's
+# blocks on a group are one zero-padded stack scattered from the graph's
+# pattern (_Pattern.stacked), and every relation is a batched product
+# with one maximum per grading.
 
 
 def _mnorm(x: np.ndarray) -> float:
     return float(np.abs(x).max()) if x.size else 0.0
+
+
+def _mnorms(x: np.ndarray) -> np.ndarray:
+    """Largest entry magnitude of each block of a (k, d, d) stack."""
+    return np.abs(x).max(axis=(1, 2))
+
+
+class _Maxima:
+    """Largest residual per relation, where it is first reached, and the
+    number of checks.
+
+    "First" is in the order of a sweep one grading at a time: gradings in
+    iter_gradings order, and on each grading the checks of one relation
+    in the order verify_tl makes them.  So the locations do not depend on
+    how a word's gradings are grouped.  A NaN residual is never a
+    maximum, as it never compares greater.
+    """
+
+    def __init__(self, keys):
+        self.res = dict.fromkeys(keys, 0.0)
+        self.worst = dict.fromkeys(keys, "")
+        self.checks = 0
+
+    def bump_one(self, key: str, value: float, where: str):
+        self.checks += 1
+        if value > self.res[key]:
+            self.res[key], self.worst[key] = value, where
+
+    def start_word(self, word: Word):
+        self._word, self._best = word, {}
+
+    def start_group(self, numbers: np.ndarray):
+        """The next checks are on the word's gradings ``numbers``, ascending."""
+        self._numbers = numbers
+
+    def bump(self, key: str, values: np.ndarray, where: str):
+        """values[q] is the residual on grading numbers[q]; where is the
+        location after the grading.  A group's checks of one relation
+        come in the per-grading order, so a tie on one grading goes to
+        the earlier check."""
+        self.checks += values.size
+        values = np.where(np.isnan(values), -1.0, values)
+        q = int(values.argmax())
+        value, s = float(values[q]), int(self._numbers[q])
+        best = self._best.get(key)
+        if best is None or value > best[0] or (value == best[0] and s < best[1]):
+            self._best[key] = (value, s, where)
+
+    def end_word(self, g: GraphSpec):
+        ids, n = g.vertex_ids(), len(g.vertices)
+        for key, (value, s, where) in self._best.items():
+            if value > self.res[key]:
+                grading = PathGrading(ids[s // n], ids[s % n], self._word)
+                self.res[key], self.worst[key] = value, f"{grading}{where}"
 
 
 @dataclass(frozen=True)
@@ -438,96 +544,124 @@ def verify_tl(
     cupcap: cup_i cap_i = beta 1 per insertion order, C_i C+_i = [2] 1,
             and (C_i C+_i)^2 = 1 + cup cap on every grading.
     sum_rule: the per-arrow cell normalization.
+
+    The sweep goes word by word.  The gradings of nonzero dimension d of
+    a word are one group; per slot, the group's blocks are stacked: the
+    word's annihilation C_i for U_i = C_i^H C_i, the expanded word's
+    annihilation for the collapse block, and the cap word's cup for
+    cup cap.  A check is counted per grading, and ``worst`` names the
+    first grading and slot, in iter_gradings order, where a relation
+    reaches its maximum.  The fitted K sums per grading in that order.
     """
-    from .cells import max_sum_rule_residual
-    from .paths import iter_gradings
+    from .cells import _gram, max_sum_rule_residual
 
     sd = spectral_data(g)
     delta, beta = sd.delta, sd.beta
     kconst = float(delta**2)
+    vector = cells.vector
 
-    keys = ("h1", "h2", "h3", "h4", "lemma", "f_square", "cupcap", "sum_rule")
-    res = {k: 0.0 for k in keys}
-    worst = {k: "" for k in keys}
-    checks = 0
+    top = _Maxima(("h1", "h2", "h3", "h4", "lemma", "f_square", "cupcap", "sum_rule"))
+    top.bump_one("sum_rule", max_sum_rule_residual(g, cells), "arrows")
     fit_num = 0.0
     fit_den = 0.0
 
-    def bump(key: str, value: float, where: str):
-        nonlocal checks
-        checks += 1
-        if value > res[key]:
-            res[key] = value
-            worst[key] = where
-
-    bump("sum_rule", max_sum_rule_residual(g, cells), "arrows")
-
-    for grading in iter_gradings(g, max_len):
-        dim = path_space_dim(g, grading)
-        if dim == 0:
+    for w in _words(max_len):
+        dims = _walk_counts(g, w).ravel()
+        nonzero = np.flatnonzero(dims)
+        if not nonzero.size:
             continue
-        n = grading.length
-        w = grading.word
-        here = str(grading)
-        us = {i: tl_u(g, cells, grading, i).matrix for i in range(1, n)}
-        eye = np.eye(dim)
-
+        n = len(w)
+        # per slot, a pattern and its entry values for the cells
+        slots = {}
         for i in range(1, n):
-            ui = us[i]
-            bump("h1", _mnorm(ui @ ui - delta * ui), f"{here} i={i}")
-            for j in range(i + 2, n):
-                bump("h2", _mnorm(ui @ us[j] - us[j] @ ui), f"{here} i={i} j={j}")
+            if w[i - 1] is w[i]:
+                p = annihilation_pattern(g, w, i)
+                slots[i] = (p, p.values(vector))
+        caps = {
+            (i, tag): cup_pattern(g, _cap_word(w, i, tag), i)
+            for i in range(1, n + 2)
+            for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR)
+        }
+        collapse = {}
+        for i in range(1, n + 1):
+            p = annihilation_pattern(g, _expanded_word(w, i), i)
+            collapse[i] = (p, p.values(vector))
+        fits = []
+        top.start_word(w)
 
-        for i in range(1, n - 1):
-            if not (w[i - 1] == w[i] == w[i + 1]):
-                continue
-            ui, uj = us[i], us[i + 1]
-            fi = ui @ uj @ ui - ui
-            bump("h3", _mnorm(fi - (uj @ ui @ uj - uj)), f"{here} i={i}")
-            bump("f_square", _mnorm(fi @ fi - delta * beta * fi), f"{here} i={i}")
+        for d in np.unique(dims[nonzero]).tolist():
+            numbers = nonzero[dims[nonzero] == d]
+            top.start_group(numbers)
+            zero = np.zeros((len(numbers), d, d), dtype=complex)
+            us = {i: zero for i in range(1, n)}
+            for i, (p, values) in slots.items():
+                us[i] = _gram(p.stacked(numbers, values))
+            eye = np.eye(d)
 
-        for i in range(1, n - 2):
-            if not (w[i - 1] == w[i] == w[i + 1] == w[i + 2]):
-                continue
-            ui, uj, uk = us[i], us[i + 1], us[i + 2]
-            left = ui - uk @ uj @ ui + uj
-            right = uj @ uk @ uj - uj
-            bump("h4", _mnorm(left @ right), f"{here} i={i}")
-            fi = ui @ uj @ ui - ui
-            fj = uj @ uk @ uj - uj
-            bump("lemma", _mnorm(fi @ fj @ fi - kconst * fi), f"{here} i={i}")
-            fit_num += float(np.vdot(fi, fi @ fj @ fi).real)
-            fit_den += float(np.vdot(fi, fi).real)
+            for i in range(1, n):
+                ui = us[i]
+                top.bump("h1", _mnorms(ui @ ui - delta * ui), f" i={i}")
+                for j in range(i + 2, n):
+                    top.bump("h2", _mnorms(ui @ us[j] - us[j] @ ui), f" i={i} j={j}")
 
-        for i in range(1, n + 2):
-            comps = {}
-            for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
-                # one cup block per insertion order; the cap is its adjoint
-                cu = cup(g, cells, cap_grading(grading, i, tag), i).matrix
-                comps[tag] = cu @ cu.conj().T
-                bump("cupcap", _mnorm(comps[tag] - beta * eye), f"{here} i={i} cap {tag.value}")
-            if i <= n:
-                cre = creation(g, cells, grading, i)
-                ann = annihilation(g, cells, cre.codomain, i)
-                gram = ann.matrix @ cre.matrix
-                bump("h1", _mnorm(gram - delta * eye), f"{here} i={i} collapse block")
-                gram2 = gram @ gram
+            for i in range(1, n - 1):
+                if not (w[i - 1] == w[i] == w[i + 1]):
+                    continue
+                ui, uj = us[i], us[i + 1]
+                fi = ui @ uj @ ui - ui
+                top.bump("h3", _mnorms(fi - (uj @ ui @ uj - uj)), f" i={i}")
+                top.bump("f_square", _mnorms(fi @ fi - delta * beta * fi), f" i={i}")
+
+            for i in range(1, n - 2):
+                if not (w[i - 1] == w[i] == w[i + 1] == w[i + 2]):
+                    continue
+                ui, uj, uk = us[i], us[i + 1], us[i + 2]
+                left = ui - uk @ uj @ ui + uj
+                right = uj @ uk @ uj - uj
+                top.bump("h4", _mnorms(left @ right), f" i={i}")
+                fi = ui @ uj @ ui - ui
+                fj = uj @ uk @ uj - uj
+                fjf = fi @ fj @ fi
+                top.bump("lemma", _mnorms(fjf - kconst * fi), f" i={i}")
+                fits += [
+                    (s, i, float(np.vdot(f, h).real), float(np.vdot(f, f).real))
+                    for s, f, h in zip(numbers.tolist(), fi, fjf)
+                ]
+
+            for i in range(1, n + 2):
+                comps = {}
                 for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
-                    bump(
-                        "cupcap",
-                        _mnorm(gram2 - (eye + comps[tag])),
-                        f"{here} i={i} square vs cap {tag.value}",
-                    )
+                    # one cup block per insertion order; the cap is its adjoint
+                    cu = caps[i, tag].stacked(numbers, caps[i, tag].weight)
+                    comps[tag] = cu @ cu.conj().swapaxes(-1, -2)
+                    top.bump("cupcap", _mnorms(comps[tag] - beta * eye), f" i={i} cap {tag.value}")
+                if i <= n:
+                    # C_i C+_i, creation being the adjoint of the expanded word's C_i
+                    ann = collapse[i][0].stacked(numbers, collapse[i][1])
+                    gram = ann @ ann.conj().swapaxes(-1, -2)
+                    top.bump("h1", _mnorms(gram - delta * eye), f" i={i} collapse block")
+                    gram2 = gram @ gram
+                    for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
+                        top.bump(
+                            "cupcap",
+                            _mnorms(gram2 - (eye + comps[tag])),
+                            f" i={i} square vs cap {tag.value}",
+                        )
+
+        top.end_word(g)
+        for _, _, num, den in sorted(fits):
+            fit_num += num
+            fit_den += den
 
     fit = fit_num / fit_den if fit_den > 1e-12 else None
     return TLReport(
         graph=g.name,
         max_len=max_len,
         lemma_constant=kconst,
-        residual_items=tuple(sorted(res.items())),
-        worst_items=tuple(sorted(worst.items())),
+        residual_items=tuple(sorted(top.res.items())),
+        worst_items=tuple(sorted(top.worst.items())),
         lemma_fit=fit,
-        checks=checks,
+        checks=top.checks,
     )
 
 
@@ -535,30 +669,30 @@ def verify_adjointness(g: GraphSpec, cells: CellSystem, max_len: int = 4) -> flo
     """Max deviation of creation from annihilation^H and of cap from
     cup^H over all gradings with |word| <= max_len.
 
-    creation and cap are built as those conjugate transposes, so this
-    checks that each pair meets on matching gradings and positions; the
-    weights themselves are checked against loop-built blocks in the tests.
-    Each cup block is built once per (grading, position, insertion
-    order) and the cap is its adjoint, so for that pair the check is
-    that the cup closes the cap's return back onto the grading.
+    creation and cap are built as those conjugate transposes, so the
+    deviation is zero for any cells, and what is checked is that each
+    pair meets on matching gradings: for every word w with a grading of
+    nonzero dimension and every slot, the annihilation pattern of the
+    expanded word (|w| < max_len) and the cup pattern of each cap word
+    (|w| <= max_len - 2) map back onto w, i.e. their blocks on w's
+    gradings have w's dimensions as rows.  Returns 0.0 when they do and
+    inf otherwise; the cells are not read.  The weights themselves are
+    checked against loop-built blocks in the tests.
     """
-    from .paths import iter_gradings
-
-    worst = 0.0
-    for grading in iter_gradings(g, max_len - 1):
-        if path_space_dim(g, grading) == 0:
+    for w in _words(max_len - 1):
+        dims = _walk_counts(g, w).ravel()
+        nonzero = np.flatnonzero(dims)
+        if not nonzero.size:
             continue
-        n = grading.length
-        for i in range(1, n + 1):
-            cre = creation(g, cells, grading, i)
-            ann = annihilation(g, cells, cre.codomain, i)
-            worst = max(worst, _mnorm(cre.matrix - ann.matrix.conj().T))
-    for grading in iter_gradings(g, max_len - 2):
-        if path_space_dim(g, grading) == 0:
-            continue
-        n = grading.length
-        for i in range(1, n + 2):
-            for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
-                if cup(g, cells, cap_grading(grading, i, tag), i).codomain != grading:
-                    return math.inf
-    return worst
+        n = len(w)
+        patterns = [annihilation_pattern(g, _expanded_word(w, i), i) for i in range(1, n + 1)]
+        if n <= max_len - 2:
+            patterns += [
+                cup_pattern(g, _cap_word(w, i, tag), i)
+                for i in range(1, n + 2)
+                for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR)
+            ]
+        for p in patterns:
+            if not np.array_equal(p.shapes[nonzero, 0], dims[nonzero]):
+                return math.inf
+    return 0.0

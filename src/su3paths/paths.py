@@ -404,14 +404,21 @@ def inner_product(u: PathVector, v: PathVector) -> complex:
     return complex(np.vdot(u.coefficients, v.coefficients))
 
 
-def iter_gradings(g: GraphSpec, max_len: int) -> Iterator[PathGrading]:
-    """All gradings with 0 <= |word| <= max_len, deterministic order."""
-    ids = g.vertex_ids()
+def _words(max_len: int) -> Iterator[Word]:
+    """All words with 0 <= |word| <= max_len, by length, then with letter
+    k as bit k of a counter (SIGMA for 0)."""
     for n in range(max_len + 1):
         for bits in range(2**n):
-            word = tuple(
+            yield tuple(
                 EdgeTag.SIGMA if (bits >> k) & 1 == 0 else EdgeTag.SIGMA_BAR for k in range(n)
             )
-            for a in ids:
-                for b in ids:
-                    yield PathGrading(a, b, word)
+
+
+def iter_gradings(g: GraphSpec, max_len: int) -> Iterator[PathGrading]:
+    """All gradings with 0 <= |word| <= max_len, deterministic order: word
+    by word (_words), and within a word by grading number."""
+    ids = g.vertex_ids()
+    for word in _words(max_len):
+        for a in ids:
+            for b in ids:
+                yield PathGrading(a, b, word)

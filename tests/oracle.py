@@ -19,7 +19,15 @@ library with them checks the weights themselves.
 A depth-first walker for bases: the library grows each basis from the
 bases of its prefix gradings; the walker completes every walk from the
 start vertex along the whole word and keeps those that end right.
+
+Relation and adjointness sweeps per grading: the library sweeps words,
+with the blocks of all gradings of one dimension stacked and the
+relations evaluated in batches; these sweeps visit one grading at a
+time, build each block with the library's per-grading builders, and
+take the maxima in that visiting order.
 """
+
+import math
 
 import numpy as np
 
@@ -34,13 +42,15 @@ from su3paths import (
     iter_gradings,
     path_space_dim,
     spectral_data,
+    tl_u,
 )
-from su3paths.cells import OrientedTriangle
+from su3paths.cells import OrientedTriangle, max_sum_rule_residual
 from su3paths.operators import (
     ANNIHILATION,
     CAP,
     CREATION,
     CUP,
+    TLReport,
     _check_slot,
     _mnorm,
     annihilation,
@@ -123,9 +133,10 @@ def loop_cup(g, cells, grading, i) -> LinearOperator:
 
 
 def cup_mismatches(g, cells, max_len: int) -> list:
-    """Every cup block verify_tl builds up to max_len (the cup closing
-    each cap insertion on the gradings of nonzero dimension) that is not
-    bit for bit the loop-built block, as (domain, position) pairs.
+    """Every cup block verify_tl stacks up to max_len (the cup closing
+    each cap insertion on the gradings of nonzero dimension), built one
+    grading at a time by cup, that is not bit for bit the loop-built
+    block, as (domain, position) pairs.
 
     Asserts that domain, codomain, kind and position agree."""
     bad = []
@@ -260,3 +271,142 @@ def _extend_walks(g, grading: PathGrading, prefix: list, out: list) -> None:
         prefix.append(v)
         _extend_walks(g, grading, prefix, out)
         prefix.pop()
+
+
+def grading_verify_tl(g, cells, max_len: int = 4) -> TLReport:
+    """Sweep every grading with |word| <= max_len and report max residuals.
+
+    h1:     U_i^2 = [2] U_i, plus the collapse-block identity
+            C_i C+_i = [2] 1 (so an all-zero cell system is flagged with
+            residual [2] instead of passing vacuously).
+    h2:     U_i U_j = U_j U_i for |i - j| > 1 (all tag patterns).
+    h3:     U_i U_{i+1} U_i - U_i = U_{i+1} U_i U_{i+1} - U_{i+1} on
+            constant-tag runs of length 3.
+    h4:     the quartic relation on constant-tag runs of length 4.
+    lemma:  F_i F_{i+1} F_i = K F_i on the same runs, with K = [2]^2,
+            the square of the loop parameter (equal to beta^2 on the
+            smallest graph, where the two candidates coincide); the
+            best-fit K is reported alongside.
+    f_square: F_i^2 = [2] beta F_i on runs of length 3.
+    cupcap: cup_i cap_i = beta 1 per insertion order, C_i C+_i = [2] 1,
+            and (C_i C+_i)^2 = 1 + cup cap on every grading.
+    sum_rule: the per-arrow cell normalization.
+    """
+    sd = spectral_data(g)
+    delta, beta = sd.delta, sd.beta
+    kconst = float(delta**2)
+
+    keys = ("h1", "h2", "h3", "h4", "lemma", "f_square", "cupcap", "sum_rule")
+    res = {k: 0.0 for k in keys}
+    worst = {k: "" for k in keys}
+    checks = 0
+    fit_num = 0.0
+    fit_den = 0.0
+
+    def bump(key: str, value: float, where: str):
+        nonlocal checks
+        checks += 1
+        if value > res[key]:
+            res[key] = value
+            worst[key] = where
+
+    bump("sum_rule", max_sum_rule_residual(g, cells), "arrows")
+
+    for grading in iter_gradings(g, max_len):
+        dim = path_space_dim(g, grading)
+        if dim == 0:
+            continue
+        n = grading.length
+        w = grading.word
+        here = str(grading)
+        us = {i: tl_u(g, cells, grading, i).matrix for i in range(1, n)}
+        eye = np.eye(dim)
+
+        for i in range(1, n):
+            ui = us[i]
+            bump("h1", _mnorm(ui @ ui - delta * ui), f"{here} i={i}")
+            for j in range(i + 2, n):
+                bump("h2", _mnorm(ui @ us[j] - us[j] @ ui), f"{here} i={i} j={j}")
+
+        for i in range(1, n - 1):
+            if not (w[i - 1] == w[i] == w[i + 1]):
+                continue
+            ui, uj = us[i], us[i + 1]
+            fi = ui @ uj @ ui - ui
+            bump("h3", _mnorm(fi - (uj @ ui @ uj - uj)), f"{here} i={i}")
+            bump("f_square", _mnorm(fi @ fi - delta * beta * fi), f"{here} i={i}")
+
+        for i in range(1, n - 2):
+            if not (w[i - 1] == w[i] == w[i + 1] == w[i + 2]):
+                continue
+            ui, uj, uk = us[i], us[i + 1], us[i + 2]
+            left = ui - uk @ uj @ ui + uj
+            right = uj @ uk @ uj - uj
+            bump("h4", _mnorm(left @ right), f"{here} i={i}")
+            fi = ui @ uj @ ui - ui
+            fj = uj @ uk @ uj - uj
+            bump("lemma", _mnorm(fi @ fj @ fi - kconst * fi), f"{here} i={i}")
+            fit_num += float(np.vdot(fi, fi @ fj @ fi).real)
+            fit_den += float(np.vdot(fi, fi).real)
+
+        for i in range(1, n + 2):
+            comps = {}
+            for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
+                # one cup block per insertion order; the cap is its adjoint
+                cu = cup(g, cells, cap_grading(grading, i, tag), i).matrix
+                comps[tag] = cu @ cu.conj().T
+                bump("cupcap", _mnorm(comps[tag] - beta * eye), f"{here} i={i} cap {tag.value}")
+            if i <= n:
+                cre = creation(g, cells, grading, i)
+                ann = annihilation(g, cells, cre.codomain, i)
+                gram = ann.matrix @ cre.matrix
+                bump("h1", _mnorm(gram - delta * eye), f"{here} i={i} collapse block")
+                gram2 = gram @ gram
+                for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
+                    bump(
+                        "cupcap",
+                        _mnorm(gram2 - (eye + comps[tag])),
+                        f"{here} i={i} square vs cap {tag.value}",
+                    )
+
+    fit = fit_num / fit_den if fit_den > 1e-12 else None
+    return TLReport(
+        graph=g.name,
+        max_len=max_len,
+        lemma_constant=kconst,
+        residual_items=tuple(sorted(res.items())),
+        worst_items=tuple(sorted(worst.items())),
+        lemma_fit=fit,
+        checks=checks,
+    )
+
+
+def grading_verify_adjointness(g, cells, max_len: int = 4) -> float:
+    """Max deviation of creation from annihilation^H and of cap from
+    cup^H over all gradings with |word| <= max_len.
+
+    creation and cap are built as those conjugate transposes, so this
+    checks that each pair meets on matching gradings and positions; the
+    weights themselves are checked against loop-built blocks in the tests.
+    Each cup block is built once per (grading, position, insertion
+    order) and the cap is its adjoint, so for that pair the check is
+    that the cup closes the cap's return back onto the grading.
+    """
+    worst = 0.0
+    for grading in iter_gradings(g, max_len - 1):
+        if path_space_dim(g, grading) == 0:
+            continue
+        n = grading.length
+        for i in range(1, n + 1):
+            cre = creation(g, cells, grading, i)
+            ann = annihilation(g, cells, cre.codomain, i)
+            worst = max(worst, _mnorm(cre.matrix - ann.matrix.conj().T))
+    for grading in iter_gradings(g, max_len - 2):
+        if path_space_dim(g, grading) == 0:
+            continue
+        n = grading.length
+        for i in range(1, n + 2):
+            for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
+                if cup(g, cells, cap_grading(grading, i, tag), i).codomain != grading:
+                    return math.inf
+    return worst

@@ -1,9 +1,10 @@
-"""Behavioural contract: ``report --json`` and ``essential --json`` output
-stays byte-stable for every shipped graph.
+"""Behavioural contract: ``report --json``, ``essential --json`` and
+``verify tl --json`` output stays byte-stable for every shipped graph.
 
-Goldens live in ``tests/golden/``.  Residual numerals in the report (the
-``x.xxxe±yy`` figures) are masked, because round-off may move them;
-everything else, essential payloads included, is compared exactly.
+Goldens live in ``tests/golden/``.  Residual numerals in the report and
+the relation sweep (the ``x.xxxe±yy`` figures) are masked, because
+round-off may move them; everything else, the sweep's check count and
+worst locations and the essential payloads included, is compared exactly.
 After a deliberate change of output, rewrite the goldens with
 
     PYTHONPATH=src python tests/test_contract.py
@@ -23,6 +24,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 RESIDUAL = re.compile(r"[-+]?\d\.\d+e[-+]\d+")
 REPORT_MAX_LEN = 3
 ESSENTIAL_TYPES = ("0,0", "1,0", "0,1", "2,0", "1,1", "0,2")  # every type of degree <= 2
+VERIFY_MAX_LEN = 3
 
 
 def _json(argv) -> str:
@@ -41,7 +43,17 @@ def essential_output(name: str) -> str:
     return "".join(_json(["essential", name, "--type", t, "--json"]) for t in ESSENTIAL_TYPES)
 
 
-OUTPUTS = {"report-{}.json": report_output, "essential-{}.jsonl": essential_output}
+def verify_tl_output(name: str) -> str:
+    return RESIDUAL.sub(
+        "<residual>", _json(["verify", "tl", name, "--max-len", str(VERIFY_MAX_LEN), "--json"])
+    )
+
+
+OUTPUTS = {
+    "report-{}.json": report_output,
+    "essential-{}.jsonl": essential_output,
+    "verify-tl-{}.json": verify_tl_output,
+}
 
 
 @pytest.mark.parametrize("name", graph_names())

@@ -1,14 +1,18 @@
 """Essential paths: kernels, dimension counts, decomposition, factorization."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from su3paths import (
     Decomposer,
     DecompositionError,
     EdgeTag,
+    ElementaryPath,
     GraphError,
     PathGrading,
     PathVector,
@@ -38,6 +42,7 @@ from su3paths import (
     verify_decomposition,
     words_of_type,
 )
+from su3paths.paths import word_paths
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 E5_SBB_COEF = 0.7356603157342366
@@ -270,3 +275,23 @@ def test_factorize_replay_sweep(a2, a2_cells):
             assert abs(_coef_on(out, a2, p.vertices)) > 1e-9, str(p)
             if is_structurally_essential(a2, a2_cells, p):
                 assert rec.events == ()
+
+
+@functools.lru_cache(maxsize=None)
+def _shipped(name):
+    return shipped_cells(get_graph(name))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_factorize_replay_on_random_paths(data):
+    # any word up to length level + 2 on any graph, and any of its paths
+    g = get_graph(data.draw(st.sampled_from(graph_names()), label="graph"))
+    cells = _shipped(g.name)
+    word = parse_word(data.draw(st.text(alphabet="sb", max_size=g.level + 2), label="word"))
+    rows = word_paths(g, word)
+    assume(len(rows) > 0)
+    row = rows[data.draw(st.integers(0, len(rows) - 1), label="row")]
+    p = ElementaryPath(tuple(g.vertex_ids()[v] for v in row), word)
+    out = replay_record(g, cells, factorize_path(g, cells, p))
+    assert abs(_coef_on(out, g, p.vertices)) > 1e-9, str(p)

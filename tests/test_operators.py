@@ -19,6 +19,7 @@ from su3paths import (
     creation,
     cup,
     cup_grading,
+    cup_pattern,
     enumerate_paths,
     enumerate_triangles,
     expanded_grading,
@@ -34,7 +35,13 @@ from su3paths import (
     verify_tl,
 )
 
-from oracle import annihilation_deviation, cup_mismatches, oracle_deviation
+from oracle import (
+    annihilation_deviation,
+    cup_mismatches,
+    grading_verify_adjointness,
+    grading_verify_tl,
+    oracle_deviation,
+)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 E5_SBB_COEF = 0.7356603157342366  # |cell| / (1 + sqrt(2)) on the worked 4-step path
@@ -107,7 +114,7 @@ def test_annihilation_matches_loop_oracle(name, max_len, gauged):
 
 @pytest.mark.parametrize("name,max_len", [("a2", 4), ("a3", 3), ("a4", 3), ("a5", 3), ("e5", 4)])
 def test_cup_matches_loop_oracle(name, max_len):
-    # every cup block verify_tl builds, so domains reach word length max_len + 2
+    # every cup block verify_tl stacks, so domains reach word length max_len + 2
     g = get_graph(name)
     assert cup_mismatches(g, shipped_cells(g), max_len) == []
 
@@ -239,6 +246,79 @@ def test_zero_cells_fail_h1(a2):
     assert rep.residuals["h1"] == pytest.approx(spectral_data(a2).delta)
     assert "collapse block" in rep.worst["h1"]
     assert rep.residuals["sum_rule"] > 1.0
+
+
+def _assert_sweeps_match(g, cells, max_len: int):
+    """verify_tl against the per-grading sweep; returns the library's report."""
+    lib, ref = verify_tl(g, cells, max_len), grading_verify_tl(g, cells, max_len)
+    assert lib.checks == ref.checks
+    assert lib.worst_items == ref.worst_items
+    assert lib.lemma_constant == ref.lemma_constant
+    assert dict(lib.residual_items).keys() == dict(ref.residual_items).keys()
+    for (_, a), (_, b) in zip(lib.residual_items, ref.residual_items):
+        assert abs(a - b) <= 1e-15
+    if ref.lemma_fit is None:
+        assert lib.lemma_fit is None
+    else:
+        assert lib.lemma_fit == pytest.approx(ref.lemma_fit, rel=1e-12, abs=0.0)
+    return lib
+
+
+@pytest.mark.parametrize("name,max_len", [("a2", 4), ("a3", 3), ("a4", 3), ("a5", 3), ("e5", 4)])
+def test_sweeps_match_grading_oracle(name, max_len):
+    g = get_graph(name)
+    cells = shipped_cells(g)
+    rep = _assert_sweeps_match(g, cells, max_len)
+    assert rep.passed(1e-8)
+    assert verify_adjointness(g, cells, max_len) == grading_verify_adjointness(g, cells, max_len)
+
+
+def test_sweep_worst_on_failing_systems(a2, e5, e5_cells):
+    # all-zero cells: every collapse block misses [2] 1 by exactly [2], a
+    # tie that the first collapse block in grading order wins
+    zeros = cell_system(a2, {t: 0.0 for t in enumerate_triangles(a2)})
+    rep = _assert_sweeps_match(a2, zeros, 2)
+    assert rep.residuals["h1"] == spectral_data(a2).delta
+    assert rep.worst["h1"] == "1->3:s i=1 collapse block"
+    # one cell off by 1%: a real failure, on several relations
+    tri, value = e5_cells.items[0]
+    scaled = cell_system(e5, {**e5_cells.values, tri: 1.01 * value})
+    rep = _assert_sweeps_match(e5, scaled, 3)
+    assert [k for k, v in rep.residual_items if v > 1e-8] == [
+        "cupcap", "f_square", "h1", "h3", "sum_rule",
+    ]
+    assert verify_adjointness(e5, scaled, 3) == grading_verify_adjointness(e5, scaled, 3)
+
+
+def test_worst_is_the_first_grading_to_reach_the_maximum(a2):
+    from su3paths.operators import _Maxima
+
+    # two dimension groups of one word, the later grading's group first:
+    # a tie goes to the lower grading number, and NaN is never a maximum
+    top = _Maxima(("h1",))
+    top.start_word(parse_word("ss"))
+    top.start_group(np.array([7, 20]))
+    top.bump("h1", np.array([np.nan, 2.0]), " i=1")
+    top.start_group(np.array([3, 9]))
+    top.bump("h1", np.array([2.0, 0.5]), " i=1")
+    top.end_word(a2)
+    assert (top.res, top.worst, top.checks) == ({"h1": 2.0}, {"h1": "1->3:ss i=1"}, 4)
+
+
+@pytest.mark.parametrize("word,i", [("sss", 1), ("bbb", 2), ("sbs", 1)])
+def test_stacked_blocks_are_padded_blocks(e5, e5_cells, word, i):
+    ann = annihilation_pattern(e5, parse_word(word), i)
+    cu = cup_pattern(e5, parse_word(word), i)
+    numbers = np.flatnonzero(ann.shapes[:, 1])
+    stacks = (
+        (ann.stacked(numbers, ann.values(e5_cells.vector)), lambda s: ann.block(e5_cells.vector, s)),
+        (cu.stacked(numbers, cu.weight), cu.block),
+    )
+    for stack, block in stacks:
+        for q, s in enumerate(numbers.tolist()):
+            m = block(s)
+            assert stack[q][: m.shape[0], : m.shape[1]].tobytes() == m.tobytes()
+            assert not stack[q][m.shape[0] :].any() and not stack[q][:, m.shape[1] :].any()
 
 
 def test_apply_guards(a2, a2_cells):
