@@ -19,6 +19,7 @@ can be overridden with the SU3PATHS_CELLS_DIR environment variable.
 
 from __future__ import annotations
 
+import cmath
 import hashlib
 import itertools
 import json
@@ -74,7 +75,7 @@ def canonical_rotation(x: str, y: str, z: str) -> Tuple[str, str, str]:
     return min(rots)
 
 
-@cached_on(0)
+@cached_on
 def enumerate_triangles(g: GraphSpec) -> Tuple[OrientedTriangle, ...]:
     """Every oriented 3-cycle of sigma arrows, canonical and sorted."""
     tris = set()
@@ -85,7 +86,7 @@ def enumerate_triangles(g: GraphSpec) -> Tuple[OrientedTriangle, ...]:
     return tuple(sorted(tris))
 
 
-@cached_on(0)
+@cached_on
 def _triangle_table(g: GraphSpec) -> np.ndarray:
     """Position in ``enumerate_triangles(g)`` of every triangle, under each
     of its three rotations, as a read-only V x V x V table by vertex
@@ -120,11 +121,11 @@ class CellSystem(HashedOnce):
     step (solver or file load).  ``vector`` holds the cells as one
     complex array in that order: an annihilation block gathers from it
     (conjugated on sigma-bar pairs) through its graph's pattern.  The
-    hash, the value map, the vector and the annihilation blocks built
-    from the system are computed once per instance, freed with it and
-    never pickled; cup blocks read no cell and are scattered from the
-    graph's pattern on each call, and creation and cap are rebuilt as
-    conjugate transposes on each call.
+    hash, the value map and the vector are computed once per instance,
+    freed with it and never pickled.  No operator block is kept on the
+    system: an annihilation block is one gather and one scatter on each
+    call, cup blocks read no cell and are scattered from the graph's
+    pattern, and creation and cap are rebuilt as conjugate transposes.
     """
 
     graph: str
@@ -167,7 +168,8 @@ class CellSystem(HashedOnce):
 
 
 def cell_system(g: GraphSpec, values: Mapping[OrientedTriangle, complex], **kw) -> CellSystem:
-    """Build a CellSystem over g's triangles; missing triangles are an error."""
+    """Build a CellSystem over g's triangles; missing triangles and
+    non-finite cells are an error."""
     tris = enumerate_triangles(g)
     missing = [t for t in tris if t not in values]
     if missing:
@@ -176,7 +178,16 @@ def cell_system(g: GraphSpec, values: Mapping[OrientedTriangle, complex], **kw) 
     unknown = [t for t in values if t not in known]
     if unknown:
         raise GraphError(f"not triangles of {g.name!r}: {unknown}")
-    return CellSystem(graph=g.name, items=tuple((t, complex(values[t])) for t in tris), **kw)
+    items = tuple((t, complex(values[t])) for t in tris)
+    bad = _non_finite(items)
+    if bad:
+        raise GraphError(f"non-finite cells on {g.name!r}: {bad}")
+    return CellSystem(graph=g.name, items=items, **kw)
+
+
+def _non_finite(items) -> list:
+    """The (triangle, cell) pairs whose cell is NaN or infinite."""
+    return [(str(t), v) for t, v in items if not cmath.isfinite(v)]
 
 
 # ----------------------------------------------------------------------
@@ -529,8 +540,8 @@ def load_cells(g: GraphSpec, path: str) -> CellSystem:
 
     Errors on schema violations (among them warnings that are not a
     list of strings and a seed that is not an integer or null),
-    graph-name mismatch, rows that are not triangles of g, or a checksum
-    mismatch.  If the loaded values fail the arrow sum rule at 1e-9 a
+    graph-name mismatch, rows that are not triangles of g, non-finite
+    cells, or a checksum mismatch.  If the loaded values fail the arrow sum rule at 1e-9 a
     warning is recorded in the system (the file is still returned so it
     can be inspected)."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -563,6 +574,9 @@ def load_cells(g: GraphSpec, path: str) -> CellSystem:
     for tri in values:
         if tri not in known:
             raise CellFileError(f"{tri} is not a triangle of {g.name!r}")
+    bad = _non_finite(values.items())
+    if bad:
+        raise CellFileError(f"non-finite cells in {path!r}: {bad}")
     stored = data.get("checksum")
     if stored is not None:
         rows_canon = [

@@ -19,7 +19,12 @@ collapsed word) or the cap re-inserting a mixed-tag return (source =
 the word with the pair removed), recursively.  Generation g vectors
 are images of length-g raising chains out of some raw kernel;
 independence is decided by rank growth during incremental
-orthonormalization.
+orthonormalization.  The Decomposer builds the bases one word at a
+time, sources first: a word's gradings of equal dimension form one
+group, and the group's kernel SVDs, raising products and Gram-Schmidt
+passes are batched over it, each grading with its own rank decisions.
+verify_decomposition sweeps words the same way; essential_basis and
+raw_kernel stay per grading.
 
 factorize_path implements the constructive proof: strip the essential
 suffix right of the rightmost live pattern, peel the leftmost live
@@ -42,23 +47,30 @@ from .fusion import fusion_matrix
 from .graphs import GraphError, GraphSpec
 from .operators import (
     LinearOperator,
-    _mnorm,
+    _collapsed_word,
+    _cup_word,
+    _mnorms,
     annihilation,
+    annihilation_pattern,
     cap_oriented,
     collapsed_grading,
     creation,
     cup,
     cup_grading,
+    cup_pattern,
 )
 from .paths import (
     EdgeTag,
     ElementaryPath,
     PathGrading,
     PathVector,
+    Word,
     _basis_index,
+    _grading_number,
+    _walk_counts,
+    _words,
     concatenate,
     enumerate_paths,
-    iter_gradings,
     path_space_dim,
     word_str,
 )
@@ -95,14 +107,20 @@ def kernel_operators(
     return tuple(ops)
 
 
+def _ranks(svals: np.ndarray) -> np.ndarray:
+    """Numerical rank behind each row of descending singular values: the
+    number above NULL_TOL times the row's largest, so 0 when that one is
+    0 or the row is empty.  Every kernel decision goes through here."""
+    if svals.shape[-1] == 0:
+        return np.zeros(svals.shape[:-1], dtype=np.int64)
+    return np.count_nonzero(svals > NULL_TOL * svals[..., :1], axis=-1)
+
+
 def _null_space(matrix: np.ndarray):
     """Orthonormal basis (columns) of the numerical null space of matrix,
-    plus its singular values.  The rank counts singular values above
-    NULL_TOL times the largest one."""
+    plus its singular values (rank by _ranks)."""
     _, svals, vh = np.linalg.svd(matrix)
-    smax = svals[0] if len(svals) else 0.0
-    rank = int(np.sum(svals > NULL_TOL * smax)) if smax > 0 else 0
-    return vh[rank:].conj().T, svals
+    return vh[int(_ranks(svals)) :].conj().T, svals
 
 
 def raw_kernel(g: GraphSpec, cells: CellSystem, grading: PathGrading):
@@ -221,6 +239,73 @@ def essential_dims(g: GraphSpec, cells: CellSystem, tp: Tuple[int, int]) -> Esse
 
 # ----------------------------------------------------------------------
 # graded decomposition
+#
+# Every raising and lowering operator keeps a path's start and end, so
+# the bases of a word's gradings are built together.  The gradings of
+# nonzero dimension d form one group.  Per slot, the group's lowering
+# blocks are one zero-padded stack scattered from the graph's pattern
+# (_Pattern.stacked); the kernels come from one batched SVD of the
+# stacks, the candidates from one batched product of their conjugate
+# transposes with the source word's padded bases, and the Gram-Schmidt
+# passes run over the group with one accept mask per grading.  Zero
+# rows and columns from the padding change no singular value, candidate
+# or projection.
+
+_DEAD = np.iinfo(np.int64).max  # generation of a padded candidate column
+
+
+@dataclass(frozen=True, eq=False)
+class _BasisGroup:
+    """Bases of the gradings ``numbers`` (ascending) of one word, all of
+    dimension d.
+
+    Row r's basis is columns :count[r] of the (d, d) block basis[r]:
+    kernel[r] raw-kernel vectors, then the raised ones in acceptance
+    order.  gens[r] gives each column's generation, -1 past count[r],
+    where the columns are zero.  failed[r] marks a grading whose
+    accounting broke: fewer than d vectors, or more than d independent.
+    """
+
+    numbers: np.ndarray
+    basis: np.ndarray
+    gens: np.ndarray
+    kernel: np.ndarray
+    count: np.ndarray
+    failed: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class _WordBases:
+    """Every grading's basis on one word: grading number s is row
+    row_of[s] of groups[group_of[s]], and group_of[s] is -1 when its
+    dimension is 0."""
+
+    groups: Tuple[_BasisGroup, ...]
+    group_of: np.ndarray
+    row_of: np.ndarray
+
+    def find(self, s: int):
+        """(group, row) of grading number s, or None for dimension 0."""
+        k = self.group_of[s]
+        return None if k < 0 else (self.groups[k], int(self.row_of[s]))
+
+    def stacked(self, numbers: np.ndarray, r: int):
+        """The bases of the gradings ``numbers``, zero-padded to one
+        (len, r, r) stack, with their generations (-1 on padding)."""
+        basis = np.zeros((len(numbers), r, r), dtype=complex)
+        gens = np.full((len(numbers), r), -1, dtype=np.int64)
+        which = self.group_of[numbers]
+        for k in np.unique(which[which >= 0]).tolist():
+            at = np.flatnonzero(which == k)
+            grp, rows = self.groups[k], self.row_of[numbers[at]]
+            d = grp.basis.shape[1]
+            basis[at, :d, :d] = grp.basis[rows]
+            gens[at, :d] = grp.gens[rows]
+        return basis, gens
+
+
+def _h(x: np.ndarray) -> np.ndarray:
+    return x.conj().swapaxes(-1, -2)
 
 
 class Decomposer:
@@ -229,8 +314,14 @@ class Decomposer:
     basis(grading) returns ((generation, column-vector), ...) spanning
     the graded space: generation 0 is the raw joint kernel, generation
     g >= 1 the independent raising images of generation g-1 vectors of
-    the source gradings.  Share one instance across gradings to reuse
-    the recursion.
+    the source gradings.  The raising images of one grading are tried in
+    slot order, the source basis in its order within a slot, then sorted
+    stably by generation.
+
+    The bases are built one word at a time, for all of its gradings, and
+    kept per word; a word's sources (its collapsed and cup words) are
+    shorter and are built first.  Share one instance across gradings to
+    reuse them.
     """
 
     def __init__(self, g: GraphSpec, cells: CellSystem):
@@ -238,42 +329,114 @@ class Decomposer:
         self.cells = cells
         self._memo: dict = {}
 
-    def sources(self, grading: PathGrading):
-        """(slot, source grading, raising operator) per slot of the word.
-        Each raising operator is the adjoint of the lowering one there: a
-        creation out of the collapsed word, or a cap out of the word with
-        the mixed pair removed."""
-        ops = kernel_operators(self.g, self.cells, grading)
-        return [(op.position, op.codomain, op.adjoint()) for op in ops]
-
     def basis(self, grading: PathGrading):
-        if grading in self._memo:
-            return self._memo[grading]
-        dim = path_space_dim(self.g, grading)
-        if dim == 0:
-            self._memo[grading] = ()
+        found = self._word(grading.word).find(_grading_number(self.g, grading))
+        if found is None:
             return ()
-        null, _ = raw_kernel(self.g, self.cells, grading)
-        accepted = [(0, null[:, j]) for j in range(null.shape[1])]
-        candidates = []
-        for _, src, op in self.sources(grading):
-            for gen, v in self.basis(src):
-                candidates.append((gen + 1, op.matrix @ v))
-        candidates.sort(key=lambda gv: gv[0])
-        for gen, w in candidates:
-            nrm = np.linalg.norm(w)
-            if nrm < LIVE_TOL:
-                continue
-            if accepted:
-                q = np.column_stack([v for _, v in accepted])
-                w = w - q @ (q.conj().T @ w)
-                w = w - q @ (q.conj().T @ w)
-            res = np.linalg.norm(w)
-            if res > RANK_TOL * nrm:
-                accepted.append((gen, w / res))
-        out = tuple(accepted)
-        self._memo[grading] = out
+        grp, r = found
+        return tuple(
+            (int(gen), grp.basis[r, :, j])
+            for j, gen in enumerate(grp.gens[r, : grp.count[r]].tolist())
+        )
+
+    def _word(self, word: Word) -> _WordBases:
+        out = self._memo.get(word)
+        if out is not None:
+            return out
+        g = self.g
+        # per slot: the lowering pattern, its entries and the source word's bases
+        slots = []
+        for i in range(1, len(word)):
+            if word[i - 1] is word[i]:
+                p = annihilation_pattern(g, word, i)
+                slots.append((p, p.values(self.cells.vector), self._word(_collapsed_word(word, i))))
+            else:
+                p = cup_pattern(g, word, i)
+                slots.append((p, p.weight, self._word(_cup_word(word, i))))
+        dims = _walk_counts(g, word).ravel()
+        nonzero = np.flatnonzero(dims)
+        group_of = np.full(dims.size, -1, dtype=np.int64)
+        row_of = np.zeros(dims.size, dtype=np.int64)
+        groups = []
+        for d in np.unique(dims[nonzero]).tolist():
+            numbers = nonzero[dims[nonzero] == d]
+            group_of[numbers] = len(groups)
+            row_of[numbers] = np.arange(len(numbers))
+            groups.append(_decompose_group(numbers, int(d), slots))
+        out = self._memo[word] = _WordBases(tuple(groups), group_of, row_of)
         return out
+
+
+def _decompose_group(numbers: np.ndarray, d: int, slots) -> _BasisGroup:
+    """The bases of one group of gradings of dimension d (see Decomposer)."""
+    k = len(numbers)
+    cols = np.arange(d)
+    lowering = [p.stacked(numbers, values) for p, values, _ in slots]
+    if lowering:
+        stack = np.concatenate(lowering, axis=1)
+        _, svals, vh = np.linalg.svd(stack, full_matrices=stack.shape[1] < d)
+        rank = _ranks(svals)
+        kernel = d - rank
+        # kernel first: column j is right singular vector rank + j
+        basis = np.take_along_axis(_h(vh), ((cols + rank[:, None]) % d)[:, None, :], axis=2)
+        basis *= (cols < kernel[:, None])[:, None, :]
+    else:
+        kernel = np.full(k, d, dtype=np.int64)
+        basis = np.tile(np.eye(d, dtype=complex), (k, 1, 1))
+    gens = np.where(cols < kernel[:, None], 0, -1)
+    count = kernel.copy()
+    failed = np.zeros(k, dtype=bool)
+
+    # candidates: each slot's raising stack (the lowering one's conjugate
+    # transpose) times its source bases, in slot order, sorted stably by
+    # generation; padded columns are zero, get generation _DEAD and sort last
+    cands, cgens = [], []
+    for low, (_, _, src) in zip(lowering, slots):
+        sbasis, sgens = src.stacked(numbers, low.shape[1])
+        cands.append(_h(low) @ sbasis)
+        cgens.append(np.where(sgens >= 0, sgens + 1, _DEAD))
+    if cands:
+        cgen = np.concatenate(cgens, axis=1)
+        order = np.argsort(cgen, axis=1, kind="stable")
+        cgen = np.take_along_axis(cgen, order, axis=1)
+        cand = np.take_along_axis(np.concatenate(cands, axis=2), order[:, None, :], axis=2)
+        width = int((cgen != _DEAD).sum(axis=1).max(initial=0))
+        # CGS2 against the zero-padded basis, one candidate column at a time
+        for j in range(width):
+            w = cand[:, :, j]
+            nrm = np.linalg.norm(w, axis=1)
+            live = nrm >= LIVE_TOL
+            if not live.any():
+                continue
+            for _ in range(2):
+                coef = (w.conj()[:, None, :] @ basis).conj()
+                w = w - (basis @ coef.swapaxes(1, 2))[:, :, 0]
+            res = np.linalg.norm(w, axis=1)
+            take = live & (res > RANK_TOL * nrm)
+            failed |= take & (count == d)
+            at = np.flatnonzero(take & (count < d))
+            basis[at, :, count[at]] = w[at] / res[at, None]
+            gens[at, count[at]] = cgen[at, j]
+            count[at] += 1
+    return _BasisGroup(numbers, basis, gens, kernel, count, failed | (count != d))
+
+
+def _projector_residuals(basis: np.ndarray, kernel: np.ndarray, count: np.ndarray):
+    """Projectors onto the kernel columns (:kernel) and the raised columns
+    (kernel:count) of a (k, d, d) stack of bases, and their five residuals
+    as (k,) arrays."""
+    cols = np.arange(basis.shape[2])
+    ker = basis * (cols < kernel[:, None])[:, None, :]
+    raised = basis * ((cols >= kernel[:, None]) & (cols < count[:, None]))[:, None, :]
+    pe, pr = ker @ _h(ker), raised @ _h(raised)
+    residuals = {
+        "hermitian": np.maximum(_mnorms(pe - _h(pe)), _mnorms(pr - _h(pr))),
+        "idempotent": np.maximum(_mnorms(pe @ pe - pe), _mnorms(pr @ pr - pr)),
+        "orthogonal": _mnorms(pe @ pr),
+        "completeness": _mnorms(pe + pr - np.eye(basis.shape[1])),
+        "essential_raised_overlap": _mnorms(_h(ker) @ raised),
+    }
+    return pe, pr, residuals
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,46 +481,29 @@ def decompose_space(
         raise ValueError("decomposer was built for different data")
     basis = dec.basis(grading)
     dim = path_space_dim(g, grading)
-    kernel = [v for gen, v in basis if gen == 0]
-    raised = [(gen, v) for gen, v in basis if gen > 0]
-    gens = tuple(
-        sum(1 for gen, _ in raised if gen == k)
-        for k in range(1, max((gen for gen, _ in raised), default=0) + 1)
-    )
-    pe = (
-        np.column_stack(kernel) @ np.column_stack(kernel).conj().T
-        if kernel
-        else np.zeros((dim, dim), dtype=complex)
-    )
-    qr = np.column_stack([v for _, v in raised]) if raised else np.zeros((dim, 0), dtype=complex)
-    pr = qr @ qr.conj().T
-    eye = np.eye(dim)
-    overlap = 0.0
-    if kernel and raised:
-        overlap = _mnorm(np.column_stack(kernel).conj().T @ qr)
-    residuals = {
-        "hermitian": max(_mnorm(pe - pe.conj().T), _mnorm(pr - pr.conj().T)),
-        "idempotent": max(_mnorm(pe @ pe - pe), _mnorm(pr @ pr - pr)),
-        "orthogonal": _mnorm(pe @ pr),
-        "completeness": _mnorm(pe + pr - eye),
-        "essential_raised_overlap": overlap,
-    }
+    gens = [gen for gen, _ in basis]
+    kernel = gens.count(0)
+    stack = np.zeros((1, dim, dim), dtype=complex)
+    if basis:
+        stack[0, :, : len(basis)] = np.column_stack([v for _, v in basis])
+    pe, pr, residuals = _projector_residuals(stack, np.array([kernel]), np.array([len(basis)]))
     alpha, beta = grading.type()
     excluded = alpha + beta > g.level
     report = DecompositionReport(
         grading=grading,
         dim_total=dim,
-        dim_kernel=len(kernel),
-        dim_essential=0 if excluded else len(kernel),
+        dim_kernel=kernel,
+        dim_essential=0 if excluded else kernel,
         excluded_by_length=excluded,
-        raised_dims=gens,
-        projector_essential=pe,
-        projector_raised=pr,
-        residual_items=tuple(sorted((k, float(v)) for k, v in residuals.items())),
+        raised_dims=tuple(gens.count(k) for k in range(1, max(gens, default=0) + 1)),
+        projector_essential=pe[0],
+        projector_raised=pr[0],
+        residual_items=tuple(sorted((k, float(v[0])) for k, v in residuals.items())),
     )
-    if len(kernel) + len(raised) != dim:
+    found = dec._word(grading.word).find(_grading_number(g, grading))
+    if found is not None and found[0].failed[found[1]]:
         raise DecompositionError(
-            f"{grading}: kernel {len(kernel)} + raised {len(raised)} != dim {dim}",
+            f"{grading}: kernel {kernel} + raised {len(basis) - kernel} != dim {dim}",
             report,
         )
     return report
@@ -365,7 +511,12 @@ def decompose_space(
 
 def verify_decomposition(g: GraphSpec, cells: CellSystem, max_len: int = 4) -> Mapping[str, float]:
     """Sweep all gradings with |word| <= max_len; max residuals plus
-    failure count (a failure is a grading whose accounting broke)."""
+    failure count (a failure is a grading whose accounting broke, and
+    its residuals are left out of the maxima).
+
+    The sweep goes word by word, in _words order, and evaluates the
+    residuals of a word's group of gradings of one dimension as one
+    batch (see Decomposer)."""
     dec = Decomposer(g, cells)
     worst = {
         "hermitian": 0.0,
@@ -376,17 +527,17 @@ def verify_decomposition(g: GraphSpec, cells: CellSystem, max_len: int = 4) -> M
     }
     count = 0
     failures = 0
-    for grading in iter_gradings(g, max_len):
-        if path_space_dim(g, grading) == 0:
-            continue
-        count += 1
-        try:
-            rep = decompose_space(g, cells, grading, dec)
-        except DecompositionError:
-            failures += 1
-            continue
-        for k, v in rep.residual_items:
-            worst[k] = max(worst[k], v)
+    for word in _words(max_len):
+        for grp in dec._word(word).groups:
+            count += len(grp.numbers)
+            failures += int(grp.failed.sum())
+            ok = ~grp.failed
+            if not ok.any():
+                continue
+            _, _, residuals = _projector_residuals(grp.basis, grp.kernel, grp.count)
+            for key, values in residuals.items():
+                # fmax skips NaN, as a comparison with max does
+                worst[key] = max(worst[key], float(np.fmax.reduce(values[ok], initial=0.0)))
     worst["gradings"] = float(count)
     worst["failures"] = float(failures)
     worst["max_len"] = float(max_len)

@@ -46,7 +46,7 @@ def _type_bound(max_type) -> int:
     return int(p) + int(q)
 
 
-@cached_on(0)
+@cached_on
 def _fusion_raw(g: GraphSpec, bound: int) -> Mapping[Tuple[int, int], FusionMatrix]:
     a = adjacency_matrix(g)
     n = a.shape[0]

@@ -77,30 +77,27 @@ class HashedOnce:
         return {}
 
 
-def cached_on(owner: int):
-    """Memoize a function in the ``_memo`` of its argument at position ``owner``.
+def cached_on(fn):
+    """Memoize a function in the ``_memo`` of its first argument.
 
     Arguments are passed positionally.  The key is one flat tuple: the
-    function, then every argument except the owner.  A key never refers
+    function, then every argument after the first.  A key never refers
     to its owner, so no reference cycle keeps a result alive: the results
     die with the last reference to the owner.
     """
 
-    def decorate(fn):
-        @wraps(fn)
-        def memoized(*args):
-            key = (fn, *args[:owner], *args[owner + 1 :])
-            memo = args[owner]._memo
-            try:
-                return memo[key]
-            except KeyError:
-                pass
-            value = memo[key] = fn(*args)
-            return value
+    @wraps(fn)
+    def memoized(owner, *args):
+        key = (fn, *args)
+        memo = owner._memo
+        try:
+            return memo[key]
+        except KeyError:
+            pass
+        value = memo[key] = fn(owner, *args)
+        return value
 
-        return memoized
-
-    return decorate
+    return memoized
 
 
 @dataclass(frozen=True)
@@ -292,7 +289,7 @@ class SpectralData:
         return loop_parameter(self.kappa)
 
 
-@cached_on(0)
+@cached_on
 def spectral_data(g: GraphSpec) -> SpectralData:
     """Compute (beta, mu) for a validated graph.
 

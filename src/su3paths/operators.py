@@ -173,13 +173,14 @@ def _check_slot(i: int, lo: int, hi: int, what: str):
 #
 # annihilation and cup patterns are kept on the graph (keyed by word and
 # position) and built from the graph's word_paths arrays by index
-# arithmetic; annihilation blocks are kept on the cell system (keyed by
-# graph, grading and position) and freed with it.  A cup block is one
-# scatter from its pattern and is not kept: it reads no cell, and it is
-# cheaper to rebuild than to hold.  creation and cap return a fresh
-# conjugate transpose of an annihilation or cup block on each call, and
-# tl_u multiplies one; none of these keeps anything.  The stacks the
-# relation sweeps build (_Pattern.stacked) are not kept either.
+# arithmetic.  Nothing is kept on the cell system: an annihilation block
+# is one gather from the cell vector and one scatter, and a cup block one
+# scatter, on each call.  The sweeps (verify_tl, the Decomposer) stack
+# blocks straight from the patterns and do not call the per-grading
+# builders, so a block is cheaper to rebuild than to hold.  creation and
+# cap return a fresh conjugate transpose of an annihilation or cup block
+# on each call, and tl_u multiplies one; none of these keeps anything.
+# The stacks the sweeps build (_Pattern.stacked) are not kept either.
 # Patterns and matrices are immutable.
 
 
@@ -311,7 +312,7 @@ def _mu_array(g: GraphSpec) -> np.ndarray:
     return np.array([mu[v] for v in g.vertex_ids()])
 
 
-@cached_on(0)
+@cached_on
 def annihilation_pattern(g: GraphSpec, word: Tuple[EdgeTag, ...], i: int) -> AnnihilationPattern:
     """Where the cells enter C_i on each grading of the word, kept on the graph.
 
@@ -337,7 +338,7 @@ def annihilation_pattern(g: GraphSpec, word: Tuple[EdgeTag, ...], i: int) -> Ann
     )
 
 
-@cached_on(0)
+@cached_on
 def cup_pattern(g: GraphSpec, word: Tuple[EdgeTag, ...], i: int) -> CupPattern:
     """Cup_i on each grading of the word, kept on the graph.
 
@@ -358,7 +359,6 @@ def cup_pattern(g: GraphSpec, word: Tuple[EdgeTag, ...], i: int) -> CupPattern:
     )
 
 
-@cached_on(1)
 def annihilation(g: GraphSpec, cells: CellSystem, grading: PathGrading, i: int) -> LinearOperator:
     """C_i: contract the pair at positions (i, i+1).
 
@@ -436,8 +436,9 @@ def _mnorm(x: np.ndarray) -> float:
 
 
 def _mnorms(x: np.ndarray) -> np.ndarray:
-    """Largest entry magnitude of each block of a (k, d, d) stack."""
-    return np.abs(x).max(axis=(1, 2))
+    """Largest entry magnitude of each block of a (k, d, d) stack (0.0 for
+    empty blocks)."""
+    return np.abs(x).max(axis=(1, 2), initial=0.0)
 
 
 class _Maxima:

@@ -227,7 +227,7 @@ def _walk_counts(g: GraphSpec, word: Word) -> np.ndarray:
     return m
 
 
-@cached_on(0)
+@cached_on
 def _id_ranks(g: GraphSpec) -> np.ndarray:
     """Rank of each vertex's id among the sorted ids, by vertex index.
     Bases are in id order, which is not index order: on a2 the index
@@ -238,7 +238,7 @@ def _id_ranks(g: GraphSpec) -> np.ndarray:
     return ranks
 
 
-@cached_on(0)
+@cached_on
 def _step_targets(g: GraphSpec, tag: EdgeTag) -> Tuple[np.ndarray, np.ndarray]:
     """Neighbour arrays of one step: a tag step from vertex k reaches
     targets[offsets[k]:offsets[k + 1]] (vertex indices)."""
@@ -272,7 +272,7 @@ def _row_keys(g: GraphSpec, rows: np.ndarray) -> np.ndarray:
     return keys
 
 
-@cached_on(0)
+@cached_on
 def word_paths(g: GraphSpec, word: Word) -> np.ndarray:
     """Every path realizing the word, as a read-only (N, len(word) + 1)
     int32 array of vertex indices; kept on the graph.
@@ -308,7 +308,7 @@ def word_paths(g: GraphSpec, word: Word) -> np.ndarray:
     return rows
 
 
-@cached_on(0)
+@cached_on
 def _grading_offsets(g: GraphSpec, word: Word) -> np.ndarray:
     """Where each grading sits in word_paths(g, word): the grading with
     number s = V * index(start) + index(end) is rows offsets[s]:offsets[s + 1]."""
@@ -318,7 +318,7 @@ def _grading_offsets(g: GraphSpec, word: Word) -> np.ndarray:
     return offsets
 
 
-@cached_on(0)
+@cached_on
 def enumerate_paths(g: GraphSpec, grading: PathGrading) -> Tuple[ElementaryPath, ...]:
     """All elementary paths realizing the grading, in lexicographic order
     of their vertex sequences.  Deterministic; cached per grading on g.
@@ -340,7 +340,7 @@ def enumerate_paths(g: GraphSpec, grading: PathGrading) -> Tuple[ElementaryPath,
     return tuple(ElementaryPath(tuple(vs), word) for vs in ids[rows].tolist())
 
 
-@cached_on(0)
+@cached_on
 def _basis_index(g: GraphSpec, grading: PathGrading):
     return {p: i for i, p in enumerate(enumerate_paths(g, grading))}
 

@@ -25,6 +25,14 @@ with the blocks of all gradings of one dimension stacked and the
 relations evaluated in batches; these sweeps visit one grading at a
 time, build each block with the library's per-grading builders, and
 take the maxima in that visiting order.
+
+A decomposition per grading: the library builds the generation-labelled
+bases of all gradings of one word and dimension together, with batched
+kernel SVDs, raising products and Gram-Schmidt passes;
+GradingDecomposer builds one grading at a time, recursing into its
+source gradings, and orthonormalizes one candidate at a time.
+grading_decompose_space and grading_verify_decomposition compute the
+projector residuals from its bases one grading at a time.
 """
 
 import math
@@ -45,6 +53,14 @@ from su3paths import (
     tl_u,
 )
 from su3paths.cells import OrientedTriangle, max_sum_rule_residual
+from su3paths.essential import (
+    LIVE_TOL,
+    RANK_TOL,
+    DecompositionError,
+    DecompositionReport,
+    kernel_operators,
+    raw_kernel,
+)
 from su3paths.operators import (
     ANNIHILATION,
     CAP,
@@ -409,4 +425,140 @@ def grading_verify_adjointness(g, cells, max_len: int = 4) -> float:
             for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
                 if cup(g, cells, cap_grading(grading, i, tag), i).codomain != grading:
                     return math.inf
+    return worst
+
+
+class GradingDecomposer:
+    """Memoized construction of generation-labelled orthonormal bases.
+
+    basis(grading) returns ((generation, column-vector), ...) spanning
+    the graded space: generation 0 is the raw joint kernel, generation
+    g >= 1 the independent raising images of generation g-1 vectors of
+    the source gradings.  Share one instance across gradings to reuse
+    the recursion.
+    """
+
+    def __init__(self, g, cells):
+        self.g = g
+        self.cells = cells
+        self._memo: dict = {}
+
+    def sources(self, grading: PathGrading):
+        """(slot, source grading, raising operator) per slot of the word.
+        Each raising operator is the adjoint of the lowering one there: a
+        creation out of the collapsed word, or a cap out of the word with
+        the mixed pair removed."""
+        ops = kernel_operators(self.g, self.cells, grading)
+        return [(op.position, op.codomain, op.adjoint()) for op in ops]
+
+    def basis(self, grading: PathGrading):
+        if grading in self._memo:
+            return self._memo[grading]
+        dim = path_space_dim(self.g, grading)
+        if dim == 0:
+            self._memo[grading] = ()
+            return ()
+        null, _ = raw_kernel(self.g, self.cells, grading)
+        accepted = [(0, null[:, j]) for j in range(null.shape[1])]
+        candidates = []
+        for _, src, op in self.sources(grading):
+            for gen, v in self.basis(src):
+                candidates.append((gen + 1, op.matrix @ v))
+        candidates.sort(key=lambda gv: gv[0])
+        for gen, w in candidates:
+            nrm = np.linalg.norm(w)
+            if nrm < LIVE_TOL:
+                continue
+            if accepted:
+                q = np.column_stack([v for _, v in accepted])
+                w = w - q @ (q.conj().T @ w)
+                w = w - q @ (q.conj().T @ w)
+            res = np.linalg.norm(w)
+            if res > RANK_TOL * nrm:
+                accepted.append((gen, w / res))
+        out = tuple(accepted)
+        self._memo[grading] = out
+        return out
+
+
+def grading_decompose_space(g, cells, grading: PathGrading, decomposer=None) -> DecompositionReport:
+    """Split one graded space; raises DecompositionError when the kernel
+    plus the raising images fail to fill it."""
+    dec = decomposer if decomposer is not None else GradingDecomposer(g, cells)
+    if dec.g is not g or dec.cells is not cells:
+        raise ValueError("decomposer was built for different data")
+    basis = dec.basis(grading)
+    dim = path_space_dim(g, grading)
+    kernel = [v for gen, v in basis if gen == 0]
+    raised = [(gen, v) for gen, v in basis if gen > 0]
+    gens = tuple(
+        sum(1 for gen, _ in raised if gen == k)
+        for k in range(1, max((gen for gen, _ in raised), default=0) + 1)
+    )
+    pe = (
+        np.column_stack(kernel) @ np.column_stack(kernel).conj().T
+        if kernel
+        else np.zeros((dim, dim), dtype=complex)
+    )
+    qr = np.column_stack([v for _, v in raised]) if raised else np.zeros((dim, 0), dtype=complex)
+    pr = qr @ qr.conj().T
+    eye = np.eye(dim)
+    overlap = 0.0
+    if kernel and raised:
+        overlap = _mnorm(np.column_stack(kernel).conj().T @ qr)
+    residuals = {
+        "hermitian": max(_mnorm(pe - pe.conj().T), _mnorm(pr - pr.conj().T)),
+        "idempotent": max(_mnorm(pe @ pe - pe), _mnorm(pr @ pr - pr)),
+        "orthogonal": _mnorm(pe @ pr),
+        "completeness": _mnorm(pe + pr - eye),
+        "essential_raised_overlap": overlap,
+    }
+    alpha, beta = grading.type()
+    excluded = alpha + beta > g.level
+    report = DecompositionReport(
+        grading=grading,
+        dim_total=dim,
+        dim_kernel=len(kernel),
+        dim_essential=0 if excluded else len(kernel),
+        excluded_by_length=excluded,
+        raised_dims=gens,
+        projector_essential=pe,
+        projector_raised=pr,
+        residual_items=tuple(sorted((k, float(v)) for k, v in residuals.items())),
+    )
+    if len(kernel) + len(raised) != dim:
+        raise DecompositionError(
+            f"{grading}: kernel {len(kernel)} + raised {len(raised)} != dim {dim}",
+            report,
+        )
+    return report
+
+
+def grading_verify_decomposition(g, cells, max_len: int = 4):
+    """Sweep all gradings with |word| <= max_len; max residuals plus
+    failure count (a failure is a grading whose accounting broke)."""
+    dec = GradingDecomposer(g, cells)
+    worst = {
+        "hermitian": 0.0,
+        "idempotent": 0.0,
+        "orthogonal": 0.0,
+        "completeness": 0.0,
+        "essential_raised_overlap": 0.0,
+    }
+    count = 0
+    failures = 0
+    for grading in iter_gradings(g, max_len):
+        if path_space_dim(g, grading) == 0:
+            continue
+        count += 1
+        try:
+            rep = grading_decompose_space(g, cells, grading, dec)
+        except DecompositionError:
+            failures += 1
+            continue
+        for k, v in rep.residual_items:
+            worst[k] = max(worst[k], v)
+    worst["gradings"] = float(count)
+    worst["failures"] = float(failures)
+    worst["max_len"] = float(max_len)
     return worst

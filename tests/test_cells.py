@@ -205,6 +205,21 @@ def test_cell_system_requires_all_triangles(a2, a2_cells):
         cell_system(a2, vals)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)], ids=str)
+def test_non_finite_cells_are_rejected(tmp_path, e5, e5_cells, bad):
+    tri = e5_cells.items[3][0]
+    with pytest.raises(GraphError, match="non-finite"):
+        cell_system(e5, {**e5_cells.values, tri: bad})
+    # a file that save_cells wrote, with a valid checksum over the bad cell
+    d = cells_to_dict(e5_cells)
+    d["cells"][3]["re"], d["cells"][3]["im"] = bad.real, bad.imag
+    d["checksum"] = _checksum_payload(d["graph"], d["seed"], d["cells"])
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(d))
+    with pytest.raises(CellFileError, match="non-finite"):
+        load_cells(e5, str(p))
+
+
 def test_persistence_roundtrip(tmp_path):
     for name in graph_names():
         g = get_graph(name)

@@ -1,8 +1,9 @@
-"""Behavioural contract: ``report --json``, ``essential --json`` and
-``verify tl --json`` output stays byte-stable for every shipped graph.
+"""Behavioural contract: ``report --json``, ``essential --json``,
+``verify tl --json`` and ``verify decomposition --json`` output stays
+byte-stable for every shipped graph.
 
 Goldens live in ``tests/golden/``.  Residual numerals in the report and
-the relation sweep (the ``x.xxxe±yy`` figures) are masked, because
+the two sweeps (the ``x.xxxe±yy`` figures) are masked, because
 round-off may move them; everything else, the sweep's check count and
 worst locations and the essential payloads included, is compared exactly.
 After a deliberate change of output, rewrite the goldens with
@@ -49,10 +50,18 @@ def verify_tl_output(name: str) -> str:
     )
 
 
+def verify_decomposition_output(name: str) -> str:
+    return RESIDUAL.sub(
+        "<residual>",
+        _json(["verify", "decomposition", name, "--max-len", str(VERIFY_MAX_LEN), "--json"]),
+    )
+
+
 OUTPUTS = {
     "report-{}.json": report_output,
     "essential-{}.jsonl": essential_output,
     "verify-tl-{}.json": verify_tl_output,
+    "verify-decomposition-{}.json": verify_decomposition_output,
 }
 
 

@@ -44,6 +44,8 @@ from su3paths import (
 )
 from su3paths.paths import word_paths
 
+from oracle import GradingDecomposer, grading_verify_decomposition
+
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 E5_SBB_COEF = 0.7356603157342366
 
@@ -219,6 +221,41 @@ def test_verify_decomposition_sweeps(a2, a2_cells, e5, e5_cells):
             "essential_raised_overlap",
         ):
             assert rep[key] < 1e-8, (g.name, key, rep[key])
+
+
+def _labels(dec, g, max_len: int):
+    return [[gen for gen, _ in dec.basis(grading)] for grading in iter_gradings(g, max_len)]
+
+
+ORACLE_CASES = [
+    (name, max_len, kind)
+    for name, max_len in [("a2", 4), ("a3", 3), ("a4", 3), ("a5", 3), ("e5", 4)]
+    for kind in ("shipped", "random-gauge")
+] + [("a2", 4, "zero")]
+
+
+@pytest.mark.parametrize("name,max_len,cells_kind", ORACLE_CASES)
+def test_decomposition_matches_grading_oracle(name, max_len, cells_kind):
+    """The per-word batched sweep against the per-grading one: equal
+    generation labels on every grading, equal counts, residuals within
+    1e-13.  All-zero cells make every like-slot stack zero (rank 0)."""
+    g = get_graph(name)
+    if cells_kind == "zero":
+        cells = cell_system(g, {t: 0.0 for t in enumerate_triangles(g)})
+    else:
+        cells = shipped_cells(g)
+        if cells_kind == "random-gauge":
+            cells = gauge_transform(cells, random_gauge(g, 5))
+    lib = verify_decomposition(g, cells, max_len)
+    ref = grading_verify_decomposition(g, cells, max_len)
+    assert lib.keys() == ref.keys()
+    for key in ("gradings", "failures", "max_len"):
+        assert lib[key] == ref[key]
+    for key in lib.keys() - {"gradings", "failures", "max_len"}:
+        assert abs(lib[key] - ref[key]) <= 1e-13, key
+    assert _labels(Decomposer(g, cells), g, max_len) == _labels(
+        GradingDecomposer(g, cells), g, max_len
+    )
 
 
 def test_factorize_cap_peel(a2, a2_cells):

@@ -115,7 +115,8 @@ def test_unpickled_objects_rehash_under_another_hash_seed(tmp_path):
     like = PathGrading("1_0", "2_2", parse_word("ss"))
     assert annihilation(g, cells, like, 1).shape[1] == path_space_dim(g, like)
     assert g.has_edge("1_0", "2_1") and g.out_neighbors("2_1")
-    assert g._memo and cells._memo
+    # the graph keeps its patterns and paths; nothing is memoized on the cells
+    assert g._memo
     for obj in (g, cells, grading):
         assert "_hash" in vars(obj)
         assert "_memo" not in obj.__getstate__() and "_hash" not in obj.__getstate__()
@@ -160,10 +161,12 @@ def test_cached_data_dies_with_its_owner():
         (grading, closing, "CAP"),
     ]
     assert all(np.array_equal(b.matrix, a.matrix.conj().T) for b, a in zip(built, blocks[1::2]))
-    # annihilation blocks are kept on the cell system, cup blocks are not
-    assert annihilation(g, cells, grading, 1) is blocks[0]
-    again = cup(g, cells, closing, 1)
-    assert again is not blocks[3] and again.matrix.tobytes() == blocks[3].matrix.tobytes()
+    # no block is kept: each call scatters a fresh, equal block
+    for again, block in [
+        (annihilation(g, cells, grading, 1), blocks[0]),
+        (cup(g, cells, closing, 1), blocks[3]),
+    ]:
+        assert again is not block and again.matrix.tobytes() == block.matrix.tobytes()
     # the cell-free patterns and the path arrays are the graph's
     number = g.index(grading.start) * len(g.vertices) + g.index(grading.end)
     pattern = annihilation_pattern(g, grading.word, 1)
@@ -174,17 +177,14 @@ def test_cached_data_dies_with_its_owner():
     assert np.array_equal(returns.block(number), blocks[3].matrix)
     rows = word_paths(g, closing.word)
     assert rows is word_paths(g, closing.word) and not rows.flags.writeable
-    kept = [weakref.ref(b) for b in blocks[:2]]
-    dropped = [weakref.ref(b) for b in blocks[2:]]
+    dropped = [weakref.ref(b) for b in blocks]
     graph_held = [weakref.ref(x) for x in (spectral_data(g), pattern, returns, rows)]
     enabled = gc.isenabled()
     gc.disable()
     try:
-        del blocks, built, again, pattern, returns, rows
-        assert all(r() is not None for r in kept)  # the cell system holds them
+        del blocks, built, again, block, pattern, returns, rows
         assert [r() for r in dropped] == [None] * len(dropped)
         del cells
-        assert [r() for r in kept] == [None] * len(kept)
         assert all(r() is not None for r in graph_held)  # the graph holds them
         del g
         assert [r() for r in graph_held] == [None] * len(graph_held)
