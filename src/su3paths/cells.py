@@ -541,9 +541,9 @@ def load_cells(g: GraphSpec, path: str) -> CellSystem:
     Errors on schema violations (among them warnings that are not a
     list of strings and a seed that is not an integer or null),
     graph-name mismatch, rows that are not triangles of g, non-finite
-    cells, or a checksum mismatch.  If the loaded values fail the arrow sum rule at 1e-9 a
-    warning is recorded in the system (the file is still returned so it
-    can be inspected)."""
+    cells, or a checksum mismatch.  If the loaded values fail the arrow
+    sum rule at 1e-9 a warning is recorded in the system (the file is
+    still returned so it can be inspected)."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)

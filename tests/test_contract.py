@@ -61,7 +61,7 @@ OUTPUTS = {
     "report-{}.json": report_output,
     "essential-{}.jsonl": essential_output,
     "verify-tl-{}.json": verify_tl_output,
-    "verify-decomposition-{}.json": verify_decomposition_output,
+    "decomposition-{}.json": verify_decomposition_output,
 }
 
 
