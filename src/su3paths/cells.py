@@ -36,7 +36,10 @@ from .graphs import GraphError, GraphSpec, HashedOnce, cached_on, spectral_data
 from .paths import EdgeTag
 
 SUM_RULE_TOL = 1e-9
-_SOLVER_STARTS = 8  # trust-region-reflective starts before solve_cells gives up
+_SOLVER_STARTS = 8  # seeded random-phase Levenberg-Marquardt starts before solve_cells gives up
+_LM_ITERATIONS = 200  # damped steps, accepted or not, per start
+_LM_RESIDUAL = 1e-14  # a start stops once every residual is below this
+_LM_STEP = 1e-16  # ... or once a step is this small relative to x
 _VERIFY_LEN = 4  # word length of the relation sweep a solved system carries
 
 
@@ -208,8 +211,9 @@ def sum_rule_residuals(g: GraphSpec, cells: CellSystem) -> Mapping[Tuple[str, st
 
 
 def max_sum_rule_residual(g: GraphSpec, cells: CellSystem) -> float:
-    res = sum_rule_residuals(g, cells)
-    return max(res.values()) if res else 0.0
+    """Largest per-arrow residual; NaN if any arrow's residual is NaN."""
+    res = np.array(list(sum_rule_residuals(g, cells).values()))
+    return float(res.max(initial=0.0))
 
 
 class _Relations:
@@ -344,6 +348,39 @@ class _PatternBatch:
         return du.reshape(g, 2 * self.k, n * n)
 
 
+def _levenberg_marquardt(fun, jac, x0: np.ndarray) -> np.ndarray:
+    """Minimize |fun(x)|^2 from x0 by Levenberg-Marquardt with Nielsen's
+    damping update.
+
+    Each step solves (J^T J + lam 1) dx = -J^T r and is taken only if
+    the new cost is finite and lower; a taken step shrinks lam by the
+    gain ratio, a refused one raises it by a doubling factor.  Stops when
+    every residual is below _LM_RESIDUAL, when a step is below _LM_STEP
+    relative to x, or after _LM_ITERATIONS steps."""
+    x, r = x0, fun(x0)
+    cost, lam, nu, a = r @ r, None, 2.0, None
+    for _ in range(_LM_ITERATIONS):
+        if np.abs(r).max() < _LM_RESIDUAL:
+            break
+        if a is None:
+            j = jac(x)
+            a, grad = j.T @ j, j.T @ r
+            if lam is None:
+                lam = 1e-3 * a.diagonal().max()
+        dx = np.linalg.solve(a + lam * np.eye(len(x)), -grad)
+        if np.linalg.norm(dx) <= _LM_STEP * np.linalg.norm(x):
+            break
+        trial = fun(x + dx)
+        new = trial @ trial
+        if np.isfinite(new) and new < cost:
+            gain = (cost - new) / (dx @ (lam * dx - grad))
+            lam *= max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3)
+            x, r, cost, nu, a = x + dx, trial, new, 2.0, None
+        else:
+            lam, nu = lam * nu, nu * 2.0
+    return x
+
+
 def solve_cells(
     g: GraphSpec,
     seed: int = 0,
@@ -351,17 +388,17 @@ def solve_cells(
 ) -> CellSystem:
     """Solve for a cell system satisfying the operator relations.
 
-    Magnitudes come from the linear arrow sum rules; phases start at +1
-    and fall back to seeded trust-region-reflective descent
-    (scipy's ``least_squares`` with its default ``trf`` method and the
-    analytic Jacobian of ``_Relations``) on the stacked relation
-    residuals when the positive-real candidate fails.  The result is put
-    in the canonical gauge (greedy positivization along the triangle
-    list) and carries the verification report up to word length 4.
-    Deterministic for a fixed seed.
+    Magnitudes come from the linear arrow sum rules.  The positive-real
+    candidate is tried first; when it fails, up to _SOLVER_STARTS starts
+    with phases drawn from ``default_rng(seed)`` each run Levenberg-
+    Marquardt (``_levenberg_marquardt``) on the stacked relation
+    residuals with the analytic Jacobian of ``_Relations``.  No start has
+    all phases zero: the squared residual is even in Im T, so a
+    Gauss-Newton step from Im T = 0 never leaves that plane.  The result
+    is put in the canonical gauge (greedy positivization along the
+    triangle list) and carries the verification report up to word
+    length 4.  Deterministic for a fixed seed.
     """
-    from scipy.optimize import least_squares
-
     from .operators import verify_tl
 
     tris = enumerate_triangles(g)
@@ -390,24 +427,14 @@ def solve_cells(
 
     if best_res > tol:
         rng = np.random.default_rng(seed)
-        for start in range(_SOLVER_STARTS):
-            if start == 0:
-                theta = np.zeros(len(tris))
-            else:
-                theta = rng.uniform(-np.pi, np.pi, size=len(tris))
-            t0 = np.sqrt(s) * np.exp(1j * theta)
-            x0 = np.concatenate([t0.real, t0.imag])
-            fit = least_squares(
-                relations.residual,
-                x0,
-                jac=relations.jacobian,
-                xtol=1e-15,
-                ftol=1e-15,
-                gtol=1e-15,
+        for _ in range(_SOLVER_STARTS):
+            t0 = np.sqrt(s) * np.exp(1j * rng.uniform(-np.pi, np.pi, size=len(tris)))
+            x = _levenberg_marquardt(
+                relations.residual, relations.jacobian, np.concatenate([t0.real, t0.imag])
             )
-            res = max_residual(fit.x)
+            res = max_residual(x)
             if res < best_res:
-                best, best_res = fit.x, res
+                best, best_res = x, res
             if best_res < tol * 1e-2:
                 break
         if best_res > tol:

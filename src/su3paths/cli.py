@@ -642,7 +642,7 @@ def run_report(g: GraphSpec, cells: CellSystem, max_len: int) -> CommandResult:
         rep = verify_tl(g, cells, max_len=max_len)
         detail = ", ".join(f"{k} {_e(v)}" for k, v in rep.residual_items)
         if not rep.passed(CHECK_TOL):
-            worst = {k: rep.worst.get(k, "") for k, v in rep.residual_items if v > CHECK_TOL}
+            worst = {k: rep.worst.get(k, "") for k, v in rep.residual_items if not v < CHECK_TOL}
             detail += "; failing at: " + "; ".join(f"{k} ({w})" for k, w in worst.items())
         return rep.passed(CHECK_TOL), detail
 

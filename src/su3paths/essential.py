@@ -66,6 +66,7 @@ from .paths import (
     PathVector,
     Word,
     _basis_index,
+    _grading_at,
     _grading_number,
     _walk_counts,
     _words,
@@ -362,18 +363,26 @@ class Decomposer:
             numbers = nonzero[dims[nonzero] == d]
             group_of[numbers] = len(groups)
             row_of[numbers] = np.arange(len(numbers))
-            groups.append(_decompose_group(numbers, int(d), slots))
+            groups.append(_decompose_group(g, word, numbers, int(d), slots))
         out = self._memo[word] = _WordBases(tuple(groups), group_of, row_of)
         return out
 
 
-def _decompose_group(numbers: np.ndarray, d: int, slots) -> _BasisGroup:
-    """The bases of one group of gradings of dimension d (see Decomposer)."""
+def _decompose_group(
+    g: GraphSpec, word: Word, numbers: np.ndarray, d: int, slots
+) -> _BasisGroup:
+    """The bases of one group of gradings of dimension d (see Decomposer).
+    A non-finite lowering entry raises DecompositionError naming its
+    grading."""
     k = len(numbers)
     cols = np.arange(d)
     lowering = [p.stacked(numbers, values) for p, values, _ in slots]
     if lowering:
         stack = np.concatenate(lowering, axis=1)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            grading = _grading_at(g, word, int(numbers[finite.argmin()]))
+            raise DecompositionError(f"{grading}: non-finite operator entries")
         _, svals, vh = np.linalg.svd(stack, full_matrices=stack.shape[1] < d)
         rank = _ranks(svals)
         kernel = d - rank
@@ -516,7 +525,8 @@ def verify_decomposition(g: GraphSpec, cells: CellSystem, max_len: int = 4) -> M
 
     The sweep goes word by word, in _words order, and evaluates the
     residuals of a word's group of gradings of one dimension as one
-    batch (see Decomposer)."""
+    batch (see Decomposer).  A NaN residual, like a non-finite operator
+    entry, raises DecompositionError naming the first such grading."""
     dec = Decomposer(g, cells)
     worst = {
         "hermitian": 0.0,
@@ -536,8 +546,11 @@ def verify_decomposition(g: GraphSpec, cells: CellSystem, max_len: int = 4) -> M
                 continue
             _, _, residuals = _projector_residuals(grp.basis, grp.kernel, grp.count)
             for key, values in residuals.items():
-                # fmax skips NaN, as a comparison with max does
-                worst[key] = max(worst[key], float(np.fmax.reduce(values[ok], initial=0.0)))
+                nan = ok & np.isnan(values)
+                if nan.any():
+                    grading = _grading_at(g, word, int(grp.numbers[nan.argmax()]))
+                    raise DecompositionError(f"{grading}: {key} residual is NaN")
+                worst[key] = max(worst[key], float(values[ok].max()))
     worst["gradings"] = float(count)
     worst["failures"] = float(failures)
     worst["max_len"] = float(max_len)

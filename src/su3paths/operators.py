@@ -67,6 +67,7 @@ from .paths import (
     PathGrading,
     PathVector,
     Word,
+    _grading_at,
     _grading_number,
     _grading_numbers,
     _grading_offsets,
@@ -441,6 +442,12 @@ def _mnorms(x: np.ndarray) -> np.ndarray:
     return np.abs(x).max(axis=(1, 2), initial=0.0)
 
 
+def _above(a: float, b: float) -> bool:
+    """a ranks above b as a residual: greater, or NaN over a number, so a
+    NaN residual is a failure and is reported where it first occurs."""
+    return a > b or (a != a and b == b)
+
+
 class _Maxima:
     """Largest residual per relation, where it is first reached, and the
     number of checks.
@@ -448,8 +455,9 @@ class _Maxima:
     "First" is in the order of a sweep one grading at a time: gradings in
     iter_gradings order, and on each grading the checks of one relation
     in the order verify_tl makes them.  So the locations do not depend on
-    how a word's gradings are grouped.  A NaN residual is never a
-    maximum, as it never compares greater.
+    how a word's gradings are grouped.  A NaN residual ranks above every
+    number (see _above), so the maximum is NaN and the location is that
+    of the first NaN.
     """
 
     def __init__(self, keys):
@@ -459,7 +467,7 @@ class _Maxima:
 
     def bump_one(self, key: str, value: float, where: str):
         self.checks += 1
-        if value > self.res[key]:
+        if _above(value, self.res[key]):
             self.res[key], self.worst[key] = value, where
 
     def start_word(self, word: Word):
@@ -475,19 +483,17 @@ class _Maxima:
         come in the per-grading order, so a tie on one grading goes to
         the earlier check."""
         self.checks += values.size
-        values = np.where(np.isnan(values), -1.0, values)
-        q = int(values.argmax())
+        nan = np.isnan(values)
+        q = int(nan.argmax() if nan.any() else values.argmax())
         value, s = float(values[q]), int(self._numbers[q])
         best = self._best.get(key)
-        if best is None or value > best[0] or (value == best[0] and s < best[1]):
+        if best is None or _above(value, best[0]) or (not _above(best[0], value) and s < best[1]):
             self._best[key] = (value, s, where)
 
     def end_word(self, g: GraphSpec):
-        ids, n = g.vertex_ids(), len(g.vertices)
         for key, (value, s, where) in self._best.items():
-            if value > self.res[key]:
-                grading = PathGrading(ids[s // n], ids[s % n], self._word)
-                self.res[key], self.worst[key] = value, f"{grading}{where}"
+            if _above(value, self.res[key]):
+                self.res[key], self.worst[key] = value, f"{_grading_at(g, self._word, s)}{where}"
 
 
 @dataclass(frozen=True)

@@ -253,6 +253,12 @@ def _grading_number(g: GraphSpec, grading: PathGrading) -> int:
     return g.index(grading.start) * len(g.vertices) + g.index(grading.end)
 
 
+def _grading_at(g: GraphSpec, word: Word, number: int) -> PathGrading:
+    """The grading of word with the given grading number."""
+    ids, n = g.vertex_ids(), len(g.vertices)
+    return PathGrading(ids[number // n], ids[number % n], word)
+
+
 def _grading_numbers(g: GraphSpec, rows: np.ndarray) -> np.ndarray:
     """Grading number V * index(start) + index(end) of each path row."""
     return rows[:, 0].astype(np.int64) * len(g.vertices) + rows[:, -1]

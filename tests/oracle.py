@@ -322,7 +322,8 @@ def grading_verify_tl(g, cells, max_len: int = 4) -> TLReport:
     def bump(key: str, value: float, where: str):
         nonlocal checks
         checks += 1
-        if value > res[key]:
+        # a NaN ranks above every number; the first NaN keeps its place
+        if value > res[key] or (value != value and res[key] == res[key]):
             res[key] = value
             worst[key] = where
 

@@ -2,10 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from su3paths import (
     CellFileError,
@@ -28,7 +30,13 @@ from su3paths import (
     spectral_data,
     sum_rule_residuals,
 )
-from su3paths.cells import _checksum_payload, _Relations, cells_to_dict
+from su3paths.cells import (
+    _SOLVER_STARTS,
+    CellSolveError,
+    _checksum_payload,
+    _Relations,
+    cells_to_dict,
+)
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 SQRT_PHI = math.sqrt(PHI)
@@ -127,23 +135,74 @@ def test_solver_other_seed_same_canonical_values(a2, a2_cells):
         assert abs(v - dict(a2_cells.items)[tri]) < 1e-6
 
 
-def test_solver_reaches_the_optimizer_on_e5(e5, e5_cells, monkeypatch):
-    # the positive-real start fails on e5, so least_squares has to run
-    fits = []
-    least_squares = scipy.optimize.least_squares
+SOLVE_RESIDUALS = ("cupcap", "f_square", "h1", "h2", "h3", "h4", "lemma", "sum_rule")
 
-    def counted(*args, **kwargs):
-        fits.append(least_squares(*args, **kwargs))
-        return fits[-1]
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", counted)
-    c = solve_cells(e5, seed=1)
-    assert fits and fits[0].njev > 0
+def _assert_shipped_e5(c, e5_cells):
     assert [tri for tri, _ in c.items] == [tri for tri, _ in e5_cells.items]
     assert np.abs(c.vector - e5_cells.vector).max() < 1e-9
-    for key in ("cupcap", "f_square", "h1", "h2", "h3", "h4", "lemma", "sum_rule"):
+    for key in SOLVE_RESIDUALS:
         assert c.residuals[key] < 1e-8, key
     assert not c.warnings
+
+
+def _counted_fits(monkeypatch):
+    """Wrap cells._levenberg_marquardt; returns the list of Jacobian
+    evaluation counts, one entry per fit."""
+    lm = cells._levenberg_marquardt
+    fits = []
+
+    def counted(fun, jac, x0):
+        def counted_jac(x):
+            fits[-1] += 1
+            return jac(x)
+
+        fits.append(0)
+        return lm(fun, counted_jac, x0)
+
+    monkeypatch.setattr(cells, "_levenberg_marquardt", counted)
+    return fits
+
+
+def test_solver_reaches_the_optimizer_on_e5(e5, e5_cells, monkeypatch):
+    # the positive-real start fails on e5, so Levenberg-Marquardt has to run
+    fits = _counted_fits(monkeypatch)
+    c = solve_cells(e5, seed=1)
+    assert fits and fits[0] > 0
+    _assert_shipped_e5(c, e5_cells)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_every_seed_reaches_the_shipped_e5_cells(e5, e5_cells, seed):
+    _assert_shipped_e5(solve_cells(e5, seed=seed), e5_cells)
+
+
+def test_solver_gives_up_after_its_starts(e5, monkeypatch):
+    fits = _counted_fits(monkeypatch)
+    with pytest.raises(CellSolveError) as info:
+        solve_cells(e5, seed=3, tol=1e-30)
+    assert len(fits) == _SOLVER_STARTS
+    best = info.value.residuals["best"]
+    assert 0.0 < best < 1e-8
+    assert f"{best:.3e}" in str(info.value)
+
+
+def test_cli_solves_e5_without_scipy(e5_cells):
+    # None in sys.modules makes every import of scipy raise ImportError
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from su3paths.cli import main\n"
+        "sys.exit(main(['cells', 'solve', 'e5', '--seed', '1', '--json']))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    rows = json.loads(out.stdout)["cells"]
+    solved = np.array([complex(row["re"], row["im"]) for row in rows])
+    assert np.abs(solved - e5_cells.vector).max() < 1e-9
 
 
 @pytest.mark.parametrize("name", ["a2", "e5"])

@@ -223,6 +223,30 @@ def test_verify_decomposition_sweeps(a2, a2_cells, e5, e5_cells):
             assert rep[key] < 1e-8, (g.name, key, rep[key])
 
 
+def test_nan_fails_the_decomposition_sweep_naming_the_grading(e5, e5_cells, monkeypatch):
+    from su3paths import essential
+    from su3paths.cells import CellSystem
+
+    # built directly: cell_system would reject the NaN
+    items = list(e5_cells.items)
+    items[3] = (items[3][0], complex(math.nan, 0.0))
+    bad = CellSystem(graph="e5", items=tuple(items))
+    with pytest.raises(DecompositionError, match=r"^1_3->2_5:ss: non-finite operator entries$"):
+        verify_decomposition(e5, bad, max_len=3)
+
+    # a NaN residual on finite cells, here on the last grading of every group
+    residuals = essential._projector_residuals
+
+    def nan_last(basis, kernel, count):
+        pe, pr, res = residuals(basis, kernel, count)
+        res["idempotent"][-1] = math.nan
+        return pe, pr, res
+
+    monkeypatch.setattr(essential, "_projector_residuals", nan_last)
+    with pytest.raises(DecompositionError, match=r"^2_5->2_5:\(\): idempotent residual is NaN$"):
+        verify_decomposition(e5, e5_cells, max_len=3)
+
+
 def _labels(dec, g, max_len: int):
     return [[gen for gen, _ in dec.basis(grading)] for grading in iter_gradings(g, max_len)]
 

@@ -294,15 +294,47 @@ def test_worst_is_the_first_grading_to_reach_the_maximum(a2):
     from su3paths.operators import _Maxima
 
     # two dimension groups of one word, the later grading's group first:
-    # a tie goes to the lower grading number, and NaN is never a maximum
+    # a tie goes to the lower grading number
     top = _Maxima(("h1",))
     top.start_word(parse_word("ss"))
     top.start_group(np.array([7, 20]))
-    top.bump("h1", np.array([np.nan, 2.0]), " i=1")
+    top.bump("h1", np.array([0.5, 2.0]), " i=1")
     top.start_group(np.array([3, 9]))
     top.bump("h1", np.array([2.0, 0.5]), " i=1")
     top.end_word(a2)
     assert (top.res, top.worst, top.checks) == ({"h1": 2.0}, {"h1": "1->3:ss i=1"}, 4)
+    # a NaN ranks above every number, and the first NaN keeps its location,
+    # on later words too
+    for word, values in (("ss", [5.0, np.nan]), ("bb", [np.nan, np.nan])):
+        top.start_word(parse_word(word))
+        top.start_group(np.array([7, 20]))
+        top.bump("h1", np.array([np.nan, 9.0]), " i=1")
+        top.start_group(np.array([3, 9]))
+        top.bump("h1", np.array(values), " i=1")
+        top.end_word(a2)
+        assert math.isnan(top.res["h1"]) and top.worst["h1"] == "3b->3b:ss i=1"
+    top.bump_one("h1", 1e3, "arrows")
+    assert math.isnan(top.res["h1"]) and top.worst["h1"] == "3b->3b:ss i=1"
+
+
+@pytest.mark.parametrize("name", ["a2", "e5"])
+def test_nan_cell_fails_the_sweep_where_it_first_shows(name):
+    from su3paths import max_sum_rule_residual
+    from su3paths.cells import CellSystem
+
+    # built directly: cell_system would reject the NaN
+    g = get_graph(name)
+    items = list(shipped_cells(g).items)
+    items[3] = (items[3][0], complex(math.nan, 0.0))
+    cells = CellSystem(graph=g.name, items=tuple(items))
+    assert math.isnan(max_sum_rule_residual(g, cells))
+    rep, ref = verify_tl(g, cells, 3), grading_verify_tl(g, cells, 3)
+    assert not rep.passed(1e-8)
+    assert rep.worst_items == ref.worst_items and rep.checks == ref.checks
+    failing = [k for k, v in rep.residual_items if math.isnan(v)]
+    assert failing == [k for k, v in ref.residual_items if math.isnan(v)]
+    assert {"h1", "sum_rule"} <= set(failing)
+    assert all(rep.worst[k] for k in failing)
 
 
 @pytest.mark.parametrize("word,i", [("sss", 1), ("bbb", 2), ("sbs", 1)])
