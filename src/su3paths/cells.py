@@ -125,8 +125,10 @@ class CellSystem(HashedOnce):
     complex array in that order: an annihilation block gathers from it
     (conjugated on sigma-bar pairs) through its graph's pattern.  The
     hash, the value map and the vector are computed once per instance,
-    freed with it and never pickled.  No operator block is kept on the
-    system: an annihilation block is one gather and one scatter on each
+    freed with it and never pickled.  The joint kernels of each word
+    that essential paths and the decomposition read are kept on the
+    system, per graph and word, and freed with it too.  No operator block
+    is kept: an annihilation block is one gather and one scatter on each
     call, cup blocks read no cell and are scattered from the graph's
     pattern, and creation and cap are rebuilt as conjugate transposes.
     """

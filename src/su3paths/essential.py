@@ -3,7 +3,11 @@ constructive factorization of elementary paths.
 
 A path vector is essential when every annihilation and every cup
 applicable to its grading kills it; per grading that is the joint
-numerical kernel of the stacked operator blocks.  Types with
+numerical kernel of the stacked operator blocks.  The kernels of all
+gradings of one word are found together and kept on the cell system
+(_word_kernels): essential_basis is one grading's slice of them,
+essential_dims reads their counts, and the decomposition grows its
+bases from them.  Types with
 alpha + beta beyond the graph level are excluded from the essential
 space by the length clause even where the joint kernel is nonzero;
 the raw kernel dimension is still reported (and is what the graded
@@ -21,10 +25,9 @@ are images of length-g raising chains out of some raw kernel;
 independence is decided by rank growth during incremental
 orthonormalization.  The Decomposer builds the bases one word at a
 time, sources first: a word's gradings of equal dimension form one
-group, and the group's kernel SVDs, raising products and Gram-Schmidt
+group, and the group's kernel SVD, raising products and Gram-Schmidt
 passes are batched over it, each grading with its own rank decisions.
-verify_decomposition sweeps words the same way; essential_basis and
-raw_kernel stay per grading.
+verify_decomposition sweeps words the same way.
 
 factorize_path implements the constructive proof: strip the essential
 suffix right of the rightmost live pattern, peel the leftmost live
@@ -44,13 +47,11 @@ import numpy as np
 
 from .cells import CellSystem, OrientedTriangle
 from .fusion import fusion_matrix
-from .graphs import GraphError, GraphSpec
+from .graphs import GraphError, GraphSpec, cached_on
 from .operators import (
-    LinearOperator,
     _collapsed_word,
     _cup_word,
     _mnorms,
-    annihilation,
     annihilation_pattern,
     cap_oriented,
     collapsed_grading,
@@ -91,21 +92,14 @@ class DecompositionError(RuntimeError):
 
 # ----------------------------------------------------------------------
 # joint kernels
-
-
-def kernel_operators(
-    g: GraphSpec, cells: CellSystem, grading: PathGrading
-) -> Tuple[LinearOperator, ...]:
-    """The operators whose joint kernel defines essentiality on this
-    grading: an annihilation per like-tag slot, a cup per mixed slot."""
-    ops = []
-    w = grading.word
-    for i in range(1, grading.length):
-        if w[i - 1] == w[i]:
-            ops.append(annihilation(g, cells, grading, i))
-        else:
-            ops.append(cup(g, cells, grading, i))
-    return tuple(ops)
+#
+# Every raising and lowering operator keeps a path's start and end, so
+# the kernels and bases of a word's gradings are built together.  The
+# gradings of nonzero dimension d form one group.  Per slot, the group's
+# lowering blocks are one zero-padded stack scattered from the graph's
+# pattern (_Pattern.stacked); the kernels come from one batched SVD of
+# the stacks and are kept on the cell system (_word_kernels).  Zero rows
+# and columns from the padding change no singular value.
 
 
 def _ranks(svals: np.ndarray) -> np.ndarray:
@@ -117,154 +111,18 @@ def _ranks(svals: np.ndarray) -> np.ndarray:
     return np.count_nonzero(svals > NULL_TOL * svals[..., :1], axis=-1)
 
 
-def _null_space(matrix: np.ndarray):
-    """Orthonormal basis (columns) of the numerical null space of matrix,
-    plus its singular values (rank by _ranks)."""
-    _, svals, vh = np.linalg.svd(matrix)
-    return vh[int(_ranks(svals)) :].conj().T, svals
-
-
-def raw_kernel(g: GraphSpec, cells: CellSystem, grading: PathGrading):
-    """Orthonormal basis (columns) of the joint kernel, ignoring the level
-    clause, plus the singular values backing the rank decision."""
-    dim = path_space_dim(g, grading)
-    if dim == 0:
-        return np.zeros((0, 0), dtype=complex), ()
-    ops = kernel_operators(g, cells, grading)
-    if not ops:
-        return np.eye(dim, dtype=complex), ()
-    null, svals = _null_space(np.vstack([op.matrix for op in ops]))
-    return null, tuple(float(s) for s in svals)
-
-
-@dataclass(frozen=True)
-class EssentialBasis:
-    """Orthonormal essential vectors of one grading.
-
-    dim is the essential dimension after the level clause; raw_dim is
-    the joint-kernel dimension regardless of it.  singular_values back
-    the rank decision (empty when no operator applies).
-    """
-
-    grading: PathGrading
-    vectors: Tuple[PathVector, ...]
-    dim: int
-    raw_dim: int
-    excluded_by_length: bool
-    singular_values: Tuple[float, ...]
-
-
-def essential_basis(g: GraphSpec, cells: CellSystem, grading: PathGrading) -> EssentialBasis:
-    null, svals = raw_kernel(g, cells, grading)
-    raw_dim = null.shape[1]
-    alpha, beta = grading.type()
-    excluded = alpha + beta > g.level
-    if excluded:
-        vectors: Tuple[PathVector, ...] = ()
-    else:
-        vectors = tuple(PathVector(grading, null[:, j]) for j in range(raw_dim))
-    return EssentialBasis(
-        grading=grading,
-        vectors=vectors,
-        dim=len(vectors),
-        raw_dim=raw_dim,
-        excluded_by_length=excluded,
-        singular_values=svals,
-    )
-
-
-def words_of_type(alpha: int, beta: int) -> Tuple[Tuple[EdgeTag, ...], ...]:
-    """All distinct tag orderings with the given sigma/sigma-bar counts,
-    in lexicographic word order."""
-    letters = (EdgeTag.SIGMA,) * alpha + (EdgeTag.SIGMA_BAR,) * beta
-    return tuple(sorted(set(itertools.permutations(letters)), key=lambda w: word_str(w)))
-
-
-@dataclass(frozen=True, eq=False)
-class EssentialDimReport:
-    """Essential dimensions of one type, split by word, against fusion.
-
-    Every word class of the type carries its own copy of the essential
-    space, so the comparison is per word: each word's dimension matrix
-    against F_(alpha,beta).  total sums the words (the count a flat
-    listing of essential paths of the type produces).
-    """
-
-    graph: str
-    type: Tuple[int, int]
-    total: np.ndarray  # (vertex, vertex) essential dims summed over words
-    per_word: Mapping[str, np.ndarray]
-    fusion: np.ndarray
-    mismatches: Tuple[Tuple[str, str, str, int, int], ...]  # (word, a, b, essential, fusion)
-
-    @property
-    def matches_fusion(self) -> bool:
-        return not self.mismatches
-
-
-def essential_dims(g: GraphSpec, cells: CellSystem, tp: Tuple[int, int]) -> EssentialDimReport:
-    alpha, beta = int(tp[0]), int(tp[1])
-    if alpha + beta > g.level:
-        raise GraphError(
-            f"type {tp} exceeds the level {g.level} of {g.name!r}; essential "
-            "spaces there are excluded by the length clause"
-        )
-    ids = g.vertex_ids()
-    n = len(ids)
-    per_word = {}
-    total = np.zeros((n, n), dtype=np.int64)
-    for word in words_of_type(alpha, beta):
-        m = np.zeros((n, n), dtype=np.int64)
-        for i, a in enumerate(ids):
-            for j, b in enumerate(ids):
-                m[i, j] = essential_basis(g, cells, PathGrading(a, b, word)).dim
-        per_word[word_str(word)] = m
-        total += m
-    fus = fusion_matrix(g, (alpha, beta)).matrix
-    mismatches = tuple(
-        (w, ids[i], ids[j], int(m[i, j]), int(fus[i, j]))
-        for w, m in per_word.items()
-        for i in range(n)
-        for j in range(n)
-        if m[i, j] != fus[i, j]
-    )
-    return EssentialDimReport(
-        graph=g.name,
-        type=(alpha, beta),
-        total=total,
-        per_word=MappingProxyType(per_word),
-        fusion=fus,
-        mismatches=mismatches,
-    )
-
-
-# ----------------------------------------------------------------------
-# graded decomposition
-#
-# Every raising and lowering operator keeps a path's start and end, so
-# the bases of a word's gradings are built together.  The gradings of
-# nonzero dimension d form one group.  Per slot, the group's lowering
-# blocks are one zero-padded stack scattered from the graph's pattern
-# (_Pattern.stacked); the kernels come from one batched SVD of the
-# stacks, the candidates from one batched product of their conjugate
-# transposes with the source word's padded bases, and the Gram-Schmidt
-# passes run over the group with one accept mask per grading.  Zero
-# rows and columns from the padding change no singular value, candidate
-# or projection.
-
-_DEAD = np.iinfo(np.int64).max  # generation of a padded candidate column
-
-
 @dataclass(frozen=True, eq=False)
 class _BasisGroup:
     """Bases of the gradings ``numbers`` (ascending) of one word, all of
     dimension d.
 
-    Row r's basis is columns :count[r] of the (d, d) block basis[r]:
+    Row r's basis is columns :count[r] of the (d, n) block basis[r]:
     kernel[r] raw-kernel vectors, then the raised ones in acceptance
     order.  gens[r] gives each column's generation, -1 past count[r],
     where the columns are zero.  failed[r] marks a grading whose
     accounting broke: fewer than d vectors, or more than d independent.
+    The Decomposer's bases have n = d columns; the kernels of
+    _word_kernels stop at the group's largest kernel.
     """
 
     numbers: np.ndarray
@@ -291,8 +149,8 @@ class _WordBases:
         return None if k < 0 else (self.groups[k], int(self.row_of[s]))
 
     def stacked(self, numbers: np.ndarray, r: int):
-        """The bases of the gradings ``numbers``, zero-padded to one
-        (len, r, r) stack, with their generations (-1 on padding)."""
+        """The (d, d) bases of the gradings ``numbers``, zero-padded to
+        one (len, r, r) stack, with their generations (-1 on padding)."""
         basis = np.zeros((len(numbers), r, r), dtype=complex)
         gens = np.full((len(numbers), r), -1, dtype=np.int64)
         which = self.group_of[numbers]
@@ -309,6 +167,178 @@ def _h(x: np.ndarray) -> np.ndarray:
     return x.conj().swapaxes(-1, -2)
 
 
+def _lowering(g: GraphSpec, cells: CellSystem, word: Word):
+    """Per slot of the word: its lowering pattern (an annihilation on a
+    like-tag pair, a cup on a mixed one), the pattern's entries on the
+    cells, and the source word that the adjoint raises from."""
+    slots = []
+    for i in range(1, len(word)):
+        if word[i - 1] is word[i]:
+            p = annihilation_pattern(g, word, i)
+            slots.append((p, p.values(cells.vector), _collapsed_word(word, i)))
+        else:
+            p = cup_pattern(g, word, i)
+            slots.append((p, p.weight, _cup_word(word, i)))
+    return slots
+
+
+@cached_on
+def _word_kernels(cells: CellSystem, g: GraphSpec, word: Word) -> _WordBases:
+    """The generation-0 bases of every grading of a word on g: the raw
+    joint kernels, kept on the cell system in read-only arrays.  A
+    non-finite lowering entry raises DecompositionError naming the first
+    grading of its group that has one."""
+    slots = _lowering(g, cells, word)
+    dims = _walk_counts(g, word).ravel()
+    nonzero = np.flatnonzero(dims)
+    group_of = np.full(dims.size, -1, dtype=np.int64)
+    row_of = np.zeros(dims.size, dtype=np.int64)
+    groups = []
+    for d in np.unique(dims[nonzero]).tolist():
+        numbers = nonzero[dims[nonzero] == d]
+        group_of[numbers] = len(groups)
+        row_of[numbers] = np.arange(len(numbers))
+        rank = np.zeros(len(numbers), dtype=np.int64)
+        vh = np.broadcast_to(np.eye(d, dtype=complex), (len(numbers), d, d))
+        if slots:
+            stack = np.concatenate([p.stacked(numbers, values) for p, values, _ in slots], axis=1)
+            finite = np.isfinite(stack).all(axis=(1, 2))
+            if not finite.all():
+                grading = _grading_at(g, word, int(numbers[finite.argmin()]))
+                raise DecompositionError(f"{grading}: non-finite operator entries")
+            _, svals, vh = np.linalg.svd(stack, full_matrices=stack.shape[1] < d)
+            rank = _ranks(svals)
+        kernel = d - rank
+        # column j is right singular vector rank + j, zeroed past the kernel
+        cols = np.arange(kernel.max())
+        basis = np.take_along_axis(_h(vh), ((cols + rank[:, None]) % d)[:, None, :], axis=2)
+        basis *= (cols < kernel[:, None])[:, None, :]
+        gens = np.where(cols < kernel[:, None], 0, -1)
+        failed = np.zeros(len(numbers), dtype=bool)
+        groups.append(_BasisGroup(numbers, basis, gens, kernel, kernel, failed))
+        for a in (numbers, basis, gens, kernel, failed):
+            a.setflags(write=False)
+    group_of.setflags(write=False)
+    row_of.setflags(write=False)
+    return _WordBases(tuple(groups), group_of, row_of)
+
+
+@dataclass(frozen=True)
+class EssentialBasis:
+    """Orthonormal essential vectors of one grading.
+
+    dim is the essential dimension after the level clause; raw_dim is
+    the joint-kernel dimension regardless of it.
+    """
+
+    grading: PathGrading
+    vectors: Tuple[PathVector, ...]
+    dim: int
+    raw_dim: int
+    excluded_by_length: bool
+
+
+def essential_basis(g: GraphSpec, cells: CellSystem, grading: PathGrading) -> EssentialBasis:
+    """One grading's slice of its word's kernels (_word_kernels), which
+    raise DecompositionError on a non-finite operator entry."""
+    found = _word_kernels(cells, g, grading.word).find(_grading_number(g, grading))
+    raw_dim = 0 if found is None else int(found[0].kernel[found[1]])
+    alpha, beta = grading.type()
+    excluded = alpha + beta > g.level
+    vectors: Tuple[PathVector, ...] = ()
+    if raw_dim and not excluded:
+        null = found[0].basis[found[1], :, :raw_dim].copy()  # the kept kernels are read-only
+        vectors = tuple(PathVector(grading, null[:, j]) for j in range(raw_dim))
+    return EssentialBasis(
+        grading=grading,
+        vectors=vectors,
+        dim=len(vectors),
+        raw_dim=raw_dim,
+        excluded_by_length=excluded,
+    )
+
+
+def words_of_type(alpha: int, beta: int) -> Tuple[Tuple[EdgeTag, ...], ...]:
+    """All distinct tag orderings with the given sigma/sigma-bar counts,
+    in lexicographic word order."""
+    letters = (EdgeTag.SIGMA,) * alpha + (EdgeTag.SIGMA_BAR,) * beta
+    return tuple(sorted(set(itertools.permutations(letters)), key=lambda w: word_str(w)))
+
+
+@dataclass(frozen=True, eq=False)
+class EssentialDimReport:
+    """Essential dimensions of one type, split by word, against fusion.
+
+    The comparison is per word: each word's dimension matrix against
+    F_(alpha,beta).  A word with at most one change of tag (such as ssb
+    or bss) carries its own copy of the essential space of the type.
+    total sums the words (the count a flat listing of essential paths of
+    the type produces).
+    """
+
+    graph: str
+    type: Tuple[int, int]
+    total: np.ndarray  # (vertex, vertex) essential dims summed over words
+    per_word: Mapping[str, np.ndarray]
+    fusion: np.ndarray
+    mismatches: Tuple[Tuple[str, str, str, int, int], ...]  # (word, a, b, essential, fusion)
+
+    @property
+    def matches_fusion(self) -> bool:
+        return not self.mismatches
+
+
+def essential_dims(g: GraphSpec, cells: CellSystem, tp: Tuple[int, int]) -> EssentialDimReport:
+    """Per word of the type, the kernel counts of its gradings
+    (_word_kernels) against F_(alpha,beta); a non-finite operator entry
+    raises DecompositionError naming its grading."""
+    alpha, beta = int(tp[0]), int(tp[1])
+    if alpha + beta > g.level:
+        raise GraphError(
+            f"type {tp} exceeds the level {g.level} of {g.name!r}; essential "
+            "spaces there are excluded by the length clause"
+        )
+    ids = g.vertex_ids()
+    n = len(ids)
+    per_word = {}
+    total = np.zeros((n, n), dtype=np.int64)
+    for word in words_of_type(alpha, beta):
+        m = np.zeros(n * n, dtype=np.int64)  # by grading number
+        for grp in _word_kernels(cells, g, word).groups:
+            m[grp.numbers] = grp.kernel
+        m = m.reshape(n, n)
+        per_word[word_str(word)] = m
+        total += m
+    fus = fusion_matrix(g, (alpha, beta)).matrix
+    mismatches = tuple(
+        (w, ids[i], ids[j], int(m[i, j]), int(fus[i, j]))
+        for w, m in per_word.items()
+        for i in range(n)
+        for j in range(n)
+        if m[i, j] != fus[i, j]
+    )
+    return EssentialDimReport(
+        graph=g.name,
+        type=(alpha, beta),
+        total=total,
+        per_word=MappingProxyType(per_word),
+        fusion=fus,
+        mismatches=mismatches,
+    )
+
+
+# ----------------------------------------------------------------------
+# graded decomposition
+#
+# A group's bases start from a copy of its kernels.  The candidates come
+# from one batched product of each slot's raising stack (the lowering
+# stack's conjugate transpose) with the source word's padded bases, and
+# the Gram-Schmidt passes run over the group with one accept mask per
+# grading.  The padding changes no candidate or projection.
+
+_DEAD = np.iinfo(np.int64).max  # generation of a padded candidate column
+
+
 class Decomposer:
     """Memoized construction of generation-labelled orthonormal bases.
 
@@ -319,10 +349,10 @@ class Decomposer:
     slot order, the source basis in its order within a slot, then sorted
     stably by generation.
 
-    The bases are built one word at a time, for all of its gradings, and
-    kept per word; a word's sources (its collapsed and cup words) are
-    shorter and are built first.  Share one instance across gradings to
-    reuse them.
+    The bases are built one word at a time, for all of its gradings, from
+    the word's kernels (_word_kernels), and kept per word; a word's
+    sources (its collapsed and cup words) are shorter and are built
+    first.  Share one instance across gradings to reuse them.
     """
 
     def __init__(self, g: GraphSpec, cells: CellSystem):
@@ -344,63 +374,31 @@ class Decomposer:
         out = self._memo.get(word)
         if out is not None:
             return out
-        g = self.g
+        kernels = _word_kernels(self.cells, self.g, word)
         # per slot: the lowering pattern, its entries and the source word's bases
-        slots = []
-        for i in range(1, len(word)):
-            if word[i - 1] is word[i]:
-                p = annihilation_pattern(g, word, i)
-                slots.append((p, p.values(self.cells.vector), self._word(_collapsed_word(word, i))))
-            else:
-                p = cup_pattern(g, word, i)
-                slots.append((p, p.weight, self._word(_cup_word(word, i))))
-        dims = _walk_counts(g, word).ravel()
-        nonzero = np.flatnonzero(dims)
-        group_of = np.full(dims.size, -1, dtype=np.int64)
-        row_of = np.zeros(dims.size, dtype=np.int64)
-        groups = []
-        for d in np.unique(dims[nonzero]).tolist():
-            numbers = nonzero[dims[nonzero] == d]
-            group_of[numbers] = len(groups)
-            row_of[numbers] = np.arange(len(numbers))
-            groups.append(_decompose_group(g, word, numbers, int(d), slots))
-        out = self._memo[word] = _WordBases(tuple(groups), group_of, row_of)
+        slots = [(p, v, self._word(src)) for p, v, src in _lowering(self.g, self.cells, word)]
+        groups = tuple(_raise_group(grp, slots) for grp in kernels.groups)
+        out = self._memo[word] = _WordBases(groups, kernels.group_of, kernels.row_of)
         return out
 
 
-def _decompose_group(
-    g: GraphSpec, word: Word, numbers: np.ndarray, d: int, slots
-) -> _BasisGroup:
-    """The bases of one group of gradings of dimension d (see Decomposer).
-    A non-finite lowering entry raises DecompositionError naming its
-    grading."""
-    k = len(numbers)
-    cols = np.arange(d)
-    lowering = [p.stacked(numbers, values) for p, values, _ in slots]
-    if lowering:
-        stack = np.concatenate(lowering, axis=1)
-        finite = np.isfinite(stack).all(axis=(1, 2))
-        if not finite.all():
-            grading = _grading_at(g, word, int(numbers[finite.argmin()]))
-            raise DecompositionError(f"{grading}: non-finite operator entries")
-        _, svals, vh = np.linalg.svd(stack, full_matrices=stack.shape[1] < d)
-        rank = _ranks(svals)
-        kernel = d - rank
-        # kernel first: column j is right singular vector rank + j
-        basis = np.take_along_axis(_h(vh), ((cols + rank[:, None]) % d)[:, None, :], axis=2)
-        basis *= (cols < kernel[:, None])[:, None, :]
-    else:
-        kernel = np.full(k, d, dtype=np.int64)
-        basis = np.tile(np.eye(d, dtype=complex), (k, 1, 1))
-    gens = np.where(cols < kernel[:, None], 0, -1)
-    count = kernel.copy()
+def _raise_group(kernels: _BasisGroup, slots) -> _BasisGroup:
+    """The bases of one group of gradings (see Decomposer), grown from a
+    copy of their generation-0 bases."""
+    numbers, (k, d, m) = kernels.numbers, kernels.basis.shape
+    basis = np.zeros((k, d, d), dtype=complex)
+    basis[:, :, :m] = kernels.basis
+    gens = np.full((k, d), -1, dtype=np.int64)
+    gens[:, :m] = kernels.gens
+    count = kernels.count.copy()
     failed = np.zeros(k, dtype=bool)
 
-    # candidates: each slot's raising stack (the lowering one's conjugate
-    # transpose) times its source bases, in slot order, sorted stably by
-    # generation; padded columns are zero, get generation _DEAD and sort last
+    # candidates: each slot's raising stack times its source bases, in
+    # slot order, sorted stably by generation; padded columns are zero,
+    # get generation _DEAD and sort last
     cands, cgens = [], []
-    for low, (_, _, src) in zip(lowering, slots):
+    for p, values, src in slots:
+        low = p.stacked(numbers, values)
         sbasis, sgens = src.stacked(numbers, low.shape[1])
         cands.append(_h(low) @ sbasis)
         cgens.append(np.where(sgens >= 0, sgens + 1, _DEAD))
@@ -427,7 +425,7 @@ def _decompose_group(
             basis[at, :, count[at]] = w[at] / res[at, None]
             gens[at, count[at]] = cgen[at, j]
             count[at] += 1
-    return _BasisGroup(numbers, basis, gens, kernel, count, failed | (count != d))
+    return _BasisGroup(numbers, basis, gens, kernels.kernel, count, failed | (count != d))
 
 
 def _projector_residuals(basis: np.ndarray, kernel: np.ndarray, count: np.ndarray):

@@ -20,7 +20,7 @@ from typing import Dict, List, Mapping, Tuple
 import numpy as np
 
 from .cells import CellSystem
-from .essential import _null_space, essential_basis, is_structurally_essential
+from .essential import _ranks, essential_basis, is_structurally_essential
 from .fusion import fusion_matrix, fusion_table
 from .graphs import GraphSpec, q_number, spectral_data
 from .operators import annihilation
@@ -216,7 +216,8 @@ def check_e5_ratios(g: GraphSpec, cells: CellSystem) -> Tuple[bool, str]:
         grading = PathGrading(f"1_{i}", f"2_{i}", (EdgeTag.SIGMA_BAR,) * 3)
         paths = enumerate_paths(g, grading)
         pos = {p.vertices[2]: k for k, p in enumerate(paths)}
-        null, _ = _null_space(annihilation(g, cells, grading, 2).matrix)
+        _, svals, vh = np.linalg.svd(annihilation(g, cells, grading, 2).matrix)
+        null = vh[int(_ranks(svals)) :].conj().T
         if null.shape[1] != 1:
             tally.bad.append(f"slot-2 kernel dim at 1_{i}")
             continue

@@ -26,6 +26,11 @@ relations evaluated in batches; these sweeps visit one grading at a
 time, build each block with the library's per-grading builders, and
 take the maxima in that visiting order.
 
+Joint kernels per grading: the library finds the kernels of all
+gradings of one word and dimension together, with one batched SVD of
+zero-padded stacks; raw_kernel stacks one grading's annihilation and
+cup blocks, built by the per-grading builders, and takes one SVD.
+
 A decomposition per grading: the library builds the generation-labelled
 bases of all gradings of one word and dimension together, with batched
 kernel SVDs, raising products and Gram-Schmidt passes;
@@ -58,8 +63,7 @@ from su3paths.essential import (
     RANK_TOL,
     DecompositionError,
     DecompositionReport,
-    kernel_operators,
-    raw_kernel,
+    _ranks,
 )
 from su3paths.operators import (
     ANNIHILATION,
@@ -427,6 +431,39 @@ def grading_verify_adjointness(g, cells, max_len: int = 4) -> float:
                 if cup(g, cells, cap_grading(grading, i, tag), i).codomain != grading:
                     return math.inf
     return worst
+
+
+def kernel_operators(g, cells, grading: PathGrading):
+    """The operators whose joint kernel defines essentiality on this
+    grading: an annihilation per like-tag slot, a cup per mixed slot."""
+    ops = []
+    w = grading.word
+    for i in range(1, grading.length):
+        if w[i - 1] == w[i]:
+            ops.append(annihilation(g, cells, grading, i))
+        else:
+            ops.append(cup(g, cells, grading, i))
+    return tuple(ops)
+
+
+def _null_space(matrix: np.ndarray):
+    """Orthonormal basis (columns) of the numerical null space of matrix,
+    plus its singular values (rank by _ranks)."""
+    _, svals, vh = np.linalg.svd(matrix)
+    return vh[int(_ranks(svals)) :].conj().T, svals
+
+
+def raw_kernel(g, cells, grading: PathGrading):
+    """Orthonormal basis (columns) of the joint kernel, ignoring the level
+    clause, plus the singular values backing the rank decision."""
+    dim = path_space_dim(g, grading)
+    if dim == 0:
+        return np.zeros((0, 0), dtype=complex), ()
+    ops = kernel_operators(g, cells, grading)
+    if not ops:
+        return np.eye(dim, dtype=complex), ()
+    null, svals = _null_space(np.vstack([op.matrix for op in ops]))
+    return null, tuple(float(s) for s in svals)
 
 
 class GradingDecomposer:

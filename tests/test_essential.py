@@ -30,21 +30,20 @@ from su3paths import (
     graph_names,
     is_structurally_essential,
     iter_gradings,
-    kernel_operators,
     make_path,
     parse_word,
     path_space_dim,
     random_gauge,
-    raw_kernel,
     replay_record,
     shipped_cells,
     spectral_data,
     verify_decomposition,
     words_of_type,
 )
-from su3paths.paths import word_paths
+from su3paths.essential import _word_kernels
+from su3paths.paths import _grading_number, word_paths
 
-from oracle import GradingDecomposer, grading_verify_decomposition
+from oracle import GradingDecomposer, grading_verify_decomposition, kernel_operators, raw_kernel
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 E5_SBB_COEF = 0.7356603157342366
@@ -128,6 +127,39 @@ def test_essential_dims_e5_totals(e5, e5_cells):
 def test_essential_dims_beyond_level(a2, a2_cells):
     with pytest.raises(GraphError):
         essential_dims(a2, a2_cells, (2, 1))
+
+
+@pytest.mark.parametrize("name", graph_names())
+def test_essential_dims_at_the_level_match_fusion(name):
+    # the one word of type (level, 0) or (0, level) has no change of tag
+    g = get_graph(name)
+    cells = shipped_cells(g)
+    for tp in [(g.level, 0), (0, g.level)]:
+        rep = essential_dims(g, cells, tp)
+        assert len(rep.per_word) == 1
+        assert rep.matches_fusion, (tp, rep.mismatches[:3])
+        assert rep.total.any()
+
+
+def _nan_cells(g, cells, k: int):
+    from su3paths.cells import CellSystem
+
+    # built directly: cell_system would reject the NaN
+    items = list(cells.items)
+    items[k] = (items[k][0], complex(math.nan, 0.0))
+    return CellSystem(graph=g.name, items=tuple(items))
+
+
+def test_nan_cells_fail_the_kernels_naming_the_grading(a2, a2_cells):
+    bad = _nan_cells(a2, a2_cells, 0)
+    tri = bad.items[0][0].vertices  # a sigma triangle x -> y -> z -> x
+    grading = PathGrading(tri[0], tri[2], parse_word("ss"))
+    with pytest.raises(DecompositionError, match=rf"^{grading}: non-finite operator entries$"):
+        essential_basis(a2, bad, grading)
+    with pytest.raises(DecompositionError, match=r"^\S+:ss: non-finite operator entries$"):
+        essential_dims(a2, bad, (2, 0))
+    # words that read no cell are untouched
+    assert essential_dims(a2, bad, (1, 1)).matches_fusion
 
 
 def test_zero_cells_break_the_count(a2):
@@ -262,7 +294,9 @@ ORACLE_CASES = [
 def test_decomposition_matches_grading_oracle(name, max_len, cells_kind):
     """The per-word batched sweep against the per-grading one: equal
     generation labels on every grading, equal counts, residuals within
-    1e-13.  All-zero cells make every like-slot stack zero (rank 0)."""
+    1e-13; and the word kernels against the per-grading ones: equal
+    dimensions, projectors within 1e-12.  All-zero cells make every
+    like-slot stack zero (rank 0)."""
     g = get_graph(name)
     if cells_kind == "zero":
         cells = cell_system(g, {t: 0.0 for t in enumerate_triangles(g)})
@@ -280,6 +314,17 @@ def test_decomposition_matches_grading_oracle(name, max_len, cells_kind):
     assert _labels(Decomposer(g, cells), g, max_len) == _labels(
         GradingDecomposer(g, cells), g, max_len
     )
+    # the word kernels against the per-grading SVD, to length 3
+    for grading in iter_gradings(g, min(max_len, 3)):
+        ref, _ = raw_kernel(g, cells, grading)
+        found = _word_kernels(cells, g, grading.word).find(_grading_number(g, grading))
+        ker = ref[:, :0]
+        if found is not None:
+            grp, r = found
+            ker = grp.basis[r, :, : grp.kernel[r]]
+        assert ker.shape == ref.shape, str(grading)
+        gap = np.abs(ker @ ker.conj().T - ref @ ref.conj().T)
+        assert gap.max(initial=0.0) <= 1e-12, str(grading)
 
 
 def test_factorize_cap_peel(a2, a2_cells):

@@ -28,6 +28,7 @@ from su3paths import (
     cup,
     cup_pattern,
     enumerate_paths,
+    essential_dims,
     expanded_grading,
     gauge_transform,
     get_graph,
@@ -191,6 +192,28 @@ def test_cached_data_dies_with_its_owner():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_word_kernels_die_with_their_cells():
+    """essential_dims keeps each word's kernels on the cell system, so a
+    sweep over many cell systems of one graph grows nothing on the graph,
+    and a dropped system takes its kernels with it."""
+    g = build_a_graph(2)
+    base = shipped_cells(g)
+    sizes = []
+    for seed in range(20):
+        cells = gauge_transform(base, random_gauge(g, seed))
+        for tp in [(1, 0), (2, 0), (1, 1), (0, 2)]:
+            assert essential_dims(g, cells, tp).matches_fusion
+        assert cells._memo
+        sizes.append(len(g._memo))
+    assert sizes == [sizes[0]] * len(sizes)
+    kernels = [weakref.ref(grp.basis) for entry in cells._memo.values() for grp in entry.groups]
+    dropped = weakref.ref(cells)
+    del cells
+    gc.collect()
+    assert dropped() is None
+    assert [r() for r in kernels] == [None] * len(kernels)
 
 
 def test_typed_words_are_kept():
