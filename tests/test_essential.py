@@ -257,12 +257,8 @@ def test_verify_decomposition_sweeps(a2, a2_cells, e5, e5_cells):
 
 def test_nan_fails_the_decomposition_sweep_naming_the_grading(e5, e5_cells, monkeypatch):
     from su3paths import essential
-    from su3paths.cells import CellSystem
 
-    # built directly: cell_system would reject the NaN
-    items = list(e5_cells.items)
-    items[3] = (items[3][0], complex(math.nan, 0.0))
-    bad = CellSystem(graph="e5", items=tuple(items))
+    bad = _nan_cells(e5, e5_cells, 3)
     with pytest.raises(DecompositionError, match=r"^1_3->2_5:ss: non-finite operator entries$"):
         verify_decomposition(e5, bad, max_len=3)
 
