@@ -154,7 +154,7 @@ class _WordBases:
         basis = np.zeros((len(numbers), r, r), dtype=complex)
         gens = np.full((len(numbers), r), -1, dtype=np.int64)
         which = self.group_of[numbers]
-        for k in np.unique(which[which >= 0]).tolist():
+        for k in sorted(set(which[which >= 0].tolist())):
             at = np.flatnonzero(which == k)
             grp, rows = self.groups[k], self.row_of[numbers[at]]
             d = grp.basis.shape[1]
@@ -194,7 +194,7 @@ def _word_kernels(cells: CellSystem, g: GraphSpec, word: Word) -> _WordBases:
     group_of = np.full(dims.size, -1, dtype=np.int64)
     row_of = np.zeros(dims.size, dtype=np.int64)
     groups = []
-    for d in np.unique(dims[nonzero]).tolist():
+    for d in sorted(set(dims[nonzero].tolist())):
         numbers = nonzero[dims[nonzero] == d]
         group_of[numbers] = len(groups)
         row_of[numbers] = np.arange(len(numbers))

@@ -3,9 +3,9 @@ and verification of the relations they satisfy.
 
 Every operator keeps a path's start and end, so on one word it is block
 diagonal over the word's (start, end) gradings.  The builders return
-one dense block per (grading, position); the relation sweeps stack the
-blocks of a word's gradings of equal dimension into one zero-padded
-array per position.  There is no global matrix.  Conventions (1-based
+one dense block per (grading, position); the relation sweeps work on the
+gradings of a word of equal dimension at once, from the patterns (see
+verify_tl).  There is no global matrix.  Conventions (1-based
 positions, path v_0 .. v_n, word w_1 .. w_n):
 
 * annihilation C_i (1 <= i <= n-1) contracts a like-tagged pair at
@@ -36,13 +36,16 @@ column(s), and look the shorter rows up in the codomain word's array by
 their sort key.
 
 U_i = C+_i C_i is an endomorphism of each graded block.  verify_tl
-sweeps all words up to a length, with the gradings of one word and
-dimension evaluated as one batch, and reports max residuals for: the
+sweeps all words up to a length and reports max residuals for: the
 quadratic relation U^2 = [2] U, commutation at distance, the two-sided
 triangle identity, the quartic relation, the F-lemma
 F_i F_{i+1} F_i = K F_i with F_i = U_i U_{i+1} U_i - U_i, and the cup-cap
-identities; the worst location of each is named as if the gradings had
-been visited one at a time.  The triangle identities are evaluated at
+identities.  The gradings of one word and dimension are one batch, and
+each relation is one product over every slot it covers, with the U_i of
+all slots in one array; cup cap and the collapse block C_i C+_i are
+C C^H formed from each grading's pattern entries alone.  The worst
+location of each relation is named as if the gradings had been visited
+one at a time.  The triangle identities are evaluated at
 positions where every operator involved acts on a constant-tag run; on
 other patterns the operators involved are not all triangle moves and the
 identities do not apply (see tests for an explicit mixed-word
@@ -54,7 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -181,7 +184,8 @@ def _check_slot(i: int, lo: int, hi: int, what: str):
 # builders, so a block is cheaper to rebuild than to hold.  creation and
 # cap return a fresh conjugate transpose of an annihilation or cup block
 # on each call, and tl_u multiplies one; none of these keeps anything.
-# The stacks the sweeps build (_Pattern.stacked) are not kept either.
+# The stacks and compact blocks the sweeps build (_Pattern.stacked,
+# _Entries) are not kept either.
 # Patterns and matrices are immutable.
 
 
@@ -428,8 +432,9 @@ def apply_annihilation(g, cells, p: ElementaryPath, i: int) -> PathVector:
 # diagonal over the word's gradings.  The sweeps visit words: the
 # gradings of a word with equal dimension d form one group, each slot's
 # blocks on a group are one zero-padded stack scattered from the graph's
-# pattern (_Pattern.stacked), and every relation is a batched product
-# with one maximum per grading.
+# pattern (_Pattern.stacked) or, for C C^H, one compact block of the
+# pattern's entries (_Entries), and every relation is a batched product
+# with one maximum per (check, grading).
 
 
 def _mnorm(x: np.ndarray) -> float:
@@ -437,9 +442,9 @@ def _mnorm(x: np.ndarray) -> float:
 
 
 def _mnorms(x: np.ndarray) -> np.ndarray:
-    """Largest entry magnitude of each block of a (k, d, d) stack (0.0 for
-    empty blocks)."""
-    return np.abs(x).max(axis=(1, 2), initial=0.0)
+    """Largest entry magnitude of each block of a (..., d, d) stack (0.0
+    for empty blocks)."""
+    return np.abs(x).max(axis=(-2, -1), initial=0.0)
 
 
 def _above(a: float, b: float) -> bool:
@@ -477,23 +482,88 @@ class _Maxima:
         """The next checks are on the word's gradings ``numbers``, ascending."""
         self._numbers = numbers
 
-    def bump(self, key: str, values: np.ndarray, where: str):
-        """values[q] is the residual on grading numbers[q]; where is the
-        location after the grading.  A group's checks of one relation
-        come in the per-grading order, so a tie on one grading goes to
-        the earlier check."""
+    def bump(self, key: str, values: np.ndarray, where: Sequence[str]):
+        """values[c, q] is the residual of check c on grading numbers[q],
+        and where[c] is check c's location after the grading.  The rows
+        come in the per-grading order of the relation's checks, so a tie
+        on one grading goes to the earlier row; a group's later bumps of
+        the same relation continue that order."""
+        if not values.size:
+            return
         self.checks += values.size
-        nan = np.isnan(values)
-        q = int(nan.argmax() if nan.any() else values.argmax())
-        value, s = float(values[q]), int(self._numbers[q])
+        # grading-major, so the first maximum is the first in sweep order
+        flat = values.T.ravel()
+        nan = np.isnan(flat)
+        q, c = divmod(int(nan.argmax() if nan.any() else flat.argmax()), values.shape[0])
+        value, s = float(values[c, q]), int(self._numbers[q])
         best = self._best.get(key)
         if best is None or _above(value, best[0]) or (not _above(best[0], value) and s < best[1]):
-            self._best[key] = (value, s, where)
+            self._best[key] = (value, s, where[c])
 
     def end_word(self, g: GraphSpec):
         for key, (value, s, where) in self._best.items():
             if _above(value, self.res[key]):
                 self.res[key], self.worst[key] = value, f"{_grading_at(g, self._word, s)}{where}"
+
+
+class _Entries:
+    """The entries of several patterns on the gradings of one word,
+    gathered once, for the products C C^H.
+
+    Every column of a pattern holds at most one entry, so C C^H on a
+    grading only needs the grading's entries in column order: a compact
+    (d, E) block whose column e is entry e, E the grading's entry count.
+    """
+
+    def __init__(self, patterns, values, gradings: int):
+        # (the empty word has no expanded words, so patterns may be empty)
+        shape = (len(patterns), gradings)
+        self.counts = np.array([np.diff(p.offsets) for p in patterns], dtype=np.int64).reshape(shape)
+        offsets = np.array([p.offsets[:-1] for p in patterns], dtype=np.int64).reshape(shape)
+        size = self.counts.sum(axis=1)
+        # where each pattern's entries on each grading start in rows and values
+        self.starts = offsets + (np.cumsum(size) - size)[:, None]
+        self.rows = np.concatenate([np.zeros(0, np.int32), *(p.rows for p in patterns)])
+        self.values = np.concatenate([np.zeros(0), *values])
+
+    def group(self, numbers: np.ndarray, d: int) -> "_Compact":
+        """The entries on the gradings ``numbers``, all of dimension d."""
+        count = self.counts[:, numbers]
+        flat = count.ravel()
+        cell = np.repeat(np.arange(flat.size), flat)
+        col = np.arange(cell.size) - (np.cumsum(flat) - flat)[cell]
+        take = self.starts[:, numbers].ravel()[cell] + col
+        pattern, q = np.divmod(cell, len(numbers))
+        return _Compact(
+            at=(pattern, q, self.rows[take], col),
+            values=self.values[take],
+            bounds=np.searchsorted(pattern, np.arange(len(count) + 1)),
+            widths=count.max(axis=1, initial=0),
+            shape=(len(numbers), d),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class _Compact:
+    """One dimension group's entries of an _Entries: entry e sits at
+    (pattern, grading row, row, column) = at[.][e] of the compact blocks;
+    pattern j's entries are bounds[j]:bounds[j + 1], and its widest
+    compact block has widths[j] columns."""
+
+    at: tuple
+    values: np.ndarray
+    bounds: np.ndarray
+    widths: np.ndarray
+    shape: tuple
+
+    def products(self, a: int, b: int) -> np.ndarray:
+        """C C^H of patterns a..b-1, stacked to (b - a, k, d, d): one
+        scatter into the compact blocks and one batched product."""
+        lo, hi = self.bounds[a], self.bounds[b]
+        m = np.zeros((b - a, *self.shape, self.widths[a:b].max(initial=0)), dtype=self.values.dtype)
+        pattern, q, row, col = (x[lo:hi] for x in self.at)
+        m[pattern - a, q, row, col] = self.values[lo:hi]
+        return m @ m.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True)
@@ -553,12 +623,26 @@ def verify_tl(
     sum_rule: the per-arrow cell normalization.
 
     The sweep goes word by word.  The gradings of nonzero dimension d of
-    a word are one group; per slot, the group's blocks are stacked: the
-    word's annihilation C_i for U_i = C_i^H C_i, the expanded word's
-    annihilation for the collapse block, and the cap word's cup for
-    cup cap.  A check is counted per grading, and ``worst`` names the
-    first grading and slot, in iter_gradings order, where a relation
-    reaches its maximum.  The fitted K sums per grading in that order.
+    a word are one group.  Per slot, the group's blocks of the word's
+    annihilation C_i are stacked, zero-padded, and U_i = C_i^H C_i of
+    every slot goes into one (n-1, k, d, d) array for k gradings.  Each
+    relation is then one batched product over all the slots it covers:
+    h1 over every i, h2 over every pair j >= i+2, h3 and f_square over
+    every run of length 3, h4 and lemma over every run of length 4.
+    Stacking blocks of equal shape on more leading axes gives each block
+    the product it would get alone, so the residuals do not depend on
+    the batching.  Cup cap is C C^H of the cap word's cup, and the
+    collapse block C_i C+_i is C C^H of the expanded word's C_i.  Every
+    column of a pattern holds at most one entry, so these are formed
+    from each grading's entries in column order (_Entries): gathered
+    once per word, scattered per group into compact (d, E) blocks, E the
+    largest entry count, and multiplied a few slots at a time, so that
+    no compact block or product is larger than the group's widest padded
+    cap stack.  The cup weights stay real.
+
+    A check is counted per grading, and ``worst`` names the first
+    grading and slot, in iter_gradings order, where a relation reaches
+    its maximum.  The fitted K sums per grading in that order.
     """
     from .cells import _gram, max_sum_rule_residual
 
@@ -572,6 +656,7 @@ def verify_tl(
     fit_num = 0.0
     fit_den = 0.0
 
+    tags = (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR)
     for w in _words(max_len):
         dims = _walk_counts(g, w).ravel()
         nonzero = np.flatnonzero(dims)
@@ -584,76 +669,85 @@ def verify_tl(
             if w[i - 1] is w[i]:
                 p = annihilation_pattern(g, w, i)
                 slots[i] = (p, p.values(vector))
-        caps = {
-            (i, tag): cup_pattern(g, _cap_word(w, i, tag), i)
+        # cap word cups (real), two per slot, and the expanded word's C_i
+        caps = [cup_pattern(g, _cap_word(w, i, tag), i) for i in range(1, n + 2) for tag in tags]
+        cups = _Entries(caps, [p.weight for p in caps], dims.size)
+        cap_cols = np.array([p.shapes[:, 1] for p in caps])
+        expanded = [annihilation_pattern(g, _expanded_word(w, i), i) for i in range(1, n + 1)]
+        collapse = _Entries(expanded, [p.values(vector) for p in expanded], dims.size)
+        pairs = np.array([(i, j) for i in range(1, n) for j in range(i + 2, n)], dtype=int)
+        # constant-tag runs of length 3 and 4, by their first slot
+        runs3 = np.array([i for i in range(1, n - 1) if w[i - 1] == w[i] == w[i + 1]], dtype=int)
+        runs4 = np.array(
+            [i for i in range(1, n - 2) if w[i - 1] == w[i] == w[i + 1] == w[i + 2]], dtype=int
+        )
+        h1_where = [f" i={i}" for i in range(1, n)] + [f" i={i} collapse block" for i in range(1, n + 1)]
+        cupcap_where = [
+            f" i={i} {check} {tag.value}"
             for i in range(1, n + 2)
-            for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR)
-        }
-        collapse = {}
-        for i in range(1, n + 1):
-            p = annihilation_pattern(g, _expanded_word(w, i), i)
-            collapse[i] = (p, p.values(vector))
+            for check in (("cap", "square vs cap") if i <= n else ("cap",))
+            for tag in tags
+        ]
         fits = []
         top.start_word(w)
 
-        for d in np.unique(dims[nonzero]).tolist():
+        for d in sorted(set(dims[nonzero].tolist())):
             numbers = nonzero[dims[nonzero] == d]
+            k = len(numbers)
             top.start_group(numbers)
-            zero = np.zeros((len(numbers), d, d), dtype=complex)
-            us = {i: zero for i in range(1, n)}
+            # U_i = C_i^H C_i on slot axis i - 1, zero on mixed pairs
+            us = np.zeros((max(n - 1, 0), k, d, d), dtype=complex)
             for i, (p, values) in slots.items():
-                us[i] = _gram(p.stacked(numbers, values))
-            eye = np.eye(d)
-
-            for i in range(1, n):
-                ui = us[i]
-                top.bump("h1", _mnorms(ui @ ui - delta * ui), f" i={i}")
-                for j in range(i + 2, n):
-                    top.bump("h2", _mnorms(ui @ us[j] - us[j] @ ui), f" i={i} j={j}")
-
-            for i in range(1, n - 1):
-                if not (w[i - 1] == w[i] == w[i + 1]):
-                    continue
-                ui, uj = us[i], us[i + 1]
+                us[i - 1] = _gram(p.stacked(numbers, values))
+            h1 = [_mnorms(us @ us - delta * us)]
+            if len(pairs):
+                ui, uj = us[pairs[:, 0] - 1], us[pairs[:, 1] - 1]
+                top.bump("h2", _mnorms(ui @ uj - uj @ ui), [f" i={i} j={j}" for i, j in pairs.tolist()])
+            if len(runs3):
+                ui, uj = us[runs3 - 1], us[runs3]
                 fi = ui @ uj @ ui - ui
-                top.bump("h3", _mnorms(fi - (uj @ ui @ uj - uj)), f" i={i}")
-                top.bump("f_square", _mnorms(fi @ fi - delta * beta * fi), f" i={i}")
-
-            for i in range(1, n - 2):
-                if not (w[i - 1] == w[i] == w[i + 1] == w[i + 2]):
-                    continue
-                ui, uj, uk = us[i], us[i + 1], us[i + 2]
+                where = [f" i={i}" for i in runs3.tolist()]
+                top.bump("h3", _mnorms(fi - (uj @ ui @ uj - uj)), where)
+                top.bump("f_square", _mnorms(fi @ fi - delta * beta * fi), where)
+            if len(runs4):
+                ui, uj, uk = us[runs4 - 1], us[runs4], us[runs4 + 1]
                 left = ui - uk @ uj @ ui + uj
                 right = uj @ uk @ uj - uj
-                top.bump("h4", _mnorms(left @ right), f" i={i}")
+                where = [f" i={i}" for i in runs4.tolist()]
+                top.bump("h4", _mnorms(left @ right), where)
                 fi = ui @ uj @ ui - ui
                 fj = uj @ uk @ uj - uj
                 fjf = fi @ fj @ fi
-                top.bump("lemma", _mnorms(fjf - kconst * fi), f" i={i}")
+                top.bump("lemma", _mnorms(fjf - kconst * fi), where)
                 fits += [
                     (s, i, float(np.vdot(f, h).real), float(np.vdot(f, f).real))
-                    for s, f, h in zip(numbers.tolist(), fi, fjf)
+                    for i, fr, hr in zip(runs4.tolist(), fi, fjf)
+                    for s, f, h in zip(numbers.tolist(), fr, hr)
                 ]
 
-            for i in range(1, n + 2):
-                comps = {}
-                for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
-                    # one cup block per insertion order; the cap is its adjoint
-                    cu = caps[i, tag].stacked(numbers, caps[i, tag].weight)
-                    comps[tag] = cu @ cu.conj().swapaxes(-1, -2)
-                    top.bump("cupcap", _mnorms(comps[tag] - beta * eye), f" i={i} cap {tag.value}")
-                if i <= n:
-                    # C_i C+_i, creation being the adjoint of the expanded word's C_i
-                    ann = collapse[i][0].stacked(numbers, collapse[i][1])
-                    gram = ann @ ann.conj().swapaxes(-1, -2)
-                    top.bump("h1", _mnorms(gram - delta * eye), f" i={i} collapse block")
-                    gram2 = gram @ gram
-                    for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
-                        top.bump(
-                            "cupcap",
-                            _mnorms(gram2 - (eye + comps[tag])),
-                            f" i={i} square vs cap {tag.value}",
-                        )
+            # cup cap = C C^H of the cap word's cup, and the collapse block
+            # C_i C+_i = C C^H of the expanded word's C_i, a few slots at a
+            # time: no compact block or product is larger than the group's
+            # widest cap stack would be, padded to the cap word's dimension
+            eye = np.eye(d)
+            cup_entries, collapse_entries = cups.group(numbers, d), collapse.group(numbers, d)
+            widest = max(cup_entries.widths.max(), collapse_entries.widths.max(initial=0), 2 * d)
+            step = max(1, int(cap_cols[:, numbers].max()) // int(widest))
+            cupcap = []
+            for a in range(1, n + 2, step):
+                b = min(a + step, n + 2)
+                comps = cup_entries.products(2 * (a - 1), 2 * (b - 1))
+                comps = comps.reshape(b - a, 2, k, d, d)
+                caps_res = _mnorms(comps - beta * eye)
+                m = min(b, n + 1) - a
+                if m:
+                    gram = collapse_entries.products(a - 1, a - 1 + m)
+                    h1.append(_mnorms(gram - delta * eye))
+                    square = _mnorms((gram @ gram)[:, None] - (eye + comps[:m]))
+                    cupcap.append(np.concatenate([caps_res[:m], square], axis=1).reshape(4 * m, k))
+                cupcap.append(caps_res[m:].reshape(-1, k))
+            top.bump("h1", np.concatenate(h1), h1_where)
+            top.bump("cupcap", np.concatenate(cupcap), cupcap_where)
 
         top.end_word(g)
         for _, _, num, den in sorted(fits):

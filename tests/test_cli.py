@@ -195,6 +195,25 @@ def test_path_space_cap_is_an_error_line_not_a_traceback():
     assert listing.stderr == "error: word sbs has 24 paths on a2 (cap 20)\n"
 
 
+def test_runs_do_not_import_numpy_ma():
+    # np.unique imports numpy.ma (through np.ma.is_masked) on numpy 2.4:
+    # about a megabyte of modules and 15 ms that no command needs
+    code = (
+        "import contextlib, io, sys\n"
+        "from su3paths.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['report', 'a2', '--max-len', '2']), main(['cells', 'solve', 'a2'])]\n"
+        "print(codes, 'numpy.ma' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(su3paths.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[0, 0] False\n"
+
+
 def test_report_happy_and_broken(tmp_path):
     ok = run("report", "a2", "--max-len", "2")
     assert ok.status == 0

@@ -267,10 +267,13 @@ def _assert_sweeps_match(g, cells, max_len: int):
 @pytest.mark.parametrize("name,max_len", [("a2", 4), ("a3", 3), ("a4", 3), ("a5", 3), ("e5", 4)])
 def test_sweeps_match_grading_oracle(name, max_len):
     g = get_graph(name)
-    cells = shipped_cells(g)
-    rep = _assert_sweeps_match(g, cells, max_len)
-    assert rep.passed(1e-8)
-    assert verify_adjointness(g, cells, max_len) == grading_verify_adjointness(g, cells, max_len)
+    # shipped cells, and complex ones from a random gauge: the batched
+    # products must round as the per-grading ones do on both
+    shipped = shipped_cells(g)
+    for cells in (shipped, gauge_transform(shipped, random_gauge(g, seed=19))):
+        rep = _assert_sweeps_match(g, cells, max_len)
+        assert rep.passed(1e-8)
+        assert verify_adjointness(g, cells, max_len) == grading_verify_adjointness(g, cells, max_len)
 
 
 def test_sweep_worst_on_failing_systems(a2, e5, e5_cells):
@@ -292,15 +295,16 @@ def test_sweep_worst_on_failing_systems(a2, e5, e5_cells):
 
 def test_worst_is_the_first_grading_to_reach_the_maximum(a2):
     from su3paths.operators import _Maxima
+    from su3paths.paths import _grading_at
 
     # two dimension groups of one word, the later grading's group first:
     # a tie goes to the lower grading number
     top = _Maxima(("h1",))
     top.start_word(parse_word("ss"))
     top.start_group(np.array([7, 20]))
-    top.bump("h1", np.array([0.5, 2.0]), " i=1")
+    top.bump("h1", np.array([[0.5, 2.0]]), [" i=1"])
     top.start_group(np.array([3, 9]))
-    top.bump("h1", np.array([2.0, 0.5]), " i=1")
+    top.bump("h1", np.array([[2.0, 0.5]]), [" i=1"])
     top.end_word(a2)
     assert (top.res, top.worst, top.checks) == ({"h1": 2.0}, {"h1": "1->3:ss i=1"}, 4)
     # a NaN ranks above every number, and the first NaN keeps its location,
@@ -308,13 +312,47 @@ def test_worst_is_the_first_grading_to_reach_the_maximum(a2):
     for word, values in (("ss", [5.0, np.nan]), ("bb", [np.nan, np.nan])):
         top.start_word(parse_word(word))
         top.start_group(np.array([7, 20]))
-        top.bump("h1", np.array([np.nan, 9.0]), " i=1")
+        top.bump("h1", np.array([[np.nan, 9.0]]), [" i=1"])
         top.start_group(np.array([3, 9]))
-        top.bump("h1", np.array(values), " i=1")
+        top.bump("h1", np.array([values]), [" i=1"])
         top.end_word(a2)
         assert math.isnan(top.res["h1"]) and top.worst["h1"] == "3b->3b:ss i=1"
     top.bump_one("h1", 1e3, "arrows")
     assert math.isnan(top.res["h1"]) and top.worst["h1"] == "3b->3b:ss i=1"
+
+    # several checks at once: values[c, q] is check c on grading q, and
+    # where[c] is check c's location
+    word = parse_word("sss")
+
+    def worst(groups):
+        top = _Maxima(("h2",))
+        top.start_word(word)
+        for numbers, values, where in groups:
+            top.start_group(np.array(numbers))
+            top.bump("h2", np.array(values), where)
+        top.end_word(a2)
+        return top.res["h2"], top.worst["h2"], top.checks
+
+    def at(s, where):
+        return f"{_grading_at(a2, word, s)}{where}"
+
+    # a tie within one grading goes to the earlier check row
+    rows = [[1.0, 3.0], [2.0, 3.0], [0.0, 3.0]]
+    assert worst([([7, 20], rows, [" a", " b", " c"])]) == (3.0, at(20, " a"), 6)
+    # a tie across gradings goes to the lower grading number before the
+    # earlier row, within a group and across groups
+    rows = [[1.0, 2.0], [2.0, 1.0]]
+    assert worst([([7, 20], rows, [" a", " b"])]) == (2.0, at(7, " b"), 4)
+    later = ([3, 9], [[0.0, 2.0], [0.5, 0.0]], [" a", " b"])
+    assert worst([([7, 20], rows, [" a", " b"]), later]) == (2.0, at(7, " b"), 8)
+    lower = ([3, 9], [[0.0, 0.0], [2.0, 2.0]], [" c", " d"])
+    assert worst([([7, 20], rows, [" a", " b"]), later, lower]) == (2.0, at(3, " d"), 12)
+    # the first NaN in (grading, check) order keeps its location
+    nans = [[4.0, np.nan], [np.nan, 1.0], [np.nan, np.nan]]
+    value, where, _ = worst(
+        [([7, 20], nans, [" a", " b", " c"]), ([3, 9], [[5.0, np.nan], [6.0, np.nan]], [" a", " b"])]
+    )
+    assert math.isnan(value) and where == at(7, " b")
 
 
 @pytest.mark.parametrize("name", ["a2", "e5"])
@@ -351,6 +389,32 @@ def test_stacked_blocks_are_padded_blocks(e5, e5_cells, word, i):
             m = block(s)
             assert stack[q][: m.shape[0], : m.shape[1]].tobytes() == m.tobytes()
             assert not stack[q][m.shape[0] :].any() and not stack[q][:, m.shape[1] :].any()
+    # C C^H from each grading's entries alone (verify_tl's compact blocks)
+    # is the padded stack's C C^H, byte for byte: on the cap words' cups
+    # (real) and the expanded words' annihilations, shipped and gauged.
+    # Only the sign of a zero may differ (the padded product sums more
+    # zero columns), which no residual sees; adding 0.0 clears it.
+    from su3paths.operators import _cap_word, _Entries, _expanded_word
+    from su3paths.paths import _walk_counts
+
+    w = parse_word(word)
+    dims = _walk_counts(e5, w).ravel()
+    caps = [cup_pattern(e5, _cap_word(w, i, tag), i) for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR)]
+    expanded = [annihilation_pattern(e5, _expanded_word(w, j), j) for j in (i, i + 1)]
+    for cells in (e5_cells, gauge_transform(e5_cells, random_gauge(e5, seed=23))):
+        for patterns, values in (
+            (caps, [p.weight for p in caps]),
+            (expanded, [p.values(cells.vector) for p in expanded]),
+        ):
+            entries = _Entries(patterns, values, dims.size)
+            for d in sorted(set(dims[dims > 0].tolist())):
+                numbers = np.flatnonzero(dims == d)
+                compact = entries.group(numbers, d).products(0, len(patterns))
+                assert compact.dtype == values[0].dtype
+                for j, (p, v) in enumerate(zip(patterns, values)):
+                    padded = p.stacked(numbers, v)
+                    padded = padded @ padded.conj().swapaxes(-1, -2)
+                    assert (compact[j] + 0.0j).tobytes() == (padded + 0.0).tobytes()
 
 
 def test_apply_guards(a2, a2_cells):
