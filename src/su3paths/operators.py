@@ -42,14 +42,16 @@ triangle identity, the quartic relation, the F-lemma
 F_i F_{i+1} F_i = K F_i with F_i = U_i U_{i+1} U_i - U_i, and the cup-cap
 identities.  The gradings of one word and dimension are one batch, and
 each relation is one product over every slot it covers, with the U_i of
-all slots in one array; cup cap and the collapse block C_i C+_i are
-C C^H formed from each grading's pattern entries alone.  The worst
-location of each relation is named as if the gradings had been visited
-one at a time.  The triangle identities are evaluated at
-positions where every operator involved acts on a constant-tag run; on
-other patterns the operators involved are not all triangle moves and the
-identities do not apply (see tests for an explicit mixed-word
-counterexample).
+all slots in one array.  Cup cap and the collapse block C_i C+_i are
+diagonal, with an entry per path that depends only on the vertex
+v_{i-1} (beta) or the arrow v_{i-1} -> v_i ([2]), so they are read from
+a per-vertex and a per-arrow table, and the sweep needs paths only up
+to the swept length.  The worst location of each relation is named as
+if the gradings had been visited one at a time.  The triangle
+identities are evaluated at positions where every operator involved
+acts on a constant-tag run; on other patterns the operators involved
+are not all triangle moves and the identities do not apply (see tests
+for an explicit mixed-word counterexample).
 """
 
 from __future__ import annotations
@@ -184,8 +186,8 @@ def _check_slot(i: int, lo: int, hi: int, what: str):
 # builders, so a block is cheaper to rebuild than to hold.  creation and
 # cap return a fresh conjugate transpose of an annihilation or cup block
 # on each call, and tl_u multiplies one; none of these keeps anything.
-# The stacks and compact blocks the sweeps build (_Pattern.stacked,
-# _Entries) are not kept either.
+# The stacks the sweeps build (_Pattern.stacked) and verify_tl's cup cap
+# and collapse tables are not kept either.
 # Patterns and matrices are immutable.
 
 
@@ -222,7 +224,7 @@ class _Pattern:
         Returns (take, at, shape): entry take[j] of the pattern goes to
         the stack position (at[0][j], at[1][j], at[2][j]), and the stack
         has the given shape.  Zero rows or columns on the padded side
-        leave C^H C and C C^H unchanged.
+        leave C^H C unchanged.
         """
         lo, hi = self.offsets[numbers], self.offsets[numbers + 1]
         counts = hi - lo
@@ -432,9 +434,10 @@ def apply_annihilation(g, cells, p: ElementaryPath, i: int) -> PathVector:
 # diagonal over the word's gradings.  The sweeps visit words: the
 # gradings of a word with equal dimension d form one group, each slot's
 # blocks on a group are one zero-padded stack scattered from the graph's
-# pattern (_Pattern.stacked) or, for C C^H, one compact block of the
-# pattern's entries (_Entries), and every relation is a batched product
-# with one maximum per (check, grading).
+# pattern (_Pattern.stacked), and every relation is a batched product
+# with one maximum per (check, grading).  Cup cap and C_i C+_i need no
+# blocks: their diagonals are per-vertex and per-arrow tables
+# (_diagonal_tables), indexed with the word's paths.
 
 
 def _mnorm(x: np.ndarray) -> float:
@@ -506,64 +509,37 @@ class _Maxima:
                 self.res[key], self.worst[key] = value, f"{_grading_at(g, self._word, s)}{where}"
 
 
-class _Entries:
-    """The entries of several patterns on the gradings of one word,
-    gathered once, for the products C C^H.
+def _square_sums(p: _Pattern, values: np.ndarray) -> np.ndarray:
+    """Per grading of the pattern's word, the sum of |values|^2 over the
+    grading's entries, added one at a time in column order."""
+    gradings = len(p.offsets) - 1
+    numbers = np.repeat(np.arange(gradings), np.diff(p.offsets))
+    return np.bincount(numbers, values.real * values.real + values.imag * values.imag, gradings)
 
-    Every column of a pattern holds at most one entry, so C C^H on a
-    grading only needs the grading's entries in column order: a compact
-    (d, E) block whose column e is entry e, E the grading's entry count.
+
+def _diagonal_tables(g: GraphSpec, vector: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The diagonals of cup cap and of the collapse block C_i C+_i.
+
+    Every column of a pattern holds at most one entry, so C C^H is
+    diagonal, and its entry at a path is the sum of |C|^2 along the
+    path's row.  For cup_i cap_i with insertion order t that row holds
+    the returns v_{i-1} b v_{i-1} through every neighbor b; for C_i C+_i
+    it holds the triangles over the arrow v_{i-1} -> v_i.  So the entry
+    depends on one vertex or one arrow and not on the rest of the word,
+    and is read from the shortest word that has it: cupcap[t, a] from
+    the cup of the cap word (t, t-bar) at a, beta by Perron-Frobenius,
+    and collapse[t, a, c] from C_1 of (t-bar, t-bar) on a -> c, [2] by
+    the sum rule (0 where no t arrow goes from a to c), with t = 0 for
+    sigma and 1 for sigma-bar.
     """
-
-    def __init__(self, patterns, values, gradings: int):
-        # (the empty word has no expanded words, so patterns may be empty)
-        shape = (len(patterns), gradings)
-        self.counts = np.array([np.diff(p.offsets) for p in patterns], dtype=np.int64).reshape(shape)
-        offsets = np.array([p.offsets[:-1] for p in patterns], dtype=np.int64).reshape(shape)
-        size = self.counts.sum(axis=1)
-        # where each pattern's entries on each grading start in rows and values
-        self.starts = offsets + (np.cumsum(size) - size)[:, None]
-        self.rows = np.concatenate([np.zeros(0, np.int32), *(p.rows for p in patterns)])
-        self.values = np.concatenate([np.zeros(0), *values])
-
-    def group(self, numbers: np.ndarray, d: int) -> "_Compact":
-        """The entries on the gradings ``numbers``, all of dimension d."""
-        count = self.counts[:, numbers]
-        flat = count.ravel()
-        cell = np.repeat(np.arange(flat.size), flat)
-        col = np.arange(cell.size) - (np.cumsum(flat) - flat)[cell]
-        take = self.starts[:, numbers].ravel()[cell] + col
-        pattern, q = np.divmod(cell, len(numbers))
-        return _Compact(
-            at=(pattern, q, self.rows[take], col),
-            values=self.values[take],
-            bounds=np.searchsorted(pattern, np.arange(len(count) + 1)),
-            widths=count.max(axis=1, initial=0),
-            shape=(len(numbers), d),
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class _Compact:
-    """One dimension group's entries of an _Entries: entry e sits at
-    (pattern, grading row, row, column) = at[.][e] of the compact blocks;
-    pattern j's entries are bounds[j]:bounds[j + 1], and its widest
-    compact block has widths[j] columns."""
-
-    at: tuple
-    values: np.ndarray
-    bounds: np.ndarray
-    widths: np.ndarray
-    shape: tuple
-
-    def products(self, a: int, b: int) -> np.ndarray:
-        """C C^H of patterns a..b-1, stacked to (b - a, k, d, d): one
-        scatter into the compact blocks and one batched product."""
-        lo, hi = self.bounds[a], self.bounds[b]
-        m = np.zeros((b - a, *self.shape, self.widths[a:b].max(initial=0)), dtype=self.values.dtype)
-        pattern, q, row, col = (x[lo:hi] for x in self.at)
-        m[pattern - a, q, row, col] = self.values[lo:hi]
-        return m @ m.conj().swapaxes(-1, -2)
+    V = len(g.vertices)
+    cupcap, collapse = [], []
+    for t in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
+        p = cup_pattern(g, (t, t.opposite), 1)
+        cupcap.append(_square_sums(p, p.weight)[:: V + 1])
+        p = annihilation_pattern(g, (t.opposite, t.opposite), 1)
+        collapse.append(_square_sums(p, p.values(vector)))
+    return np.array(cupcap), np.array(collapse).reshape(2, V, V)
 
 
 @dataclass(frozen=True)
@@ -631,14 +607,17 @@ def verify_tl(
     every run of length 3, h4 and lemma over every run of length 4.
     Stacking blocks of equal shape on more leading axes gives each block
     the product it would get alone, so the residuals do not depend on
-    the batching.  Cup cap is C C^H of the cap word's cup, and the
-    collapse block C_i C+_i is C C^H of the expanded word's C_i.  Every
-    column of a pattern holds at most one entry, so these are formed
-    from each grading's entries in column order (_Entries): gathered
-    once per word, scattered per group into compact (d, E) blocks, E the
-    largest entry count, and multiplied a few slots at a time, so that
-    no compact block or product is larger than the group's widest padded
-    cap stack.  The cup weights stay real.
+    the batching.  Cup cap and the collapse block C_i C+_i are diagonal,
+    with an entry per path that depends only on v_{i-1} or on the arrow
+    v_{i-1} -> v_i (_diagonal_tables).  The two tables are read once per
+    call from two-letter patterns, indexed per word with the word's
+    paths, and each check's maximum over a grading is taken over the
+    grading's slice of paths.  So the sweep reads no path array or
+    pattern longer than max_len (or two letters), and PathSpaceTooLarge
+    stops it only at a swept word.  The cap words' cups and the expanded
+    words' annihilations, which it no longer reads, are checked against
+    the tables and loop-built blocks in the tests and by
+    verify_adjointness.
 
     A check is counted per grading, and ``worst`` names the first
     grading and slot, in iter_gradings order, where a relation reaches
@@ -657,6 +636,7 @@ def verify_tl(
     fit_den = 0.0
 
     tags = (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR)
+    cupcap, collapse = _diagonal_tables(g, vector)
     for w in _words(max_len):
         dims = _walk_counts(g, w).ravel()
         nonzero = np.flatnonzero(dims)
@@ -669,25 +649,12 @@ def verify_tl(
             if w[i - 1] is w[i]:
                 p = annihilation_pattern(g, w, i)
                 slots[i] = (p, p.values(vector))
-        # cap word cups (real), two per slot, and the expanded word's C_i
-        caps = [cup_pattern(g, _cap_word(w, i, tag), i) for i in range(1, n + 2) for tag in tags]
-        cups = _Entries(caps, [p.weight for p in caps], dims.size)
-        cap_cols = np.array([p.shapes[:, 1] for p in caps])
-        expanded = [annihilation_pattern(g, _expanded_word(w, i), i) for i in range(1, n + 1)]
-        collapse = _Entries(expanded, [p.values(vector) for p in expanded], dims.size)
         pairs = np.array([(i, j) for i in range(1, n) for j in range(i + 2, n)], dtype=int)
         # constant-tag runs of length 3 and 4, by their first slot
         runs3 = np.array([i for i in range(1, n - 1) if w[i - 1] == w[i] == w[i + 1]], dtype=int)
         runs4 = np.array(
             [i for i in range(1, n - 2) if w[i - 1] == w[i] == w[i + 1] == w[i + 2]], dtype=int
         )
-        h1_where = [f" i={i}" for i in range(1, n)] + [f" i={i} collapse block" for i in range(1, n + 1)]
-        cupcap_where = [
-            f" i={i} {check} {tag.value}"
-            for i in range(1, n + 2)
-            for check in (("cap", "square vs cap") if i <= n else ("cap",))
-            for tag in tags
-        ]
         fits = []
         top.start_word(w)
 
@@ -699,7 +666,7 @@ def verify_tl(
             us = np.zeros((max(n - 1, 0), k, d, d), dtype=complex)
             for i, (p, values) in slots.items():
                 us[i - 1] = _gram(p.stacked(numbers, values))
-            h1 = [_mnorms(us @ us - delta * us)]
+            top.bump("h1", _mnorms(us @ us - delta * us), [f" i={i}" for i in range(1, n)])
             if len(pairs):
                 ui, uj = us[pairs[:, 0] - 1], us[pairs[:, 1] - 1]
                 top.bump("h2", _mnorms(ui @ uj - uj @ ui), [f" i={i} j={j}" for i, j in pairs.tolist()])
@@ -725,30 +692,36 @@ def verify_tl(
                     for s, f, h in zip(numbers.tolist(), fr, hr)
                 ]
 
-            # cup cap = C C^H of the cap word's cup, and the collapse block
-            # C_i C+_i = C C^H of the expanded word's C_i, a few slots at a
-            # time: no compact block or product is larger than the group's
-            # widest cap stack would be, padded to the cap word's dimension
-            eye = np.eye(d)
-            cup_entries, collapse_entries = cups.group(numbers, d), collapse.group(numbers, d)
-            widest = max(cup_entries.widths.max(), collapse_entries.widths.max(initial=0), 2 * d)
-            step = max(1, int(cap_cols[:, numbers].max()) // int(widest))
-            cupcap = []
-            for a in range(1, n + 2, step):
-                b = min(a + step, n + 2)
-                comps = cup_entries.products(2 * (a - 1), 2 * (b - 1))
-                comps = comps.reshape(b - a, 2, k, d, d)
-                caps_res = _mnorms(comps - beta * eye)
-                m = min(b, n + 1) - a
-                if m:
-                    gram = collapse_entries.products(a - 1, a - 1 + m)
-                    h1.append(_mnorms(gram - delta * eye))
-                    square = _mnorms((gram @ gram)[:, None] - (eye + comps[:m]))
-                    cupcap.append(np.concatenate([caps_res[:m], square], axis=1).reshape(4 * m, k))
-                cupcap.append(caps_res[m:].reshape(-1, k))
-            top.bump("h1", np.concatenate(h1), h1_where)
-            top.bump("cupcap", np.concatenate(cupcap), cupcap_where)
-
+        # cup cap (slot, tag, path) and C_i C+_i (slot, path) on the word's
+        # paths, and each check's maximum per grading.  They come after the
+        # group loop, so on a tie within one grading the U rows of h1 keep
+        # the location: they come first among a grading's h1 checks.
+        paths = word_paths(g, w).T
+        comps = cupcap[:, paths].swapaxes(0, 1)
+        letters = np.array([tags.index(t) for t in w], dtype=np.intp)
+        gram = collapse[letters[:, None], paths[:-1], paths[1:]]
+        caps = np.abs(comps - beta)
+        square = np.abs((gram * gram)[:, None] - (1.0 + comps[:n]))
+        # per slot: cap s, cap b, square vs cap s, square vs cap b; the
+        # last slot, n + 1, has no collapse block and so only the caps
+        cupcap_res = np.concatenate([caps[:n], square], axis=1).reshape(-1, paths.shape[1])
+        starts = (np.cumsum(dims) - dims)[nonzero].astype(np.intp)
+        top.start_group(nonzero)
+        top.bump(
+            "h1",
+            np.maximum.reduceat(np.abs(gram - delta), starts, axis=1),
+            [f" i={i} collapse block" for i in range(1, n + 1)],
+        )
+        top.bump(
+            "cupcap",
+            np.maximum.reduceat(np.concatenate([cupcap_res, caps[n]]), starts, axis=1),
+            [
+                f" i={i} {check} {tag.value}"
+                for i in range(1, n + 2)
+                for check in (("cap", "square vs cap") if i <= n else ("cap",))
+                for tag in tags
+            ],
+        )
         top.end_word(g)
         for _, _, num, den in sorted(fits):
             fit_num += num

@@ -293,6 +293,18 @@ def _extend_walks(g, grading: PathGrading, prefix: list, out: list) -> None:
         prefix.pop()
 
 
+def _diagonal_gram(c: np.ndarray) -> np.ndarray:
+    """C C^H for a block with at most one entry per column: diagonal, each
+    entry its row's sum of re^2 + im^2 over the row's nonzero entries,
+    added one at a time in column order, as verify_tl's tables add them."""
+    assert (np.count_nonzero(c, axis=0) <= 1).all()
+    diag = np.zeros(c.shape[0])
+    for r, k in zip(*np.nonzero(c)):
+        z = c[r, k]
+        diag[r] += z.real * z.real + z.imag * z.imag
+    return np.diag(diag)
+
+
 def grading_verify_tl(g, cells, max_len: int = 4) -> TLReport:
     """Sweep every grading with |word| <= max_len and report max residuals.
 
@@ -375,12 +387,12 @@ def grading_verify_tl(g, cells, max_len: int = 4) -> TLReport:
             for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
                 # one cup block per insertion order; the cap is its adjoint
                 cu = cup(g, cells, cap_grading(grading, i, tag), i).matrix
-                comps[tag] = cu @ cu.conj().T
+                comps[tag] = _diagonal_gram(cu)
                 bump("cupcap", _mnorm(comps[tag] - beta * eye), f"{here} i={i} cap {tag.value}")
             if i <= n:
                 cre = creation(g, cells, grading, i)
                 ann = annihilation(g, cells, cre.codomain, i)
-                gram = ann.matrix @ cre.matrix
+                gram = _diagonal_gram(ann.matrix)
                 bump("h1", _mnorm(gram - delta * eye), f"{here} i={i} collapse block")
                 gram2 = gram @ gram
                 for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):

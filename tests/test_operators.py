@@ -13,6 +13,7 @@ from su3paths import (
     annihilation,
     annihilation_pattern,
     apply_annihilation,
+    build_a_graph,
     cap_oriented,
     cell_system,
     collapsed_grading,
@@ -33,6 +34,7 @@ from su3paths import (
     tl_u,
     verify_adjointness,
     verify_tl,
+    word_paths,
 )
 
 from oracle import (
@@ -389,32 +391,73 @@ def test_stacked_blocks_are_padded_blocks(e5, e5_cells, word, i):
             m = block(s)
             assert stack[q][: m.shape[0], : m.shape[1]].tobytes() == m.tobytes()
             assert not stack[q][m.shape[0] :].any() and not stack[q][:, m.shape[1] :].any()
-    # C C^H from each grading's entries alone (verify_tl's compact blocks)
-    # is the padded stack's C C^H, byte for byte: on the cap words' cups
-    # (real) and the expanded words' annihilations, shipped and gauged.
-    # Only the sign of a zero may differ (the padded product sums more
-    # zero columns), which no residual sees; adding 0.0 clears it.
-    from su3paths.operators import _cap_word, _Entries, _expanded_word
-    from su3paths.paths import _walk_counts
 
-    w = parse_word(word)
-    dims = _walk_counts(e5, w).ravel()
-    caps = [cup_pattern(e5, _cap_word(w, i, tag), i) for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR)]
-    expanded = [annihilation_pattern(e5, _expanded_word(w, j), j) for j in (i, i + 1)]
-    for cells in (e5_cells, gauge_transform(e5_cells, random_gauge(e5, seed=23))):
-        for patterns, values in (
-            (caps, [p.weight for p in caps]),
-            (expanded, [p.values(cells.vector) for p in expanded]),
-        ):
-            entries = _Entries(patterns, values, dims.size)
-            for d in sorted(set(dims[dims > 0].tolist())):
-                numbers = np.flatnonzero(dims == d)
-                compact = entries.group(numbers, d).products(0, len(patterns))
-                assert compact.dtype == values[0].dtype
-                for j, (p, v) in enumerate(zip(patterns, values)):
-                    padded = p.stacked(numbers, v)
-                    padded = padded @ padded.conj().swapaxes(-1, -2)
-                    assert (compact[j] + 0.0j).tobytes() == (padded + 0.0).tobytes()
+
+@pytest.mark.parametrize("name,max_len", [("a2", 4), ("a3", 3), ("a4", 3), ("a5", 3), ("e5", 4)])
+def test_cup_cap_and_collapse_blocks_are_the_tables(name, max_len):
+    """verify_tl reads cup cap and C_i C+_i from per-vertex and per-arrow
+    tables; here every cap word's cup and every expanded word's C_i is
+    held to them, on shipped and gauged cells."""
+    from su3paths.operators import _cap_word, _diagonal_tables, _expanded_word
+    from su3paths.paths import _walk_counts, _words
+
+    g = get_graph(name)
+    sd = spectral_data(g)
+    tags = (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR)
+    shipped = shipped_cells(g)
+    cupcap, collapse = _diagonal_tables(g, shipped.vector)
+    assert np.abs(cupcap - sd.beta).max() <= 1e-12
+    for t, row in zip(tags, collapse):
+        arrows = _walk_counts(g, (t,)) > 0
+        assert np.abs(row[arrows] - sd.delta).max() <= 1e-12 and not row[~arrows].any()
+
+    for cells in (shipped, gauge_transform(shipped, random_gauge(g, seed=23))):
+        cupcap, collapse = _diagonal_tables(g, cells.vector)
+        for w in _words(max_len):
+            dims = _walk_counts(g, w).ravel()
+            numbers = np.flatnonzero(dims)
+            if not numbers.size:
+                continue
+            paths, n = word_paths(g, w), len(w)
+            blocks = [
+                (cup_pattern(g, _cap_word(w, i, t), i), None, cupcap[k, paths[:, i - 1]])
+                for i in range(1, n + 2)
+                for k, t in enumerate(tags)
+            ] + [
+                (
+                    annihilation_pattern(g, _expanded_word(w, i), i),
+                    cells.vector,
+                    collapse[tags.index(w[i - 1]), paths[:, i - 1], paths[:, i]],
+                )
+                for i in range(1, n + 1)
+            ]
+            for p, vector, table in blocks:
+                c = p.stacked(numbers, p.weight if vector is None else p.values(vector))
+                cch = c @ c.conj().swapaxes(-1, -2)
+                diag = np.diagonal(cch, axis1=1, axis2=2).copy()
+                cch[:, np.arange(cch.shape[1]), np.arange(cch.shape[1])] = 0.0
+                assert not cch.any()  # C C^H is diagonal, exactly
+                # the gradings' rows, in order, are the word's paths
+                rows = np.arange(diag.shape[1]) < dims[numbers].astype(int)[:, None]
+                assert not diag[~rows].any()
+                assert (np.abs(diag[rows] - table) <= 4 * np.spacing(table)).all()
+
+
+def test_sweep_reads_no_word_longer_than_max_len(monkeypatch):
+    from su3paths import paths as paths_mod
+
+    g = build_a_graph(2)  # a fresh graph: no word is materialized yet
+    assert verify_tl(g, shipped_cells(g), 3).passed(1e-8)
+    for fn in (word_paths, cup_pattern, annihilation_pattern):
+        words = [key[1] for key in g._memo if key[0] is fn.__wrapped__]
+        assert words and max(len(w) for w in words) <= 3
+    # words of length 3 have 24 paths each on a2: capped below that, the
+    # sweep to length 2 still runs, with every check
+    unbounded = verify_tl(g, shipped_cells(g), 2)
+    g = build_a_graph(2)
+    monkeypatch.setattr(paths_mod, "MAX_PATH_SPACE", 20)
+    capped = verify_tl(g, shipped_cells(g), 2)
+    assert capped.passed(1e-8) and capped.checks == unbounded.checks == 763
 
 
 def test_apply_guards(a2, a2_cells):
