@@ -393,6 +393,19 @@ def test_stacked_blocks_are_padded_blocks(e5, e5_cells, word, i):
             assert not stack[q][m.shape[0] :].any() and not stack[q][:, m.shape[1] :].any()
 
 
+def _assert_gram_is_diagonal(c: np.ndarray, dims: np.ndarray, table: np.ndarray):
+    """c stacks one zero-padded block per grading, dims[q] rows on grading
+    q: C C^H is diagonal, exactly, and its diagonal on the gradings' rows,
+    in order, is the table within 4 ulps."""
+    cch = c @ c.conj().swapaxes(-1, -2)
+    diag = np.diagonal(cch, axis1=1, axis2=2).copy()
+    cch[:, np.arange(cch.shape[1]), np.arange(cch.shape[1])] = 0.0
+    assert not cch.any()
+    rows = np.arange(diag.shape[1]) < dims.astype(int)[:, None]
+    assert not diag[~rows].any()
+    assert (np.abs(diag[rows] - table) <= 4 * np.spacing(table)).all()
+
+
 @pytest.mark.parametrize("name,max_len", [("a2", 4), ("a3", 3), ("a4", 3), ("a5", 3), ("e5", 4)])
 def test_cup_cap_and_collapse_blocks_are_the_tables(name, max_len):
     """verify_tl reads cup cap and C_i C+_i from per-vertex and per-arrow
@@ -419,28 +432,16 @@ def test_cup_cap_and_collapse_blocks_are_the_tables(name, max_len):
             if not numbers.size:
                 continue
             paths, n = word_paths(g, w), len(w)
-            blocks = [
-                (cup_pattern(g, _cap_word(w, i, t), i), None, cupcap[k, paths[:, i - 1]])
-                for i in range(1, n + 2)
-                for k, t in enumerate(tags)
-            ] + [
-                (
-                    annihilation_pattern(g, _expanded_word(w, i), i),
-                    cells.vector,
-                    collapse[tags.index(w[i - 1]), paths[:, i - 1], paths[:, i]],
-                )
-                for i in range(1, n + 1)
-            ]
-            for p, vector, table in blocks:
-                c = p.stacked(numbers, p.weight if vector is None else p.values(vector))
-                cch = c @ c.conj().swapaxes(-1, -2)
-                diag = np.diagonal(cch, axis1=1, axis2=2).copy()
-                cch[:, np.arange(cch.shape[1]), np.arange(cch.shape[1])] = 0.0
-                assert not cch.any()  # C C^H is diagonal, exactly
-                # the gradings' rows, in order, are the word's paths
-                rows = np.arange(diag.shape[1]) < dims[numbers].astype(int)[:, None]
-                assert not diag[~rows].any()
-                assert (np.abs(diag[rows] - table) <= 4 * np.spacing(table)).all()
+            for i in range(1, n + 2):
+                for k, t in enumerate(tags):
+                    p = cup_pattern(g, _cap_word(w, i, t), i)
+                    table = cupcap[k, paths[:, i - 1]]
+                    _assert_gram_is_diagonal(p.stacked(numbers, p.weight), dims[numbers], table)
+            for i in range(1, n + 1):
+                p = annihilation_pattern(g, _expanded_word(w, i), i)
+                table = collapse[tags.index(w[i - 1]), paths[:, i - 1], paths[:, i]]
+                c = p.stacked(numbers, p.values(cells.vector))
+                _assert_gram_is_diagonal(c, dims[numbers], table)
 
 
 def test_sweep_reads_no_word_longer_than_max_len(monkeypatch):
