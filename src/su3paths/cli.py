@@ -705,6 +705,16 @@ def _add_graph_arg(p: argparse.ArgumentParser, optional: bool = False) -> None:
     p.add_argument("--graph-file", help="load the graph from a JSON file instead")
 
 
+def _add_max_len(p: argparse.ArgumentParser, default: int) -> None:
+    def length(text: str) -> int:
+        n = int(text)
+        if n < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+        return n
+
+    p.add_argument("--max-len", type=length, default=default, help="longest word swept")
+
+
 def _add_format(p: argparse.ArgumentParser, choices=("text", "json")) -> None:
     p.add_argument("--format", choices=list(choices), default="text")
     p.add_argument("--json", action="store_true", help="shorthand for --format json")
@@ -749,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = csub.add_parser("verify", help="re-verify a cell file")
     _add_graph_arg(p, optional=True)
     p.add_argument("--in", dest="infile", required=True, help="cell file to check")
-    p.add_argument("--max-len", type=int, default=3)
+    _add_max_len(p, 3)
     _add_format(p)
     p.set_defaults(func=cmd_cells_verify)
 
@@ -757,13 +767,13 @@ def build_parser() -> argparse.ArgumentParser:
     vsub = p_verify.add_subparsers(dest="subcommand", required=True)
     p = vsub.add_parser("tl", help="loop-algebra relation residuals")
     _add_graph_arg(p, optional=True)
-    p.add_argument("--max-len", type=int, default=4)
+    _add_max_len(p, 4)
     p.add_argument("--cells", help="cell file (default: shipped)")
     _add_format(p)
     p.set_defaults(func=cmd_verify_tl)
     p = vsub.add_parser("decomposition", help="path-space decomposition sweep")
     _add_graph_arg(p, optional=True)
-    p.add_argument("--max-len", type=int, default=4)
+    _add_max_len(p, 4)
     p.add_argument("--cells", help="cell file (default: shipped)")
     _add_format(p)
     p.set_defaults(func=cmd_verify_decomposition)
@@ -800,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="one-shot reproduction report")
     _add_graph_arg(p, optional=True)
     p.add_argument("--cells", help="cell file (default: shipped)")
-    p.add_argument("--max-len", type=int, default=4)
+    _add_max_len(p, 4)
     _add_format(p)
     p.set_defaults(func=cmd_report)
 

@@ -524,7 +524,10 @@ def verify_decomposition(g: GraphSpec, cells: CellSystem, max_len: int = 4) -> M
     The sweep goes word by word, in _words order, and evaluates the
     residuals of a word's group of gradings of one dimension as one
     batch (see Decomposer).  A NaN residual, like a non-finite operator
-    entry, raises DecompositionError naming the first such grading."""
+    entry, raises DecompositionError naming the first such grading; a
+    negative max_len raises ValueError."""
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     dec = Decomposer(g, cells)
     worst = {
         "hermitian": 0.0,

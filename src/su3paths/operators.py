@@ -40,18 +40,20 @@ sweeps all words up to a length and reports max residuals for: the
 quadratic relation U^2 = [2] U, commutation at distance, the two-sided
 triangle identity, the quartic relation, the F-lemma
 F_i F_{i+1} F_i = K F_i with F_i = U_i U_{i+1} U_i - U_i, and the cup-cap
-identities.  The gradings of one word and dimension are one batch, and
-each relation is one product over every slot it covers, with the U_i of
-all slots in one array.  Cup cap and the collapse block C_i C+_i are
-diagonal, with an entry per path that depends only on the vertex
-v_{i-1} (beta) or the arrow v_{i-1} -> v_i ([2]), so they are read from
-a per-vertex and a per-arrow table, and the sweep needs paths only up
-to the swept length.  The worst location of each relation is named as
-if the gradings had been visited one at a time.  The triangle
-identities are evaluated at positions where every operator involved
-acts on a constant-tag run; on other patterns the operators involved
-are not all triangle moves and the identities do not apply (see tests
-for an explicit mixed-word counterexample).
+identities.  C_i changes only v_i, given v_{i-1} and v_{i+1}, so each
+relation is checked once per call on its window words, the two to four
+letters its slots touch, and tabled per window grading; a word's
+residual on a grading is the maximum of the table over the grading's
+paths.  Cup cap and the collapse block C_i C+_i are zero- and one-letter
+windows: diagonal, with an entry per path that depends only on the
+vertex v_{i-1} (beta) or the arrow v_{i-1} -> v_i ([2]).  So the sweep
+builds no block of a swept word and needs paths only up to the swept
+length.  The worst location of each relation is named as if the
+gradings had been visited one at a time.  The triangle identities are
+evaluated at positions where every operator involved acts on a
+constant-tag run; on other patterns the operators involved are not all
+triangle moves and the identities do not apply (see tests for an
+explicit mixed-word counterexample).
 """
 
 from __future__ import annotations
@@ -186,8 +188,9 @@ def _check_slot(i: int, lo: int, hi: int, what: str):
 # builders, so a block is cheaper to rebuild than to hold.  creation and
 # cap return a fresh conjugate transpose of an annihilation or cup block
 # on each call, and tl_u multiplies one; none of these keeps anything.
-# The stacks the sweeps build (_Pattern.stacked) and verify_tl's cup cap
-# and collapse tables are not kept either.
+# The stacks the sweeps build (_Pattern.stacked: the Decomposer's on
+# every word, verify_tl's on its window words only) and verify_tl's
+# window tables are not kept either.
 # Patterns and matrices are immutable.
 
 
@@ -431,13 +434,16 @@ def apply_annihilation(g, cells, p: ElementaryPath, i: int) -> PathVector:
 # relation verification
 #
 # Every operator keeps a path's start and end, so on one word it is block
-# diagonal over the word's gradings.  The sweeps visit words: the
-# gradings of a word with equal dimension d form one group, each slot's
-# blocks on a group are one zero-padded stack scattered from the graph's
-# pattern (_Pattern.stacked), and every relation is a batched product
-# with one maximum per (check, grading).  Cup cap and C_i C+_i need no
-# blocks: their diagonals are per-vertex and per-arrow tables
-# (_diagonal_tables), indexed with the word's paths.
+# diagonal over the word's gradings.  The relations are local: each is
+# checked once per call on its window words (two to four letters), where
+# the gradings of equal dimension d form one group, each slot's blocks
+# on a group are one zero-padded stack scattered from the graph's
+# pattern (_Pattern.stacked), and the relation is a batched product with
+# one residual per window grading (_window_tables).  The sweep then
+# visits words and reads each (check, grading) residual from the tables,
+# as a maximum over the grading's paths.  Cup cap and C_i C+_i are the
+# zero- and one-letter windows: per-vertex and per-arrow tables
+# (_diagonal_tables).
 
 
 def _mnorm(x: np.ndarray) -> float:
@@ -575,6 +581,80 @@ class TLReport:
         return out
 
 
+def _window_us(g: GraphSpec, vector: np.ndarray, word: Word):
+    """U_i = C_i^H C_i on the gradings of a window word, a dimension group
+    at a time: yields (numbers, us) with us[i - 1] the (k, d, d) stack of
+    slot i's blocks on the k gradings ``numbers`` of dimension d, zero
+    on a mixed slot."""
+    from .cells import _gram
+
+    n = len(word)
+    slots = [(i, annihilation_pattern(g, word, i)) for i in range(1, n) if word[i - 1] is word[i]]
+    slots = [(i, p, p.values(vector)) for i, p in slots]
+    dims = _walk_counts(g, word).ravel()
+    nonzero = np.flatnonzero(dims)
+    for d in sorted(set(dims[nonzero].tolist())):
+        numbers = nonzero[dims[nonzero] == d]
+        us = np.zeros((n - 1, len(numbers), d, d), dtype=complex)
+        for i, p, values in slots:
+            us[i - 1] = _gram(p.stacked(numbers, values))
+        yield numbers, us
+
+
+def _window_tables(g: GraphSpec, vector: np.ndarray, max_len: int) -> dict:
+    """Per relation checked on U blocks, its residual on every grading of
+    every window word of at most max_len letters, as a stack of V x V
+    tables, one per window tag pattern, indexed by the window's first
+    and last vertex (-inf where the window has no path; the lemma-fit
+    inner products 0.0 there).
+
+    With tag index 0 for sigma and 1 for sigma-bar, ``h1[2 t + u]`` is
+    U_1^2 - [2] U_1 on the two-letter window (t, u), 0.0 on a mixed pair,
+    where U_1 = 0; ``h2[2 t + u]`` is [U_1, U_3] on (t, t, u, u).
+    ``h3[t]`` and ``f_square[t]`` are on (t, t, t), and ``h4[t]``,
+    ``lemma[t]`` and the inner products ``num[t]`` = <F_1, F_1 F_2 F_1>
+    and ``den[t]`` = <F_1, F_1> on (t, t, t, t).  Each window word's
+    groups of equal dimension are one batch.
+    """
+    sd = spectral_data(g)
+    delta, beta = sd.delta, sd.beta
+    V = len(g.vertices)
+    t = {key: np.full((4, V * V), -np.inf) for key in ("h1", "h2")}
+    t.update({key: np.full((2, V * V), -np.inf) for key in ("h3", "f_square", "h4", "lemma")})
+    t.update(num=np.zeros((2, V * V)), den=np.zeros((2, V * V)))
+    t["h1"][[1, 2]] = 0.0
+    for k, tag in enumerate((EdgeTag.SIGMA, EdgeTag.SIGMA_BAR)):
+        windows = [(tag,) * 2, (tag,) * 3, (tag,) * 4, (tag, tag, tag.opposite, tag.opposite)]
+        for w in windows:
+            if len(w) > max_len:
+                continue
+            for s, us in _window_us(g, vector, w):
+                if len(w) == 2:
+                    u = us[0]
+                    t["h1"][3 * k, s] = _mnorms(u @ u - delta * u)
+                elif len(w) == 3:
+                    ui, uj = us
+                    fi = ui @ uj @ ui - ui
+                    t["h3"][k, s] = _mnorms(fi - (uj @ ui @ uj - uj))
+                    t["f_square"][k, s] = _mnorms(fi @ fi - delta * beta * fi)
+                elif w[2] is tag:
+                    ui, uj, uk = us
+                    t["h2"][3 * k, s] = _mnorms(ui @ uk - uk @ ui)
+                    left = ui - uk @ uj @ ui + uj
+                    right = uj @ uk @ uj - uj
+                    t["h4"][k, s] = _mnorms(left @ right)
+                    fi = ui @ uj @ ui - ui
+                    fj = uj @ uk @ uj - uj
+                    fjf = fi @ fj @ fi
+                    t["lemma"][k, s] = _mnorms(fjf - float(delta**2) * fi)
+                    t["num"][k, s] = [np.vdot(f, h).real for f, h in zip(fi, fjf)]
+                    t["den"][k, s] = [np.vdot(f, f).real for f in fi]
+                else:
+                    ui, uk = us[0], us[2]
+                    t["h2"][2 * k + (1 - k), s] = _mnorms(ui @ uk - uk @ ui)
+    return {key: table.reshape(-1, V, V) for key, table in t.items()}
+
+
 def verify_tl(
     g: GraphSpec,
     cells: CellSystem,
@@ -598,37 +678,45 @@ def verify_tl(
             and (C_i C+_i)^2 = 1 + cup cap on every grading.
     sum_rule: the per-arrow cell normalization.
 
-    The sweep goes word by word.  The gradings of nonzero dimension d of
-    a word are one group.  Per slot, the group's blocks of the word's
-    annihilation C_i are stacked, zero-padded, and U_i = C_i^H C_i of
-    every slot goes into one (n-1, k, d, d) array for k gradings.  Each
-    relation is then one batched product over all the slots it covers:
-    h1 over every i, h2 over every pair j >= i+2, h3 and f_square over
-    every run of length 3, h4 and lemma over every run of length 4.
-    Stacking blocks of equal shape on more leading axes gives each block
-    the product it would get alone, so the residuals do not depend on
-    the batching.  Cup cap and the collapse block C_i C+_i are diagonal,
-    with an entry per path that depends only on v_{i-1} or on the arrow
-    v_{i-1} -> v_i (_diagonal_tables).  The two tables are read once per
-    call from two-letter patterns, indexed per word with the word's
-    paths, and each check's maximum over a grading is taken over the
-    grading's slice of paths.  So the sweep reads no path array or
-    pattern longer than max_len (or two letters), and PathSpaceTooLarge
-    stops it only at a swept word.  The cap words' cups and the expanded
-    words' annihilations, which it no longer reads, are checked against
-    the tables and loop-built blocks in the tests and by
+    C_i contracts v_{i-1} v_i v_{i+1} and keeps every other vertex, so
+    U_i = C+_i C_i changes only v_i, given v_{i-1} and v_{i+1}.  On any
+    grading, each check is then a direct sum of copies of one window
+    check: the letters from the check's first slot to one past its
+    last, at the grading from the window's first vertex to its last.
+    So the relations are checked once per call, on the window words
+    only (_window_tables: at most eight words of two to four letters,
+    one batched product per group of equal dimension), and a word's
+    residual per (check, grading) is the maximum of the window's table
+    over the grading's paths: one gather from word_paths and one
+    np.maximum.reduceat over the grading offsets.  h2 at distance 2
+    reads the window t t u u; at distance 3 or more the two operators
+    touch disjoint vertices and commute exactly, so the check reads
+    0.0, or NaN where a two-letter window is not finite.  The fitted
+    K's inner products on a grading are the window's, once per way to
+    reach the window from the start and to leave it to the end.  Cup
+    cap and the collapse block C_i C+_i are zero- and one-letter
+    windows: diagonal, with an entry per path that depends only on
+    v_{i-1} or on the arrow v_{i-1} -> v_i (_diagonal_tables).  So the
+    sweep builds no block of a swept word, and reads no path array or
+    pattern longer than max_len (or two letters); PathSpaceTooLarge
+    stops it only at a swept word.  The checks on whole blocks are held
+    to their windows' maxima in the tests, and the cap words' cups and
+    the expanded words' annihilations, which the sweep does not read,
+    are checked against the tables and loop-built blocks there and by
     verify_adjointness.
 
     A check is counted per grading, and ``worst`` names the first
     grading and slot, in iter_gradings order, where a relation reaches
-    its maximum.  The fitted K sums per grading in that order.
+    its maximum.  The fitted K sums per grading in that order.  Raises
+    ValueError for a negative max_len.
     """
-    from .cells import _gram, max_sum_rule_residual
+    from .cells import max_sum_rule_residual
 
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     sd = spectral_data(g)
     delta, beta = sd.delta, sd.beta
     kconst = float(delta**2)
-    vector = cells.vector
 
     top = _Maxima(("h1", "h2", "h3", "h4", "lemma", "f_square", "cupcap", "sum_rule"))
     top.bump_one("sum_rule", max_sum_rule_residual(g, cells), "arrows")
@@ -636,92 +724,98 @@ def verify_tl(
     fit_den = 0.0
 
     tags = (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR)
-    cupcap, collapse = _diagonal_tables(g, vector)
+    tables = _window_tables(g, cells.vector, max_len)
+    # the zero- and one-letter windows: ``cups`` holds cap s and cap b at
+    # v_{i-1} (read at v_{i-1}, v_{i-1}), then with id 2 + 2 t + c the
+    # square of C_i C+_i on a t arrow v_{i-1} -> v_i against cap c;
+    # ``collapse`` holds the collapse block on a t arrow, with id t
+    cupcap, collapse = _diagonal_tables(g, cells.vector)
+    V = len(g.vertices)
+    cups = np.concatenate(
+        [
+            np.repeat(np.abs(cupcap - beta)[:, :, None], V, axis=2),
+            np.abs((collapse * collapse)[:, None] - (1.0 + cupcap[None, :, :, None])).reshape(4, V, V),
+        ]
+    )
+    collapse = np.abs(collapse - delta)
     for w in _words(max_len):
         dims = _walk_counts(g, w).ravel()
         nonzero = np.flatnonzero(dims)
         if not nonzero.size:
             continue
         n = len(w)
-        # per slot, a pattern and its entry values for the cells
-        slots = {}
-        for i in range(1, n):
-            if w[i - 1] is w[i]:
-                p = annihilation_pattern(g, w, i)
-                slots[i] = (p, p.values(vector))
-        pairs = np.array([(i, j) for i in range(1, n) for j in range(i + 2, n)], dtype=int)
-        # constant-tag runs of length 3 and 4, by their first slot
-        runs3 = np.array([i for i in range(1, n - 1) if w[i - 1] == w[i] == w[i + 1]], dtype=int)
-        runs4 = np.array(
-            [i for i in range(1, n - 2) if w[i - 1] == w[i] == w[i + 1] == w[i + 2]], dtype=int
-        )
-        fits = []
-        top.start_word(w)
-
-        for d in sorted(set(dims[nonzero].tolist())):
-            numbers = nonzero[dims[nonzero] == d]
-            k = len(numbers)
-            top.start_group(numbers)
-            # U_i = C_i^H C_i on slot axis i - 1, zero on mixed pairs
-            us = np.zeros((max(n - 1, 0), k, d, d), dtype=complex)
-            for i, (p, values) in slots.items():
-                us[i - 1] = _gram(p.stacked(numbers, values))
-            top.bump("h1", _mnorms(us @ us - delta * us), [f" i={i}" for i in range(1, n)])
-            if len(pairs):
-                ui, uj = us[pairs[:, 0] - 1], us[pairs[:, 1] - 1]
-                top.bump("h2", _mnorms(ui @ uj - uj @ ui), [f" i={i} j={j}" for i, j in pairs.tolist()])
-            if len(runs3):
-                ui, uj = us[runs3 - 1], us[runs3]
-                fi = ui @ uj @ ui - ui
-                where = [f" i={i}" for i in runs3.tolist()]
-                top.bump("h3", _mnorms(fi - (uj @ ui @ uj - uj)), where)
-                top.bump("f_square", _mnorms(fi @ fi - delta * beta * fi), where)
-            if len(runs4):
-                ui, uj, uk = us[runs4 - 1], us[runs4], us[runs4 + 1]
-                left = ui - uk @ uj @ ui + uj
-                right = uj @ uk @ uj - uj
-                where = [f" i={i}" for i in runs4.tolist()]
-                top.bump("h4", _mnorms(left @ right), where)
-                fi = ui @ uj @ ui - ui
-                fj = uj @ uk @ uj - uj
-                fjf = fi @ fj @ fi
-                top.bump("lemma", _mnorms(fjf - kconst * fi), where)
-                fits += [
-                    (s, i, float(np.vdot(f, h).real), float(np.vdot(f, f).real))
-                    for i, fr, hr in zip(runs4.tolist(), fi, fjf)
-                    for s, f, h in zip(numbers.tolist(), fr, hr)
-                ]
-
-        # cup cap (slot, tag, path) and C_i C+_i (slot, path) on the word's
-        # paths, and each check's maximum per grading.  They come after the
-        # group loop, so on a tie within one grading the U rows of h1 keep
-        # the location: they come first among a grading's h1 checks.
         paths = word_paths(g, w).T
-        comps = cupcap[:, paths].swapaxes(0, 1)
-        letters = np.array([tags.index(t) for t in w], dtype=np.intp)
-        gram = collapse[letters[:, None], paths[:-1], paths[1:]]
-        caps = np.abs(comps - beta)
-        square = np.abs((gram * gram)[:, None] - (1.0 + comps[:n]))
-        # per slot: cap s, cap b, square vs cap s, square vs cap b; the
-        # last slot, n + 1, has no collapse block and so only the caps
-        cupcap_res = np.concatenate([caps[:n], square], axis=1).reshape(-1, paths.shape[1])
         starts = (np.cumsum(dims) - dims)[nonzero].astype(np.intp)
+
+        def read(tables: np.ndarray, ids, first, last) -> np.ndarray:
+            """Row r: per grading, the maximum over the grading's paths of
+            tables[ids[r]] at the path's vertices first[r] and last[r]."""
+            at = tables[np.asarray(ids)[:, None], paths[first], paths[last]]
+            return np.maximum.reduceat(at, starts, axis=1)
+
+        letters = np.array([tags.index(t) for t in w], dtype=np.intp)
+        slots = np.arange(1, n)
+        like = letters[:-1] == letters[1:]
+        top.start_word(w)
         top.start_group(nonzero)
+        h1 = read(tables["h1"], 2 * letters[:-1] + letters[1:], slots - 1, slots + 1)
+        top.bump("h1", h1, [f" i={i}" for i in slots.tolist()])
+        if n >= 4:
+            # U_i and U_j on disjoint vertices commute exactly: 0.0, or NaN
+            # where a slot's window is not finite (0.0 times its h1
+            # residual); at distance 2 they share v_{i+1}, and on a window
+            # t t u u both act
+            i, j = np.array([(i, j) for i in range(1, n) for j in range(i + 2, n)]).T
+            h2 = np.maximum(h1[i - 1], h1[j - 1]) * 0.0
+            near = (j == i + 2) & like[i - 1] & like[j - 1]
+            i2, j2 = i[near], j[near]
+            h2[near] = read(tables["h2"], 2 * letters[i2 - 1] + letters[j2 - 1], i2 - 1, j2 + 1)
+            top.bump("h2", h2, [f" i={a} j={b}" for a, b in zip(i.tolist(), j.tolist())])
+        runs3 = np.flatnonzero(like[:-1] & like[1:]) + 1
+        if len(runs3):
+            where = [f" i={i}" for i in runs3.tolist()]
+            for key in ("h3", "f_square"):
+                top.bump(key, read(tables[key], letters[runs3 - 1], runs3 - 1, runs3 + 2), where)
+        runs4 = np.flatnonzero(like[:-2] & like[1:-1] & like[2:]) + 1
+        fits = []
+        if len(runs4):
+            where = [f" i={i}" for i in runs4.tolist()]
+            for key in ("h4", "lemma"):
+                top.bump(key, read(tables[key], letters[runs4 - 1], runs4 - 1, runs4 + 3), where)
+            # the word block's inner product: each window's, once per way
+            # to reach the window from the start and to leave it to the end
+            for i in runs4.tolist():
+                pre = _walk_counts(g, w[: i - 1]).astype(float)
+                post = _walk_counts(g, w[i + 3 :]).astype(float)
+                num, den = (
+                    (pre @ tables[key][letters[i - 1]] @ post).ravel()[nonzero].tolist()
+                    for key in ("num", "den")
+                )
+                fits += zip(nonzero.tolist(), [i] * len(num), num, den)
+
+        # the collapse and cup cap rows come last, so on a tie within one
+        # grading the U rows of h1 keep the location: they come first
+        # among a grading's h1 checks
+        vertex = np.arange(n + 1)
         top.bump(
             "h1",
-            np.maximum.reduceat(np.abs(gram - delta), starts, axis=1),
+            read(collapse, letters, vertex[:-1], vertex[1:]),
             [f" i={i} collapse block" for i in range(1, n + 1)],
         )
-        top.bump(
-            "cupcap",
-            np.maximum.reduceat(np.concatenate([cupcap_res, caps[n]]), starts, axis=1),
-            [
-                f" i={i} {check} {tag.value}"
-                for i in range(1, n + 2)
-                for check in (("cap", "square vs cap") if i <= n else ("cap",))
-                for tag in tags
-            ],
+        # per slot: cap s, cap b, square vs cap s, square vs cap b; the
+        # last slot, n + 1, has no collapse block and so only the caps
+        ids = np.stack(
+            [np.zeros_like(letters), np.ones_like(letters), 2 + 2 * letters, 3 + 2 * letters], axis=1
         )
+        first = vertex.repeat(4)[: 4 * n + 2]
+        last = first + np.tile([0, 0, 1, 1], n + 1)[: 4 * n + 2]
+        where = [
+            f" i={i} {check} {t.value}"
+            for i in range(1, n + 2)
+            for check in (("cap", "square vs cap") if i <= n else ("cap",))
+            for t in tags
+        ]
+        top.bump("cupcap", read(cups, np.append(ids, [0, 1]), first, last), where)
         top.end_word(g)
         for _, _, num, den in sorted(fits):
             fit_num += num
@@ -751,8 +845,11 @@ def verify_adjointness(g: GraphSpec, cells: CellSystem, max_len: int = 4) -> flo
     (|w| <= max_len - 2) map back onto w, i.e. their blocks on w's
     gradings have w's dimensions as rows.  Returns 0.0 when they do and
     inf otherwise; the cells are not read.  The weights themselves are
-    checked against loop-built blocks in the tests.
+    checked against loop-built blocks in the tests.  Raises ValueError
+    for a negative max_len.
     """
+    if max_len < 0:
+        raise ValueError(f"max_len must be >= 0, got {max_len}")
     for w in _words(max_len - 1):
         dims = _walk_counts(g, w).ravel()
         nonzero = np.flatnonzero(dims)

@@ -71,6 +71,7 @@ from su3paths.operators import (
     CREATION,
     CUP,
     TLReport,
+    _above,
     _check_slot,
     _mnorm,
     annihilation,
@@ -305,6 +306,107 @@ def _diagonal_gram(c: np.ndarray) -> np.ndarray:
     return np.diag(diag)
 
 
+def _u_relations(word, sd):
+    """verify_tl's checks on U blocks for one grading of the word, in its
+    per-grading order: (key, where, slots, residual), the residual a
+    function of the U blocks of the slots."""
+    delta, beta, kconst = sd.delta, sd.beta, float(sd.delta**2)
+    n = len(word)
+
+    def f(ui, uj):
+        return ui @ uj @ ui - ui
+
+    out = []
+    for i in range(1, n):
+        out.append(("h1", f" i={i}", (i,), lambda u: _mnorm(u @ u - delta * u)))
+        for j in range(i + 2, n):
+            out.append(("h2", f" i={i} j={j}", (i, j), lambda a, b: _mnorm(a @ b - b @ a)))
+    for i in range(1, n - 1):
+        if word[i - 1] == word[i] == word[i + 1]:
+            out.append(("h3", f" i={i}", (i, i + 1), lambda a, b: _mnorm(f(a, b) - f(b, a))))
+            out.append(
+                ("f_square", f" i={i}", (i, i + 1), lambda a, b: _mnorm(f(a, b) @ f(a, b) - delta * beta * f(a, b)))
+            )
+    for i in range(1, n - 2):
+        if word[i - 1] == word[i] == word[i + 1] == word[i + 2]:
+            out.append(("h4", f" i={i}", (i, i + 1, i + 2), lambda a, b, c: _mnorm((a - c @ b @ a + b) @ f(b, c))))
+            out.append(
+                ("lemma", f" i={i}", (i, i + 1, i + 2), lambda a, b, c: _mnorm(f(a, b) @ f(b, c) @ f(a, b) - kconst * f(a, b)))
+            )
+    return out
+
+
+def _lemma_fit(a, b, c):
+    """<F_i, F_i F_{i+1} F_i> and <F_i, F_i> on one block, real parts."""
+    fi, fj = a @ b @ a - a, b @ c @ b - b
+    return float(np.vdot(fi, fi @ fj @ fi).real), float(np.vdot(fi, fi).real)
+
+
+def dense_u_checks(g, cells, grading):
+    """The U-block checks of verify_tl on one grading, on the grading's
+    whole blocks: a list of (key, where, residual), and the lemma fit's
+    summed (numerator, denominator)."""
+    us = {i: tl_u(g, cells, grading, i).matrix for i in range(1, grading.length)}
+    checks, num, den = [], 0.0, 0.0
+    for key, where, slots, residual in _u_relations(grading.word, spectral_data(g)):
+        blocks = [us[s] for s in slots]
+        checks.append((key, where, residual(*blocks)))
+        if key == "lemma":
+            a, b = _lemma_fit(*blocks)
+            num, den = num + a, den + b
+    return checks, num, den
+
+
+def window_u_checks(g, cells, grading, memo=None):
+    """The U-block checks of verify_tl on one grading, each the maximum of
+    its relation over the window gradings the grading's paths pass
+    through, and the lemma fit summed over those windows, each once per
+    way to complete it to a path of the grading.
+
+    C_i changes only v_i, given v_{i-1} and v_{i+1}, so on the grading
+    a check on the slots i..k is a direct sum of copies of the check on
+    the window w_i..w_{k+1}, at the grading from v_{i-1} to v_{k+1}; the
+    window blocks are built by tl_u.  U_i and U_j with j >= i + 3 touch
+    disjoint vertices and are a Kronecker pair of their two-letter
+    windows' blocks.  ``memo`` keeps window residuals across gradings.
+    """
+    memo = {} if memo is None else memo
+    paths = walk_paths(g, grading)
+    word = grading.word
+
+    def windows(key, slots, p):
+        if key == "h2" and slots[1] - slots[0] >= 3:
+            spans = [(s - 1, s + 1) for s in slots]
+        else:
+            spans = [(slots[0] - 1, slots[-1] + 1)]
+        return tuple(PathGrading(p.vertices[lo], p.vertices[hi], word[lo:hi]) for lo, hi in spans)
+
+    def blocks(slots, ws):
+        if len(ws) == 2:
+            a, b = (tl_u(g, cells, w, 1).matrix for w in ws)
+            return np.kron(a, np.eye(len(b))), np.kron(np.eye(len(a)), b)
+        return [tl_u(g, cells, ws[0], s - slots[0] + 1).matrix for s in slots]
+
+    checks, num, den = [], 0.0, 0.0
+    for key, where, slots, residual in _u_relations(word, spectral_data(g)):
+        worst = None
+        for ws in dict.fromkeys(windows(key, slots, p) for p in paths):
+            if (key, ws) not in memo:
+                memo[key, ws] = residual(*blocks(slots, ws))
+            if worst is None or _above(memo[key, ws], worst):
+                worst = memo[key, ws]
+        checks.append((key, where, worst))
+        if key == "lemma":
+            lo, hi = slots[0] - 1, slots[-1] + 1
+            ways = {}
+            for p in paths:
+                ways.setdefault(windows(key, slots, p), set()).add(p.vertices[: lo + 1] + p.vertices[hi:])
+            for ws, outer in ways.items():
+                a, b = _lemma_fit(*blocks(slots, ws))
+                num, den = num + len(outer) * a, den + len(outer) * b
+    return checks, num, den
+
+
 def grading_verify_tl(g, cells, max_len: int = 4) -> TLReport:
     """Sweep every grading with |word| <= max_len and report max residuals.
 
@@ -323,6 +425,9 @@ def grading_verify_tl(g, cells, max_len: int = 4) -> TLReport:
     cupcap: cup_i cap_i = beta 1 per insertion order, C_i C+_i = [2] 1,
             and (C_i C+_i)^2 = 1 + cup cap on every grading.
     sum_rule: the per-arrow cell normalization.
+
+    The checks on U blocks are read from their windows
+    (window_u_checks); dense_u_checks gives them on whole blocks.
     """
     sd = spectral_data(g)
     delta, beta = sd.delta, sd.beta
@@ -339,48 +444,26 @@ def grading_verify_tl(g, cells, max_len: int = 4) -> TLReport:
         nonlocal checks
         checks += 1
         # a NaN ranks above every number; the first NaN keeps its place
-        if value > res[key] or (value != value and res[key] == res[key]):
+        if _above(value, res[key]):
             res[key] = value
             worst[key] = where
 
     bump("sum_rule", max_sum_rule_residual(g, cells), "arrows")
 
+    memo = {}
     for grading in iter_gradings(g, max_len):
         dim = path_space_dim(g, grading)
         if dim == 0:
             continue
         n = grading.length
-        w = grading.word
         here = str(grading)
-        us = {i: tl_u(g, cells, grading, i).matrix for i in range(1, n)}
         eye = np.eye(dim)
 
-        for i in range(1, n):
-            ui = us[i]
-            bump("h1", _mnorm(ui @ ui - delta * ui), f"{here} i={i}")
-            for j in range(i + 2, n):
-                bump("h2", _mnorm(ui @ us[j] - us[j] @ ui), f"{here} i={i} j={j}")
-
-        for i in range(1, n - 1):
-            if not (w[i - 1] == w[i] == w[i + 1]):
-                continue
-            ui, uj = us[i], us[i + 1]
-            fi = ui @ uj @ ui - ui
-            bump("h3", _mnorm(fi - (uj @ ui @ uj - uj)), f"{here} i={i}")
-            bump("f_square", _mnorm(fi @ fi - delta * beta * fi), f"{here} i={i}")
-
-        for i in range(1, n - 2):
-            if not (w[i - 1] == w[i] == w[i + 1] == w[i + 2]):
-                continue
-            ui, uj, uk = us[i], us[i + 1], us[i + 2]
-            left = ui - uk @ uj @ ui + uj
-            right = uj @ uk @ uj - uj
-            bump("h4", _mnorm(left @ right), f"{here} i={i}")
-            fi = ui @ uj @ ui - ui
-            fj = uj @ uk @ uj - uj
-            bump("lemma", _mnorm(fi @ fj @ fi - kconst * fi), f"{here} i={i}")
-            fit_num += float(np.vdot(fi, fi @ fj @ fi).real)
-            fit_den += float(np.vdot(fi, fi).real)
+        found, num, den = window_u_checks(g, cells, grading, memo)
+        for key, where, value in found:
+            bump(key, value, here + where)
+        fit_num += num
+        fit_den += den
 
         for i in range(1, n + 2):
             comps = {}
@@ -485,13 +568,16 @@ class GradingDecomposer:
     the graded space: generation 0 is the raw joint kernel, generation
     g >= 1 the independent raising images of generation g-1 vectors of
     the source gradings.  Share one instance across gradings to reuse
-    the recursion.
+    the recursion.  ``decisions`` records every candidate as (norm,
+    residual after orthogonalization), the residual None when the norm
+    is below LIVE_TOL and the candidate is dropped unexamined.
     """
 
     def __init__(self, g, cells):
         self.g = g
         self.cells = cells
         self._memo: dict = {}
+        self.decisions: list = []
 
     def sources(self, grading: PathGrading):
         """(slot, source grading, raising operator) per slot of the word.
@@ -518,12 +604,14 @@ class GradingDecomposer:
         for gen, w in candidates:
             nrm = np.linalg.norm(w)
             if nrm < LIVE_TOL:
+                self.decisions.append((nrm, None))
                 continue
             if accepted:
                 q = np.column_stack([v for _, v in accepted])
                 w = w - q @ (q.conj().T @ w)
                 w = w - q @ (q.conj().T @ w)
             res = np.linalg.norm(w)
+            self.decisions.append((nrm, res))
             if res > RANK_TOL * nrm:
                 accepted.append((gen, w / res))
         out = tuple(accepted)

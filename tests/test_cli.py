@@ -47,6 +47,19 @@ def test_usage_error_status():
     assert run("essential", "a2").status == 2  # --type is required
 
 
+def test_negative_max_len_is_a_usage_error():
+    for argv in (
+        ("report", "a2"),
+        ("verify", "tl", "e5"),
+        ("verify", "decomposition", "e5"),
+        ("cells", "verify", "e5", "--in", "cells.json"),
+    ):
+        assert run(*argv, "--max-len", "-1").status == 2
+    # length 0 sweeps the empty word: its cup caps and the sum rule
+    r = run("verify", "tl", "e5", "--max-len", "0", "--json")
+    assert r.status == 0 and r.payload["checks"] == 25
+
+
 def test_paths_enumerate():
     r = run("paths", "enumerate", "a2", "--from", "3", "--to", "3", "--word", "bs")
     assert r.status == 0

@@ -40,7 +40,7 @@ from su3paths import (
     verify_decomposition,
     words_of_type,
 )
-from su3paths.essential import _word_kernels
+from su3paths.essential import LIVE_TOL, NULL_TOL, RANK_TOL, _word_kernels
 from su3paths.paths import _grading_number, word_paths
 
 from oracle import GradingDecomposer, grading_verify_decomposition, kernel_operators, raw_kernel
@@ -321,6 +321,51 @@ def test_decomposition_matches_grading_oracle(name, max_len, cells_kind):
         assert ker.shape == ref.shape, str(grading)
         gap = np.abs(ker @ ker.conj().T - ref @ ref.conj().T)
         assert gap.max(initial=0.0) <= 1e-12, str(grading)
+
+
+@pytest.mark.parametrize("name,max_len", [("a2", 4), ("a3", 3), ("a4", 3), ("a5", 3), ("e5", 4)])
+def test_rank_decisions_keep_their_margins(name, max_len, monkeypatch):
+    """Every rank decision lies a factor 1e3 or more from its cutoff, on
+    shipped and gauged cells: each kernel's kept sigma / sigma_max above
+    1e3 NULL_TOL and its dropped ones below NULL_TOL / 1e3 (the library's
+    word kernels, the oracle's per-grading kernels and the e5 report's
+    slot-2 kernels all rank through _ranks), and each raised candidate
+    of the oracle decomposer live by 1e3 LIVE_TOL and accepted or
+    rejected by res / nrm a factor 1e3 from RANK_TOL."""
+    import oracle
+    from su3paths import essential, reference
+
+    ranks = essential._ranks
+    kept, dropped = [], []
+
+    def recorded(svals):
+        rank = ranks(svals)
+        top = svals[..., :1]
+        ratio = np.divide(svals, top, out=np.zeros(svals.shape), where=top > 0)
+        keep = np.arange(svals.shape[-1]) < np.asarray(rank)[..., None]
+        kept.append(ratio[keep].min(initial=1.0))
+        dropped.append(ratio[~keep].max(initial=0.0))
+        return rank
+
+    for module in (essential, reference, oracle):
+        monkeypatch.setattr(module, "_ranks", recorded)
+    g = get_graph(name)
+    shipped = shipped_cells(g)
+    for cells in (cell_system(g, shipped.values), gauge_transform(shipped, random_gauge(g, 19))):
+        verify_decomposition(g, cells, max_len)
+        if name == "e5":
+            assert reference.check_e5_ratios(g, cells)[0]
+        dec = GradingDecomposer(g, cells)
+        for grading in iter_gradings(g, max_len):
+            dec.basis(grading)
+        live = [(nrm, res / nrm) for nrm, res in dec.decisions if res is not None]
+        assert live and min(nrm for nrm, _ in live) >= 1e3 * LIVE_TOL
+        accepted = [r for _, r in live if r > RANK_TOL]
+        rejected = [r for _, r in live if r <= RANK_TOL]
+        assert min(accepted) >= 1e3 * RANK_TOL
+        assert max(rejected, default=0.0) <= RANK_TOL / 1e3
+    assert kept and min(kept) >= 1e3 * NULL_TOL
+    assert max(dropped) <= NULL_TOL / 1e3
 
 
 def test_factorize_cap_peel(a2, a2_cells):

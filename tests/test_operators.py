@@ -40,9 +40,11 @@ from su3paths import (
 from oracle import (
     annihilation_deviation,
     cup_mismatches,
+    dense_u_checks,
     grading_verify_adjointness,
     grading_verify_tl,
     oracle_deviation,
+    window_u_checks,
 )
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -276,6 +278,66 @@ def test_sweeps_match_grading_oracle(name, max_len):
         rep = _assert_sweeps_match(g, cells, max_len)
         assert rep.passed(1e-8)
         assert verify_adjointness(g, cells, max_len) == grading_verify_adjointness(g, cells, max_len)
+
+
+@pytest.mark.parametrize(
+    "name,max_len", [("a2", 4), ("a3", 3), ("a4", 3), ("a5", 3), ("e5", 4), ("a2", 5)]
+)
+def test_whole_blocks_check_as_their_windows(name, max_len):
+    """verify_tl and the oracle read every check on U blocks as the
+    maximum over the windows a grading's paths pass through; here each
+    check on the grading's whole blocks is held to that maximum, on
+    shipped and gauged cells (a2 at 5 has h2 at distance 3).
+
+    On shipped cells they are equal bit for bit.  On gauged ones the
+    whole blocks' products add the same terms in another order: an
+    f_square entry near 17 is one ulp (3.6e-15) off, so the bound there
+    is 1e-14 (measured at most 4.4e-15)."""
+    from su3paths import iter_gradings, path_space_dim
+
+    g = get_graph(name)
+    shipped = shipped_cells(g)
+    for cells, tol in ((shipped, 0.0), (gauge_transform(shipped, random_gauge(g, seed=19)), 1e-14)):
+        memo = {}
+        for grading in iter_gradings(g, max_len):
+            if not path_space_dim(g, grading):
+                continue
+            dense, num, den = dense_u_checks(g, cells, grading)
+            windows, wnum, wden = window_u_checks(g, cells, grading, memo)
+            assert [c[:2] for c in dense] == [c[:2] for c in windows]
+            assert all(abs(a - b) <= tol for (_, _, a), (_, _, b) in zip(dense, windows))
+            assert (num, den) == pytest.approx((wnum, wden), rel=1e-12, abs=0.0)
+
+
+def test_sweeps_match_grading_oracle_at_length_5(a2):
+    """From length 5 on, h2 pairs slots at distance 3, which touch
+    disjoint vertices, and a lemma run can have letters on both sides of
+    its window; the sweep equals the oracle there too, also where a NaN
+    cell makes those checks NaN."""
+    from su3paths.cells import CellSystem
+
+    shipped = shipped_cells(a2)
+    for cells in (shipped, gauge_transform(shipped, random_gauge(a2, seed=19))):
+        assert _assert_sweeps_match(a2, cells, 5).passed(1e-8)
+    items = list(shipped.items)
+    items[3] = (items[3][0], complex(math.nan, 0.0))
+    cells = CellSystem(graph=a2.name, items=tuple(items))
+    rep, ref = verify_tl(a2, cells, 5), grading_verify_tl(a2, cells, 5)
+    assert rep.worst_items == ref.worst_items and rep.checks == ref.checks
+    failing = [k for k, v in rep.residual_items if math.isnan(v)]
+    assert failing == [k for k, v in ref.residual_items if math.isnan(v)]
+    assert {"h2", "lemma"} <= set(failing)
+
+
+def test_negative_max_len_raises(e5, e5_cells):
+    from su3paths import verify_decomposition
+
+    for sweep in (verify_tl, verify_adjointness, verify_decomposition):
+        with pytest.raises(ValueError, match="max_len"):
+            sweep(e5, e5_cells, -1)
+    assert verify_tl(e5, e5_cells, 0).checks == 25
+    assert verify_adjointness(e5, e5_cells, 0) == 0.0
+    assert verify_decomposition(e5, e5_cells, 0)["gradings"] == len(e5.vertices)
 
 
 def test_sweep_worst_on_failing_systems(a2, e5, e5_cells):
