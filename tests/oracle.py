@@ -313,26 +313,41 @@ def _u_relations(word, sd):
     delta, beta, kconst = sd.delta, sd.beta, float(sd.delta**2)
     n = len(word)
 
-    def f(ui, uj):
-        return ui @ uj @ ui - ui
+    def f(a, b):
+        return a @ b @ a - a
+
+    def h1(u):
+        return _mnorm(u @ u - delta * u)
+
+    def h2(a, b):
+        return _mnorm(a @ b - b @ a)
+
+    def h3(a, b):
+        return _mnorm(f(a, b) - f(b, a))
+
+    def f_square(a, b):
+        fa = f(a, b)
+        return _mnorm(fa @ fa - delta * beta * fa)
+
+    def h4(a, b, c):
+        return _mnorm((a - c @ b @ a + b) @ f(b, c))
+
+    def lemma(a, b, c):
+        fa = f(a, b)
+        return _mnorm(fa @ f(b, c) @ fa - kconst * fa)
 
     out = []
     for i in range(1, n):
-        out.append(("h1", f" i={i}", (i,), lambda u: _mnorm(u @ u - delta * u)))
-        for j in range(i + 2, n):
-            out.append(("h2", f" i={i} j={j}", (i, j), lambda a, b: _mnorm(a @ b - b @ a)))
+        out.append(("h1", f" i={i}", (i,), h1))
+        out += [("h2", f" i={i} j={j}", (i, j), h2) for j in range(i + 2, n)]
     for i in range(1, n - 1):
         if word[i - 1] == word[i] == word[i + 1]:
-            out.append(("h3", f" i={i}", (i, i + 1), lambda a, b: _mnorm(f(a, b) - f(b, a))))
-            out.append(
-                ("f_square", f" i={i}", (i, i + 1), lambda a, b: _mnorm(f(a, b) @ f(a, b) - delta * beta * f(a, b)))
-            )
+            slots = (i, i + 1)
+            out += [("h3", f" i={i}", slots, h3), ("f_square", f" i={i}", slots, f_square)]
     for i in range(1, n - 2):
         if word[i - 1] == word[i] == word[i + 1] == word[i + 2]:
-            out.append(("h4", f" i={i}", (i, i + 1, i + 2), lambda a, b, c: _mnorm((a - c @ b @ a + b) @ f(b, c))))
-            out.append(
-                ("lemma", f" i={i}", (i, i + 1, i + 2), lambda a, b, c: _mnorm(f(a, b) @ f(b, c) @ f(a, b) - kconst * f(a, b)))
-            )
+            slots = (i, i + 1, i + 2)
+            out += [("h4", f" i={i}", slots, h4), ("lemma", f" i={i}", slots, lemma)]
     return out
 
 
@@ -400,7 +415,8 @@ def window_u_checks(g, cells, grading, memo=None):
             lo, hi = slots[0] - 1, slots[-1] + 1
             ways = {}
             for p in paths:
-                ways.setdefault(windows(key, slots, p), set()).add(p.vertices[: lo + 1] + p.vertices[hi:])
+                outer = p.vertices[: lo + 1] + p.vertices[hi:]
+                ways.setdefault(windows(key, slots, p), set()).add(outer)
             for ws, outer in ways.items():
                 a, b = _lemma_fit(*blocks(slots, ws))
                 num, den = num + len(outer) * a, den + len(outer) * b
