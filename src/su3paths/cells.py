@@ -11,7 +11,10 @@ and the braid-like identity relating neighbouring collapse operators
 (see operators.verify_tl) fixes the remaining freedom up to gauge: cells
 may be multiplied by unit phases attached to arrows without changing any
 observable quantity.  Degenerate back-and-forth "collapsed" cells are not
-stored; they are forced to sqrt(mu(a) mu(m)).
+stored; they are forced to sqrt(mu(a) mu(m)).  solve_cells fits the sum
+rule and that identity (h3) on the three-letter windows sss and bbb
+only: the quadratic relation U^2 = [2] U holds wherever the sum rule
+does (see _Relations), and is reported, not fitted.
 
 Solved systems for the built-in graphs ship as JSON files; the directory
 can be overridden with the SU3PATHS_CELLS_DIR environment variable.
@@ -21,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -33,7 +35,7 @@ from typing import Mapping, Optional, Tuple
 import numpy as np
 
 from .graphs import GraphError, GraphSpec, HashedOnce, cached_on, spectral_data
-from .paths import EdgeTag
+from .paths import EdgeTag, _dimension_groups
 
 SUM_RULE_TOL = 1e-9
 _SOLVER_STARTS = 8  # seeded random-phase Levenberg-Marquardt starts before solve_cells gives up
@@ -226,16 +228,23 @@ class _Relations:
     so no CellSystem is built per evaluation.  The rows are:
 
     * per arrow, the sum of |T|^2 over its triangles minus [2] mu mu;
-    * per constant three-letter grading of nonzero dimension, the real
-      and imaginary parts of U1 U2 U1 - U1 - (U2 U1 U2 - U2) and of
-      U1^2 - [2] U1, where U = C^H C on the slot's annihilation block C.
+    * per grading of nonzero dimension of the window words sss and bbb,
+      the real and imaginary parts of the h3 relation
+      U1 U2 U1 - U1 - (U2 U1 U2 - U2), U = C^H C on the slot's
+      annihilation block C, as verify_tl checks it on those windows.
 
-    Gradings whose slot-1 and slot-2 blocks have equal shapes are
-    evaluated as one batch (e5 has 96 gradings in 6 batches).  C is
+    U1^2 = [2] U1 needs no rows: C C^H is diagonal, its entry on a path
+    the sum of |T|^2 / (mu mu) over the triangles on one arrow, so it is
+    [2] 1 where the sum-rule rows vanish, and then U1^2 = C^H (C C^H) C
+    = [2] U1.
+
+    A window's gradings of equal dimension are one batch, each slot's
+    blocks one stack from the pattern's gather and scatter indices
+    (_Pattern.stack) and entries (AnnihilationPattern.values).  C is
     linear in T on a sigma pair and in conj(T) on a sigma-bar pair, so
     dC/dRe T_k is the pattern's entries 1/den on triangle k and dC/dIm T_k
-    is i (sigma) or -i (sigma-bar) times that; then
-    dU = dC^H C + C^H dC, and the product rule gives the relation rows.
+    is i (sigma) or -i (sigma-bar) times that; then dU = dC^H C + C^H dC,
+    and the product rule gives the relation rows.
     """
 
     def __init__(self, g: GraphSpec):
@@ -243,61 +252,56 @@ class _Relations:
 
         tris = enumerate_triangles(g)
         sd = spectral_data(g)
-        self.delta = sd.delta
         arrows = list(g.sigma_edges)
         self.incidence = np.zeros((len(arrows), len(tris)))
         for j, t in enumerate(tris):
             for e in t.edges():
                 self.incidence[arrows.index(e), j] = 1.0
         self.target = np.array([sd.delta * sd.mu[u] * sd.mu[v] for u, v in arrows])
-        by_shape: dict = {}
+        # per window word and dimension group, each slot's (pattern, take, at, shape)
+        self.groups = []
         for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
-            p1, p2 = (annihilation_pattern(g, (tag,) * 3, i) for i in (1, 2))
-            for s, (_, dim) in enumerate(p1.shapes):
-                if dim:
-                    key = (tuple(p1.shapes[s]), tuple(p2.shapes[s]))
-                    by_shape.setdefault(key, []).append(((p1, s), (p2, s)))
-        k = len(tris)
-        self.batches = [
-            (_PatternBatch([one for one, _ in pairs], k), _PatternBatch([two for _, two in pairs], k))
-            for pairs in by_shape.values()
-        ]
+            word = (tag,) * 3
+            slots = [annihilation_pattern(g, word, i) for i in (1, 2)]
+            for _, numbers in _dimension_groups(g, word):
+                self.groups.append([(p, *p.stack(numbers)) for p in slots])
+
+    def _stacks(self, x: np.ndarray):
+        """Per group: its slots, and each slot's stacked C and U = C^H C."""
+        from .operators import _gram
+
+        t = x[: len(x) // 2] + 1j * x[len(x) // 2 :]
+        for slots in self.groups:
+            cs = []
+            for p, take, at, shape in slots:
+                c = np.zeros(shape, dtype=complex)
+                c[at] = p.values(t, take)
+                cs.append(c)
+            yield slots, cs, [_gram(c) for c in cs]
 
     def residual(self, x: np.ndarray) -> np.ndarray:
         k = len(x) // 2
-        t = x[:k] + 1j * x[k:]
         parts = [self.incidence @ (x[:k] ** 2 + x[k:] ** 2) - self.target]
-        for b1, b2 in self.batches:
-            u1, u2 = _gram(b1.blocks(t)), _gram(b2.blocks(t))
+        for _, _, (u1, u2) in self._stacks(x):
             d = (u1 @ u2 @ u1 - u1) - (u2 @ u1 @ u2 - u2)
-            h1 = u1 @ u1 - self.delta * u1
-            parts += [d.real.ravel(), d.imag.ravel(), h1.real.ravel(), h1.imag.ravel()]
+            parts += [d.real.ravel(), d.imag.ravel()]
         return np.concatenate(parts)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         k = len(x) // 2
-        t = x[:k] + 1j * x[k:]
         rows = [np.hstack([2.0 * self.incidence * x[:k], 2.0 * self.incidence * x[k:]])]
-        for b1, b2 in self.batches:
-            c1, c2 = b1.blocks(t), b2.blocks(t)
-            u1, u2 = _gram(c1), _gram(c2)
+        for slots, cs, (u1, u2) in self._stacks(x):
             u12, u21 = u1 @ u2, u2 @ u1
             one = np.broadcast_to(np.eye(u1.shape[-1]), u1.shape)
             eye = np.eye(u1.shape[-1] ** 2)
-            # both relations are linear in dU1 and dU2, so each is a sum of
-            # maps dU -> A dU B, applied to every parameter's dU at once
+            # the relation is linear in dU1 and dU2, so it is a sum of maps
+            # dU -> A dU B, applied to every parameter's dU at once
             d1 = _vec_map(one, u21) + _vec_map(u12, one) - _vec_map(u2, u2) - eye
             d2 = _vec_map(u1, u1) - _vec_map(one, u12) - _vec_map(u21, one) + eye
-            h1 = _vec_map(one, u1) + _vec_map(u1, one) - self.delta * eye
-            du1, du2 = b1.gram_derivatives(c1), b2.gram_derivatives(c2)
-            for dm in (du1 @ d1 + du2 @ d2, du1 @ h1):
-                flat = dm.swapaxes(-1, -2).reshape(-1, 2 * k)
-                rows += [flat.real, flat.imag]
+            dm = sum(_gram_derivatives(slot, c, k) @ d for slot, c, d in zip(slots, cs, (d1, d2)))
+            flat = dm.swapaxes(-1, -2).reshape(-1, 2 * k)
+            rows += [flat.real, flat.imag]
         return np.vstack(rows)
-
-
-def _gram(c: np.ndarray) -> np.ndarray:
-    return c.conj().swapaxes(-1, -2) @ c
 
 
 def _vec_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -307,47 +311,17 @@ def _vec_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return m.reshape(g, n * n, n * n)
 
 
-class _PatternBatch:
-    """Blocks of equal shape, each a (pattern, grading number) pair,
-    stacked on a leading axis.  Each run of blocks from one pattern takes
-    its gather and scatter indices from the pattern (_Pattern.stack)."""
-
-    def __init__(self, blocks, k: int):
-        self.k = k
-        at, tri, den, conj, phase = [], [], [], [], []
-        for p, run in itertools.groupby(blocks, key=lambda block: block[0]):
-            numbers = np.array([s for _, s in run])
-            take, (which, rows, cols), shape = p.stack(numbers)
-            at.append((which + len(phase), rows, cols))
-            tri.append(p.tri[take])
-            den.append(p.den[take])
-            conj.append(np.full(len(take), p.conj))
-            # dC/dIm T = phase dC/dRe T, per block
-            phase += [-1j if p.conj else 1j] * len(numbers)
-        self.shape = (len(phase), *shape[1:])
-        self.at = tuple(np.concatenate(part) for part in zip(*at))
-        self.tri = np.concatenate(tri)
-        self.scale = 1.0 / np.concatenate(den)
-        self.conj = np.concatenate(conj)
-        self.phase = np.array(phase)[:, None, None, None]
-
-    def blocks(self, t: np.ndarray) -> np.ndarray:
-        """The stacked blocks C for cells t, all in one gather and scatter."""
-        c = np.zeros(self.shape, dtype=complex)
-        w = t[self.tri]
-        c[self.at] = np.where(self.conj, w.conj(), w) * self.scale
-        return c
-
-    def gram_derivatives(self, c: np.ndarray) -> np.ndarray:
-        """d(C^H C)/dx, shape (batch, 2k, n * n), Re T before Im T."""
-        g, r, n = self.shape
-        # C^H dC/dRe T_k: each column of dC holds at most one entry
-        a = np.zeros((g, self.k, n, n), dtype=complex)
-        gi, row, col = self.at
-        a[gi, self.tri, :, col] = c[gi, row, :].conj() * self.scale[:, None]
-        ah = a.conj().swapaxes(-1, -2)
-        du = np.concatenate([a + ah, self.phase * a + self.phase.conj() * ah], axis=1)
-        return du.reshape(g, 2 * self.k, n * n)
+def _gram_derivatives(slot, c: np.ndarray, k: int) -> np.ndarray:
+    """d(C^H C)/dx for one slot's stacked blocks c, shape (batch, 2k,
+    n * n), Re T before Im T."""
+    p, take, (which, rows, cols), (g, _, n) = slot
+    # C^H dC/dRe T_k: each column of dC holds at most one entry
+    a = np.zeros((g, k, n, n), dtype=complex)
+    a[which, p.tri[take], :, cols] = c[which, rows, :].conj() / p.den[take][:, None]
+    ah = a.conj().swapaxes(-1, -2)
+    phase = -1j if p.conj else 1j  # dC/dIm T = phase dC/dRe T
+    du = np.concatenate([a + ah, phase * a + np.conj(phase) * ah], axis=1)
+    return du.reshape(g, 2 * k, n * n)
 
 
 def _levenberg_marquardt(fun, jac, x0: np.ndarray) -> np.ndarray:

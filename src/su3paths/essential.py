@@ -46,7 +46,7 @@ from typing import Mapping, Optional, Tuple, Union
 import numpy as np
 
 from .cells import CellSystem, OrientedTriangle
-from .fusion import fusion_matrix
+from .fusion import _type_bound, fusion_matrix
 from .graphs import GraphError, GraphSpec, cached_on
 from .operators import (
     _collapsed_word,
@@ -67,9 +67,9 @@ from .paths import (
     PathVector,
     Word,
     _basis_index,
+    _dimension_groups,
     _grading_at,
     _grading_number,
-    _walk_counts,
     _words,
     concatenate,
     enumerate_paths,
@@ -189,13 +189,10 @@ def _word_kernels(cells: CellSystem, g: GraphSpec, word: Word) -> _WordBases:
     non-finite lowering entry raises DecompositionError naming the first
     grading of its group that has one."""
     slots = _lowering(g, cells, word)
-    dims = _walk_counts(g, word).ravel()
-    nonzero = np.flatnonzero(dims)
-    group_of = np.full(dims.size, -1, dtype=np.int64)
-    row_of = np.zeros(dims.size, dtype=np.int64)
+    group_of = np.full(len(g.vertices) ** 2, -1, dtype=np.int64)
+    row_of = np.zeros(len(g.vertices) ** 2, dtype=np.int64)
     groups = []
-    for d in sorted(set(dims[nonzero].tolist())):
-        numbers = nonzero[dims[nonzero] == d]
+    for d, numbers in _dimension_groups(g, word):
         group_of[numbers] = len(groups)
         row_of[numbers] = np.arange(len(numbers))
         rank = np.zeros(len(numbers), dtype=np.int64)
@@ -260,9 +257,14 @@ def essential_basis(g: GraphSpec, cells: CellSystem, grading: PathGrading) -> Es
 
 def words_of_type(alpha: int, beta: int) -> Tuple[Tuple[EdgeTag, ...], ...]:
     """All distinct tag orderings with the given sigma/sigma-bar counts,
-    in lexicographic word order."""
-    letters = (EdgeTag.SIGMA,) * alpha + (EdgeTag.SIGMA_BAR,) * beta
-    return tuple(sorted(set(itertools.permutations(letters)), key=lambda w: word_str(w)))
+    in lexicographic word order: one per choice of the beta sigma-bar
+    positions among the alpha + beta letters."""
+    n = alpha + beta
+    words = (
+        tuple(EdgeTag.SIGMA_BAR if k in bars else EdgeTag.SIGMA for k in range(n))
+        for bars in itertools.combinations(range(n), beta)
+    )
+    return tuple(sorted(words, key=word_str))
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,9 +293,10 @@ class EssentialDimReport:
 def essential_dims(g: GraphSpec, cells: CellSystem, tp: Tuple[int, int]) -> EssentialDimReport:
     """Per word of the type, the kernel counts of its gradings
     (_word_kernels) against F_(alpha,beta); a non-finite operator entry
-    raises DecompositionError naming its grading."""
+    raises DecompositionError naming its grading.  A negative type
+    component or a type beyond the level raises GraphError first."""
     alpha, beta = int(tp[0]), int(tp[1])
-    if alpha + beta > g.level:
+    if _type_bound((alpha, beta)) > g.level:
         raise GraphError(
             f"type {tp} exceeds the level {g.level} of {g.name!r}; essential "
             "spaces there are excluded by the length clause"

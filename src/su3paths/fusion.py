@@ -40,10 +40,14 @@ class FusionMatrix:
 
 
 def _type_bound(max_type) -> int:
+    """Total degree of a type (a, b) or of a plain degree; a negative
+    type component is an error."""
     if isinstance(max_type, int):
         return max_type
-    p, q = max_type
-    return int(p) + int(q)
+    p, q = int(max_type[0]), int(max_type[1])
+    if p < 0 or q < 0:
+        raise GraphError(f"type components must be non-negative, got {(p, q)}")
+    return p + q
 
 
 @cached_on

@@ -78,6 +78,7 @@ from .paths import (
     _grading_number,
     _grading_numbers,
     _grading_offsets,
+    _dimension_groups,
     _row_keys,
     _walk_counts,
     _words,
@@ -581,20 +582,20 @@ class TLReport:
         return out
 
 
+def _gram(c: np.ndarray) -> np.ndarray:
+    """C^H C for each block of a (..., rows, cols) stack."""
+    return c.conj().swapaxes(-1, -2) @ c
+
+
 def _window_us(g: GraphSpec, vector: np.ndarray, word: Word):
     """U_i = C_i^H C_i on the gradings of a window word, a dimension group
     at a time: yields (numbers, us) with us[i - 1] the (k, d, d) stack of
     slot i's blocks on the k gradings ``numbers`` of dimension d, zero
     on a mixed slot."""
-    from .cells import _gram
-
     n = len(word)
     slots = [(i, annihilation_pattern(g, word, i)) for i in range(1, n) if word[i - 1] is word[i]]
     slots = [(i, p, p.values(vector)) for i, p in slots]
-    dims = _walk_counts(g, word).ravel()
-    nonzero = np.flatnonzero(dims)
-    for d in sorted(set(dims[nonzero].tolist())):
-        numbers = nonzero[dims[nonzero] == d]
+    for d, numbers in _dimension_groups(g, word):
         us = np.zeros((n - 1, len(numbers), d, d), dtype=complex)
         for i, p, values in slots:
             us[i - 1] = _gram(p.stacked(numbers, values))

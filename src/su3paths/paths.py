@@ -227,6 +227,17 @@ def _walk_counts(g: GraphSpec, word: Word) -> np.ndarray:
     return m
 
 
+def _dimension_groups(g: GraphSpec, word: Word) -> Iterator[Tuple[int, np.ndarray]]:
+    """The word's gradings of nonzero dimension, a dimension at a time:
+    yields (d, numbers) per dimension d, ascending, with ``numbers`` the
+    ascending grading numbers of dimension d.  The sweeps batch each
+    group's blocks into one (len(numbers), ., d) stack."""
+    dims = _walk_counts(g, word).ravel()
+    nonzero = np.flatnonzero(dims)
+    for d in sorted(set(dims[nonzero].tolist())):
+        yield d, nonzero[dims[nonzero] == d]
+
+
 @cached_on
 def _id_ranks(g: GraphSpec) -> np.ndarray:
     """Rank of each vertex's id among the sorted ids, by vertex index.

@@ -11,6 +11,7 @@ import pytest
 
 from su3paths import (
     CellFileError,
+    EdgeTag,
     GraphError,
     OrientedTriangle,
     canonical_gauge,
@@ -29,6 +30,7 @@ from su3paths import (
     solve_cells,
     spectral_data,
     sum_rule_residuals,
+    verify_tl,
 )
 from su3paths.cells import (
     _SOLVER_STARTS,
@@ -37,6 +39,8 @@ from su3paths.cells import (
     _Relations,
     cells_to_dict,
 )
+from su3paths.operators import _window_tables
+from su3paths.paths import _dimension_groups
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 SQRT_PHI = math.sqrt(PHI)
@@ -222,6 +226,40 @@ def test_solver_jacobian_matches_central_differences(name):
         analytic = relations.jacobian(x)
         assert analytic.shape == numeric.shape == (len(relations.residual(x)), 2 * k)
         assert np.abs(analytic - numeric).max() <= 1e-6 * np.abs(numeric).max()
+
+
+@pytest.mark.parametrize("name", ["a2", "e5"])
+def test_solver_fits_the_sweeps_h3_relation(name):
+    # after the sum-rule rows come the h3 rows of sss, then of bbb, a
+    # dimension group at a time: real parts, then imaginary parts
+    g = get_graph(name)
+    relations = _Relations(g)
+    k = len(enumerate_triangles(g))
+    rng = np.random.default_rng(23)
+    for _ in range(2):
+        t = rng.normal(size=k) + 1j * rng.normal(size=k)
+        rows = relations.residual(np.concatenate([t.real, t.imag]))[len(g.sigma_edges) :]
+        tables = _window_tables(g, t, 3)["h3"].reshape(2, -1)
+        for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
+            for d, numbers in _dimension_groups(g, (tag,) * 3):
+                size = len(numbers) * d * d
+                re, im, rows = rows[:size], rows[size : 2 * size], rows[2 * size :]
+                h3 = np.abs(re + 1j * im).reshape(len(numbers), d * d).max(axis=1)
+                expected = tables[0 if tag is EdgeTag.SIGMA else 1, numbers]
+                assert np.abs(h3 - expected).max() <= 1e-15
+        assert rows.size == 0
+
+
+def test_h1_follows_from_the_sum_rule(e5, e5_cells):
+    # why the solver fits no h1 rows: random phases on the shipped cells,
+    # which no gauge reaches, keep the magnitudes and so the sum rule and
+    # h1, and break h3
+    rng = np.random.default_rng(5)
+    t = e5_cells.vector * np.exp(1j * rng.uniform(-np.pi, np.pi, e5_cells.vector.size))
+    residuals = verify_tl(e5, cell_system(e5, dict(zip(enumerate_triangles(e5), t))), 3).residuals
+    assert residuals["h1"] <= 1e-12
+    assert residuals["sum_rule"] <= 1e-12
+    assert residuals["h3"] >= 1e-3
 
 
 def test_gauge_transform_invariants(a2, a2_cells):

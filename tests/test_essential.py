@@ -1,6 +1,7 @@
 """Essential paths: kernels, dimension counts, decomposition, factorization."""
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -38,6 +39,7 @@ from su3paths import (
     shipped_cells,
     spectral_data,
     verify_decomposition,
+    word_str,
     words_of_type,
 )
 from su3paths.essential import LIVE_TOL, NULL_TOL, RANK_TOL, _word_kernels
@@ -64,6 +66,17 @@ def test_words_of_type():
     assert len(words_of_type(2, 1)) == 3
     assert len(words_of_type(2, 2)) == 6
     assert words_of_type(0, 0) == ((),)
+
+
+def test_words_of_type_choose_the_sigma_bar_positions():
+    # the distinct orderings of every permutation, as the words were found
+    # before, for every type of degree <= 5
+    for degree in range(6):
+        for alpha in range(degree + 1):
+            letters = (EdgeTag.SIGMA,) * alpha + (EdgeTag.SIGMA_BAR,) * (degree - alpha)
+            orderings = sorted(set(itertools.permutations(letters)), key=word_str)
+            assert words_of_type(alpha, degree - alpha) == tuple(orderings)
+    assert len(words_of_type(7, 7)) == 3432
 
 
 def test_kernel_operator_kinds(a2, a2_cells):
@@ -127,6 +140,12 @@ def test_essential_dims_e5_totals(e5, e5_cells):
 def test_essential_dims_beyond_level(a2, a2_cells):
     with pytest.raises(GraphError):
         essential_dims(a2, a2_cells, (2, 1))
+
+
+def test_essential_dims_rejects_a_negative_type(a2):
+    # before any other work: no cells are read
+    with pytest.raises(GraphError, match="non-negative"):
+        essential_dims(a2, None, (-1, 2))
 
 
 @pytest.mark.parametrize("name", graph_names())

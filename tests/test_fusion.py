@@ -61,6 +61,14 @@ def test_beyond_level_raises(a2):
         fusion_matrices(a2, 3)
 
 
+def test_negative_type_component_raises(a2):
+    for tp in [(-1, 2), (2, -1)]:
+        with pytest.raises(GraphError, match="non-negative"):
+            fusion_matrix(a2, tp)
+        with pytest.raises(GraphError, match="non-negative"):
+            admissible_triangles(a2, tp)
+
+
 def test_a2_self_fusion_diagonal(a2):
     table = fusion_table(a2)
     assert table[("1", "3")] == {"3": 1}
