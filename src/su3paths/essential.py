@@ -23,11 +23,13 @@ collapsed word) or the cap re-inserting a mixed-tag return (source =
 the word with the pair removed), recursively.  Generation g vectors
 are images of length-g raising chains out of some raw kernel;
 independence is decided by rank growth during incremental
-orthonormalization.  The Decomposer builds the bases one word at a
-time, sources first: a word's gradings of equal dimension form one
-group, and the group's kernel SVD, raising products and Gram-Schmidt
-passes are batched over it, each grading with its own rank decisions.
-verify_decomposition sweeps words the same way.
+orthonormalization.  A word's gradings of equal dimension form one
+group, whose kernels come from one batched SVD.  A word's sources are
+shorter, so the Decomposer raises the words of one length together,
+sources first: per dimension, their groups' raising candidates and
+Gram-Schmidt passes run in batches of bounded size, each grading with
+its own rank decisions.  verify_decomposition sweeps a length at a
+time.
 
 factorize_path implements the constructive proof: strip the essential
 suffix right of the rightmost live pattern, peel the leftmost live
@@ -148,38 +150,42 @@ class _WordBases:
         k = self.group_of[s]
         return None if k < 0 else (self.groups[k], int(self.row_of[s]))
 
-    def stacked(self, numbers: np.ndarray, r: int):
-        """The (d, d) bases of the gradings ``numbers``, zero-padded to
-        one (len, r, r) stack, with their generations (-1 on padding)."""
-        basis = np.zeros((len(numbers), r, r), dtype=complex)
-        gens = np.full((len(numbers), r), -1, dtype=np.int64)
+    def sizes(self) -> np.ndarray:
+        """The number of basis vectors of every grading, by grading number."""
+        size = np.zeros(len(self.group_of), dtype=np.int64)
+        for grp in self.groups:
+            size[grp.numbers] = grp.count
+        return size
+
+    def generations(self, numbers: np.ndarray) -> np.ndarray:
+        """The basis generations of the gradings ``numbers``, one row
+        each, padded with -1 to the largest of their dimensions."""
         which = self.group_of[numbers]
-        for k in sorted(set(which[which >= 0].tolist())):
+        present = sorted(set(which[which >= 0].tolist()))
+        width = max((self.groups[k].gens.shape[1] for k in present), default=0)
+        gens = np.full((len(numbers), width), -1, dtype=np.int64)
+        for k in present:
             at = np.flatnonzero(which == k)
-            grp, rows = self.groups[k], self.row_of[numbers[at]]
-            d = grp.basis.shape[1]
-            basis[at, :d, :d] = grp.basis[rows]
-            gens[at, :d] = grp.gens[rows]
-        return basis, gens
+            grp = self.groups[k]
+            gens[at, : grp.gens.shape[1]] = grp.gens[self.row_of[numbers[at]]]
+        return gens
 
 
 def _h(x: np.ndarray) -> np.ndarray:
     return x.conj().swapaxes(-1, -2)
 
 
-def _lowering(g: GraphSpec, cells: CellSystem, word: Word):
+def _lowering(g: GraphSpec, word: Word):
     """Per slot of the word: its lowering pattern (an annihilation on a
-    like-tag pair, a cup on a mixed one), the pattern's entries on the
-    cells, and the source word that the adjoint raises from."""
-    slots = []
-    for i in range(1, len(word)):
-        if word[i - 1] is word[i]:
-            p = annihilation_pattern(g, word, i)
-            slots.append((p, p.values(cells.vector), _collapsed_word(word, i)))
-        else:
-            p = cup_pattern(g, word, i)
-            slots.append((p, p.weight, _cup_word(word, i)))
-    return slots
+    like-tag pair, a cup on a mixed one), whose entries on a cell vector
+    are p.values(vector, k), and the source word that the adjoint raises
+    from."""
+    return [
+        (annihilation_pattern(g, word, i), _collapsed_word(word, i))
+        if word[i - 1] is word[i]
+        else (cup_pattern(g, word, i), _cup_word(word, i))
+        for i in range(1, len(word))
+    ]
 
 
 @cached_on
@@ -188,7 +194,7 @@ def _word_kernels(cells: CellSystem, g: GraphSpec, word: Word) -> _WordBases:
     joint kernels, kept on the cell system in read-only arrays.  A
     non-finite lowering entry raises DecompositionError naming the first
     grading of its group that has one."""
-    slots = _lowering(g, cells, word)
+    slots = [(p, p.values(cells.vector)) for p, _ in _lowering(g, word)]
     group_of = np.full(len(g.vertices) ** 2, -1, dtype=np.int64)
     row_of = np.zeros(len(g.vertices) ** 2, dtype=np.int64)
     groups = []
@@ -198,7 +204,7 @@ def _word_kernels(cells: CellSystem, g: GraphSpec, word: Word) -> _WordBases:
         rank = np.zeros(len(numbers), dtype=np.int64)
         vh = np.broadcast_to(np.eye(d, dtype=complex), (len(numbers), d, d))
         if slots:
-            stack = np.concatenate([p.stacked(numbers, values) for p, values, _ in slots], axis=1)
+            stack = np.concatenate([p.stacked(numbers, values) for p, values in slots], axis=1)
             finite = np.isfinite(stack).all(axis=(1, 2))
             if not finite.all():
                 grading = _grading_at(g, word, int(numbers[finite.argmin()]))
@@ -215,8 +221,8 @@ def _word_kernels(cells: CellSystem, g: GraphSpec, word: Word) -> _WordBases:
         groups.append(_BasisGroup(numbers, basis, gens, kernel, kernel, failed))
         for a in (numbers, basis, gens, kernel, failed):
             a.setflags(write=False)
-    group_of.setflags(write=False)
-    row_of.setflags(write=False)
+    for a in (group_of, row_of):
+        a.setflags(write=False)
     return _WordBases(tuple(groups), group_of, row_of)
 
 
@@ -333,13 +339,27 @@ def essential_dims(g: GraphSpec, cells: CellSystem, tp: Tuple[int, int]) -> Esse
 # ----------------------------------------------------------------------
 # graded decomposition
 #
-# A group's bases start from a copy of its kernels.  The candidates come
-# from one batched product of each slot's raising stack (the lowering
-# stack's conjugate transpose) with the source word's padded bases, and
-# the Gram-Schmidt passes run over the group with one accept mask per
-# grading.  The padding changes no candidate or projection.
+# A word's sources are shorter, so once the shorter words are built the
+# words of one length are raised together: their groups of one
+# dimension d are batched within _BATCH_BYTES, and each batch runs one
+# Gram-Schmidt loop with one accept mask per grading.  A group's bases
+# start from a copy of its kernels.  Every lowering column holds at most
+# one entry, so each raising candidate C^H s is a gathered and scaled
+# row of the source basis, written straight into its column of the
+# batch.  The padding changes no candidate or projection and the rows
+# are independent, so a grading's basis does not depend on its batch.
 
 _DEAD = np.iinfo(np.int64).max  # generation of a padded candidate column
+
+# Bytes that one raising batch's candidates, and its bases, may take.
+# A whole length's candidates take 1.1 MiB on e5 at length 4 and 14 MiB
+# at length 5, so a length needs several batches.  Freeing an array past
+# malloc's mmap threshold (128 KiB at start) raises the threshold for
+# the rest of the process, and later arrays then fragment the heap: with
+# 1 MiB batches `report e5 --max-len 4` kept about 0.5 MiB more memory
+# than with 256 KiB, which raises as fast.  A larger group is a batch
+# of its own.
+_BATCH_BYTES = 256 << 10
 
 
 class Decomposer:
@@ -352,10 +372,11 @@ class Decomposer:
     slot order, the source basis in its order within a slot, then sorted
     stably by generation.
 
-    The bases are built one word at a time, for all of its gradings, from
-    the word's kernels (_word_kernels), and kept per word; a word's
-    sources (its collapsed and cup words) are shorter and are built
-    first.  Share one instance across gradings to reuse them.
+    The bases are built from the words' kernels (_word_kernels) and kept
+    per word.  A word's sources (its collapsed and cup words) are shorter
+    and are built first; _raise_words then raises the words of one
+    length together, per dimension, in batches of bounded size.  Share
+    one instance across gradings to reuse them.
     """
 
     def __init__(self, g: GraphSpec, cells: CellSystem):
@@ -374,61 +395,128 @@ class Decomposer:
         )
 
     def _word(self, word: Word) -> _WordBases:
-        out = self._memo.get(word)
-        if out is not None:
-            return out
-        kernels = _word_kernels(self.cells, self.g, word)
-        # per slot: the lowering pattern, its entries and the source word's bases
-        slots = [(p, v, self._word(src)) for p, v, src in _lowering(self.g, self.cells, word)]
-        groups = tuple(_raise_group(grp, slots) for grp in kernels.groups)
-        out = self._memo[word] = _WordBases(groups, kernels.group_of, kernels.row_of)
-        return out
+        if word not in self._memo:
+            self._raise_words([word])
+        return self._memo[word]
+
+    def _raise_words(self, words) -> None:
+        """Build and keep the bases of words of one length, none of them
+        built yet."""
+        built, todo = [], {}
+        for w, word in enumerate(words):
+            kernels = _word_kernels(self.cells, self.g, word)
+            # per slot: the lowering pattern and the source word's bases
+            slots = [(p, self._word(src)) for p, src in _lowering(self.g, word)]
+            # per grading, its candidates: the source bases' sizes
+            width = sum((src.sizes() for _, src in slots), np.zeros_like(kernels.group_of))
+            built.append((word, kernels))
+            for k, grp in enumerate(kernels.groups):
+                item = ((w, k), grp, slots, int(width[grp.numbers].max()))
+                todo.setdefault(grp.basis.shape[1], []).append(item)
+        raised = [[None] * len(kernels.groups) for _, kernels in built]
+        for d, items in todo.items():
+            items.sort(key=lambda item: -item[-1])  # widest first, see _raise_batch
+            for batch in _batches(items, d):
+                for ((w, k), *_), grp in zip(batch, _raise_batch(batch, d, self.cells.vector)):
+                    raised[w][k] = grp
+        for (word, kernels), groups in zip(built, raised):
+            self._memo[word] = _WordBases(tuple(groups), kernels.group_of, kernels.row_of)
 
 
-def _raise_group(kernels: _BasisGroup, slots) -> _BasisGroup:
-    """The bases of one group of gradings (see Decomposer), grown from a
-    copy of their generation-0 bases."""
-    numbers, (k, d, m) = kernels.numbers, kernels.basis.shape
-    basis = np.zeros((k, d, d), dtype=complex)
-    basis[:, :, :m] = kernels.basis
-    gens = np.full((k, d), -1, dtype=np.int64)
-    gens[:, :m] = kernels.gens
-    count = kernels.count.copy()
-    failed = np.zeros(k, dtype=bool)
+def _candidate_order(numbers: np.ndarray, slots):
+    """Where the raising candidates of the gradings ``numbers`` go.
 
-    # candidates: each slot's raising stack times its source bases, in
-    # slot order, sorted stably by generation; padded columns are zero,
-    # get generation _DEAD and sort last
-    cands, cgens = [], []
-    for p, values, src in slots:
-        low = p.stacked(numbers, values)
-        sbasis, sgens = src.stacked(numbers, low.shape[1])
-        cands.append(_h(low) @ sbasis)
-        cgens.append(np.where(sgens >= 0, sgens + 1, _DEAD))
-    if cands:
-        cgen = np.concatenate(cgens, axis=1)
-        order = np.argsort(cgen, axis=1, kind="stable")
-        cgen = np.take_along_axis(cgen, order, axis=1)
-        cand = np.take_along_axis(np.concatenate(cands, axis=2), order[:, None, :], axis=2)
-        width = int((cgen != _DEAD).sum(axis=1).max(initial=0))
-        # CGS2 against the zero-padded basis, one candidate column at a time
-        for j in range(width):
-            w = cand[:, :, j]
-            nrm = np.linalg.norm(w, axis=1)
-            live = nrm >= LIVE_TOL
-            if not live.any():
-                continue
-            for _ in range(2):
-                coef = (w.conj()[:, None, :] @ basis).conj()
-                w = w - (basis @ coef.swapaxes(1, 2))[:, :, 0]
-            res = np.linalg.norm(w, axis=1)
-            take = live & (res > RANK_TOL * nrm)
-            failed |= take & (count == d)
-            at = np.flatnonzero(take & (count < d))
-            basis[at, :, count[at]] = w[at] / res[at, None]
-            gens[at, count[at]] = cgen[at, j]
-            count[at] += 1
-    return _BasisGroup(numbers, basis, gens, kernels.kernel, count, failed | (count != d))
+    Candidate (slot i, source column c) has the source vector's
+    generation plus one; padded columns get _DEAD.  A grading's
+    candidates are tried in slot order, source order within a slot,
+    sorted stably by generation.  Returns per slot a (len, R_i) array,
+    the place of each candidate in that order, and the (len, width)
+    generations in that order, width the most live candidates of any
+    grading."""
+    if not slots:
+        return [], np.zeros((len(numbers), 0), dtype=np.int64)
+    sgens = [src.generations(numbers) for _, src in slots]
+    cgen = np.concatenate([np.where(s >= 0, s + 1, _DEAD) for s in sgens], axis=1)
+    order = np.argsort(cgen, axis=1, kind="stable")
+    pos = np.empty_like(order)
+    np.put_along_axis(pos, order, np.arange(cgen.shape[1]), axis=1)
+    width = int((cgen != _DEAD).sum(axis=1).max(initial=0))
+    split = np.cumsum([s.shape[1] for s in sgens])[:-1]
+    return np.split(pos, split, axis=1), np.take_along_axis(cgen, order[:, :width], axis=1)
+
+
+def _batches(items, d: int):
+    """Runs of consecutive items (key, group, slots, width) whose
+    candidates and bases, (rows, d, widest) and (rows, d, d) complex
+    arrays, fit in _BATCH_BYTES each."""
+    batch, rows, width = [], 0, d
+    for item in items:
+        k, w = len(item[1].numbers), item[-1]
+        if batch and (rows + k) * d * max(width, w) * 16 > _BATCH_BYTES:
+            yield batch
+            batch, rows, width = [], 0, d
+        batch.append(item)
+        rows, width = rows + k, max(width, w)
+    if batch:
+        yield batch
+
+
+def _raise_batch(batch, d: int, vector: np.ndarray):
+    """The bases of a batch of dimension-d groups (see Decomposer) on the
+    cell vector, one _BasisGroup per group, in batch order.  The groups
+    come widest first, so those with a candidate j are a prefix."""
+    starts = np.cumsum([0] + [len(grp.numbers) for _, grp, *_ in batch]).tolist()
+    widths = [w for *_, w in batch]
+    n, width = starts[-1], widths[0]
+    basis = np.zeros((n, d, d), dtype=complex)
+    gens = np.full((n, d), -1, dtype=np.int64)
+    count = np.zeros(n, dtype=np.int64)
+    failed = np.zeros(n, dtype=bool)
+    cand = np.zeros((n, d, width), dtype=complex)
+    cgen = np.full((n, width), _DEAD, dtype=np.int64)
+    for r0, (_, grp, slots, _) in zip(starts, batch):
+        rows = slice(r0, r0 + len(grp.numbers))
+        basis[rows, :, : grp.basis.shape[2]] = grp.basis
+        gens[rows, : grp.gens.shape[1]] = grp.gens
+        count[rows] = grp.count
+        pos, order = _candidate_order(grp.numbers, slots)
+        cgen[rows, : order.shape[1]] = order
+        for (p, src), at in zip(slots, pos):
+            # entry j lowers column x[j] of grading q[j] to source row y[j],
+            # so C^H s puts conj(value) s[y[j]] at x[j]
+            take, (q, y, x), _ = p.stack(grp.numbers)
+            scale = p.values(vector, take).conj()
+            which = src.group_of[grp.numbers[q]]
+            for k in set(which.tolist()):
+                e = np.flatnonzero(which == k)
+                sgrp, srow = src.groups[k], src.row_of[grp.numbers[q[e]]]
+                live, c = np.nonzero(sgrp.gens[srow] >= 0)
+                e, srow = e[live], srow[live]
+                cand[r0 + q[e], x[e], at[q[e], c]] = scale[e] * sgrp.basis[srow, y[e], c]
+    # CGS2 against the zero-padded basis, one candidate column at a time,
+    # on the rows of the groups that have one
+    for j in range(width):
+        m = starts[sum(n_cand > j for n_cand in widths)]
+        w = cand[:m, :, j]
+        nrm = np.linalg.norm(w, axis=1)
+        live = nrm >= LIVE_TOL
+        if not live.any():
+            continue
+        for _ in range(2):
+            coef = (w.conj()[:, None, :] @ basis[:m]).conj()
+            w = w - (basis[:m] @ coef.swapaxes(1, 2))[:, :, 0]
+        res = np.linalg.norm(w, axis=1)
+        take = live & (res > RANK_TOL * nrm)
+        failed[:m] |= take & (count[:m] == d)
+        at = np.flatnonzero(take & (count[:m] < d))
+        basis[at, :, count[at]] = w[at] / res[at, None]
+        gens[at, count[at]] = cgen[at, j]
+        count[at] += 1
+    failed |= count != d
+    return [
+        _BasisGroup(grp.numbers, basis[r0:r1], gens[r0:r1], grp.kernel, count[r0:r1], failed[r0:r1])
+        for (_, grp, *_), r0, r1 in zip(batch, starts, starts[1:])
+    ]
 
 
 def _projector_residuals(basis: np.ndarray, kernel: np.ndarray, count: np.ndarray):
@@ -524,11 +612,12 @@ def verify_decomposition(g: GraphSpec, cells: CellSystem, max_len: int = 4) -> M
     failure count (a failure is a grading whose accounting broke, and
     its residuals are left out of the maxima).
 
-    The sweep goes word by word, in _words order, and evaluates the
-    residuals of a word's group of gradings of one dimension as one
-    batch (see Decomposer).  A NaN residual, like a non-finite operator
-    entry, raises DecompositionError naming the first such grading; a
-    negative max_len raises ValueError."""
+    The sweep raises the words of one length together, per dimension,
+    in batches of bounded size (see Decomposer), a length at a time, and
+    then evaluates the residuals of each word's group of gradings of one
+    dimension as one batch, in _words order.  A NaN residual, like a
+    non-finite operator entry, raises DecompositionError naming the
+    first such grading; a negative max_len raises ValueError."""
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     dec = Decomposer(g, cells)
@@ -541,20 +630,23 @@ def verify_decomposition(g: GraphSpec, cells: CellSystem, max_len: int = 4) -> M
     }
     count = 0
     failures = 0
-    for word in _words(max_len):
-        for grp in dec._word(word).groups:
-            count += len(grp.numbers)
-            failures += int(grp.failed.sum())
-            ok = ~grp.failed
-            if not ok.any():
-                continue
-            _, _, residuals = _projector_residuals(grp.basis, grp.kernel, grp.count)
-            for key, values in residuals.items():
-                nan = ok & np.isnan(values)
-                if nan.any():
-                    grading = _grading_at(g, word, int(grp.numbers[nan.argmax()]))
-                    raise DecompositionError(f"{grading}: {key} residual is NaN")
-                worst[key] = max(worst[key], float(values[ok].max()))
+    for _, level in itertools.groupby(_words(max_len), len):
+        level = list(level)
+        dec._raise_words(level)
+        for word in level:
+            for grp in dec._word(word).groups:
+                count += len(grp.numbers)
+                failures += int(grp.failed.sum())
+                ok = ~grp.failed
+                if not ok.any():
+                    continue
+                _, _, residuals = _projector_residuals(grp.basis, grp.kernel, grp.count)
+                for key, values in residuals.items():
+                    nan = ok & np.isnan(values)
+                    if nan.any():
+                        grading = _grading_at(g, word, int(grp.numbers[nan.argmax()]))
+                        raise DecompositionError(f"{grading}: {key} residual is NaN")
+                    worst[key] = max(worst[key], float(values[ok].max()))
     worst["gradings"] = float(count)
     worst["failures"] = float(failures)
     worst["max_len"] = float(max_len)

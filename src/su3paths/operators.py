@@ -289,6 +289,11 @@ class CupPattern(_Pattern):
 
     weight: np.ndarray
 
+    def values(self, vector: np.ndarray, k=slice(None)) -> np.ndarray:
+        """Entries k (all of them by default): the weights, which read no
+        cell, so any cell vector gives them."""
+        return self.weight[k]
+
     def block(self, s: int) -> np.ndarray:
         return self._scatter(s, self.weight[self.entries(s)])
 

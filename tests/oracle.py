@@ -32,10 +32,11 @@ zero-padded stacks; raw_kernel stacks one grading's annihilation and
 cup blocks, built by the per-grading builders, and takes one SVD.
 
 A decomposition per grading: the library builds the generation-labelled
-bases of all gradings of one word and dimension together, with batched
-kernel SVDs, raising products and Gram-Schmidt passes;
-GradingDecomposer builds one grading at a time, recursing into its
-source gradings, and orthonormalizes one candidate at a time.
+bases of all words of one length together, with a batched kernel SVD
+per word and dimension, and gathered raising candidates and
+Gram-Schmidt passes batched per dimension; GradingDecomposer builds
+one grading at a time, recursing into its source gradings, and
+orthonormalizes one candidate at a time.
 grading_decompose_space and grading_verify_decomposition compute the
 projector residuals from its bases one grading at a time.
 """

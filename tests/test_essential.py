@@ -19,6 +19,7 @@ from su3paths import (
     PathVector,
     PeelStep,
     SuffixSegment,
+    build_a_graph,
     cell_system,
     decompose_space,
     enumerate_paths,
@@ -37,6 +38,7 @@ from su3paths import (
     random_gauge,
     replay_record,
     shipped_cells,
+    solve_cells,
     spectral_data,
     verify_decomposition,
     word_str,
@@ -340,6 +342,60 @@ def test_decomposition_matches_grading_oracle(name, max_len, cells_kind):
         assert ker.shape == ref.shape, str(grading)
         gap = np.abs(ker @ ker.conj().T - ref @ ref.conj().T)
         assert gap.max(initial=0.0) <= 1e-12, str(grading)
+
+
+BATCH_CASES = [
+    (name, max_len, kind)
+    for name, max_len in [("a2", 4), ("a3", 3), ("a4", 3), ("a5", 3), ("e5", 4)]
+    for kind in ("shipped", "random-gauge", "zero")
+] + [(f"A_{k}", 4 if k < 3 else 3, "solved") for k in range(1, 5)]
+
+
+@pytest.mark.parametrize("name,max_len,cells_kind", BATCH_CASES)
+def test_length_batches_build_the_word_by_word_bases(name, max_len, cells_kind, monkeypatch):
+    """The Decomposer raises a length's words together, per dimension,
+    in batches of bounded size; every grading's basis, generations,
+    count and failure flag are bit-equal to those built one word per
+    batch, with the default budget and with one group per batch."""
+    from su3paths import essential
+    from su3paths.paths import _words
+
+    if cells_kind == "solved":
+        g = build_a_graph(int(name[2:]))
+        cells = solve_cells(g, seed=0)
+    else:
+        g = get_graph(name)
+        cells = shipped_cells(g)
+        if cells_kind == "zero":
+            cells = cell_system(g, {t: 0.0 for t in enumerate_triangles(g)})
+        elif cells_kind == "random-gauge":
+            cells = gauge_transform(cells, random_gauge(g, 5))
+    words = list(_words(max_len))
+    alone = Decomposer(g, cells)
+    for word in reversed(words):  # sources after the words raised from them
+        alone._word(word)
+
+    raise_batch, sizes = essential._raise_batch, []
+
+    def recorded(batch, *args):
+        sizes.append(len(batch))
+        return raise_batch(batch, *args)
+
+    monkeypatch.setattr(essential, "_raise_batch", recorded)
+    # -1 is below every batch's size, so each group is a batch of its own
+    for budget in (essential._BATCH_BYTES, -1):
+        monkeypatch.setattr(essential, "_BATCH_BYTES", budget)
+        sizes.clear()
+        dec = Decomposer(g, cells)
+        for _, level in itertools.groupby(words, len):
+            dec._raise_words(list(level))
+        assert max(sizes) > 1 if budget > 0 else max(sizes) == 1
+        for word in words:
+            ours, ref = dec._memo[word].groups, alone._memo[word].groups
+            assert len(ours) == len(ref)
+            for a, b in zip(ours, ref):
+                for field in ("numbers", "basis", "gens", "count", "failed"):
+                    assert np.array_equal(getattr(a, field), getattr(b, field)), (word, field)
 
 
 @pytest.mark.parametrize("name,max_len", [("a2", 4), ("a3", 3), ("a4", 3), ("a5", 3), ("e5", 4)])

@@ -455,6 +455,27 @@ def test_stacked_blocks_are_padded_blocks(e5, e5_cells, word, i):
             assert not stack[q][m.shape[0] :].any() and not stack[q][:, m.shape[1] :].any()
 
 
+@pytest.mark.parametrize("name", ["a2", "a3", "a4", "a5", "e5"])
+def test_patterns_hold_at_most_one_entry_per_column(name):
+    """The decomposition gathers each raising candidate C^H s as one
+    scaled row of the source basis, which holds only while every column
+    of every grading's block has at most one entry: checked on the
+    annihilation and cup patterns of every slot of every word to
+    length 4."""
+    from su3paths.paths import _words
+
+    g = get_graph(name)
+    for w in _words(4):
+        for i in range(1, len(w)):
+            for p in (annihilation_pattern(g, w, i), cup_pattern(g, w, i)):
+                counts = np.diff(p.offsets.astype(np.int64))
+                grading = np.repeat(np.arange(counts.size), counts)
+                cols = p.cols.astype(np.int64)
+                assert ((cols >= 0) & (cols < p.shapes[grading, 1])).all()
+                keys = grading * max(int(p.shapes[:, 1].max()), 1) + cols
+                assert np.unique(keys).size == keys.size, (name, w, i)
+
+
 def _assert_gram_is_diagonal(c: np.ndarray, dims: np.ndarray, table: np.ndarray):
     """c stacks one zero-padded block per grading, dims[q] rows on grading
     q: C C^H is diagonal, exactly, and its diagonal on the gradings' rows,
