@@ -4,15 +4,15 @@ constructive factorization of elementary paths.
 A path vector is essential when every annihilation and every cup
 applicable to its grading kills it; per grading that is the joint
 numerical kernel of the stacked operator blocks.  The kernels of all
-gradings of one word are found together and kept on the cell system
-(_word_kernels): essential_basis is one grading's slice of them,
-essential_dims reads their counts, and the decomposition grows its
-bases from them.  Types with
-alpha + beta beyond the graph level are excluded from the essential
-space by the length clause even where the joint kernel is nonzero;
-the raw kernel dimension is still reported (and is what the graded
-decomposition is anchored on, since raising preserves orthogonality
-to kernels, not to their level-clamped subsets).
+gradings of one word are found together (_group_kernels, one batched
+SVD per group of gradings of equal dimension).  essential_basis and
+essential_dims read them from the cell system, where _word_kernels
+keeps them; the decomposition builds its own and keeps none there.
+Types with alpha + beta beyond the graph level are excluded from the
+essential space by the length clause even where the joint kernel is
+nonzero; the raw kernel dimension is still reported (and is what the
+graded decomposition is anchored on, since raising preserves
+orthogonality to kernels, not to their level-clamped subsets).
 
 The decomposition writes each graded space as
 
@@ -23,13 +23,15 @@ collapsed word) or the cap re-inserting a mixed-tag return (source =
 the word with the pair removed), recursively.  Generation g vectors
 are images of length-g raising chains out of some raw kernel;
 independence is decided by rank growth during incremental
-orthonormalization.  A word's gradings of equal dimension form one
-group, whose kernels come from one batched SVD.  A word's sources are
-shorter, so the Decomposer raises the words of one length together,
-sources first: per dimension, their groups' raising candidates and
-Gram-Schmidt passes run in batches of bounded size, each grading with
-its own rank decisions.  verify_decomposition sweeps a length at a
-time.
+orthonormalization.  A word's sources are shorter, so the Decomposer
+raises the words of one length together, sources first.  Per
+dimension, their groups run in batches of bounded size, and a batch is
+the unit of work from start to end: its groups' kernels, one order of
+their raising candidates, the gathered candidates and one Gram-Schmidt
+loop, each grading with its own rank decisions.  verify_decomposition
+sweeps a length at a time and checks each batch's projectors as soon
+as it is raised, in chunks of bounded size.  It keeps the bases of the
+two lengths the next length raises from, and none of the last.
 
 factorize_path implements the constructive proof: strip the essential
 suffix right of the rightmost live pattern, peel the leftmost live
@@ -41,7 +43,7 @@ path.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from types import MappingProxyType
 from typing import Mapping, Optional, Tuple, Union
 
@@ -72,6 +74,7 @@ from .paths import (
     _dimension_groups,
     _grading_at,
     _grading_number,
+    _walk_counts,
     _words,
     concatenate,
     enumerate_paths,
@@ -99,9 +102,10 @@ class DecompositionError(RuntimeError):
 # the kernels and bases of a word's gradings are built together.  The
 # gradings of nonzero dimension d form one group.  Per slot, the group's
 # lowering blocks are one zero-padded stack scattered from the graph's
-# pattern (_Pattern.stacked); the kernels come from one batched SVD of
-# the stacks and are kept on the cell system (_word_kernels).  Zero rows
-# and columns from the padding change no singular value.
+# pattern (_Pattern.stack's indices); the kernels come from one batched
+# SVD of the stacks (_group_kernels).  Zero rows and columns from the
+# padding change no singular value.  _word_kernels keeps a word's
+# kernels on the cell system for essential_basis and essential_dims.
 
 
 def _ranks(svals: np.ndarray) -> np.ndarray:
@@ -116,7 +120,8 @@ def _ranks(svals: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _BasisGroup:
     """Bases of the gradings ``numbers`` (ascending) of one word, all of
-    dimension d.
+    dimension d; _raise_batch returns one for a whole batch, whose rows
+    run over several words.
 
     Row r's basis is columns :count[r] of the (d, n) block basis[r]:
     kernel[r] raw-kernel vectors, then the raised ones in acceptance
@@ -133,6 +138,10 @@ class _BasisGroup:
     kernel: np.ndarray
     count: np.ndarray
     failed: np.ndarray
+
+    def rows(self, start: int, stop: int) -> "_BasisGroup":
+        """The gradings start:stop of the group."""
+        return _BasisGroup(*(getattr(self, f.name)[start:stop] for f in fields(self)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,42 +197,81 @@ def _lowering(g: GraphSpec, word: Word):
     ]
 
 
-@cached_on
-def _word_kernels(cells: CellSystem, g: GraphSpec, word: Word) -> _WordBases:
-    """The generation-0 bases of every grading of a word on g: the raw
-    joint kernels, kept on the cell system in read-only arrays.  A
-    non-finite lowering entry raises DecompositionError naming the first
-    grading of its group that has one."""
-    slots = [(p, p.values(cells.vector)) for p, _ in _lowering(g, word)]
+def _word_groups(g: GraphSpec, word: Word):
+    """The word's groups (d, numbers) of gradings of equal nonzero
+    dimension (_dimension_groups), and the group_of and row_of maps of a
+    _WordBases with one _BasisGroup per group, all read-only."""
+    groups = list(_dimension_groups(g, word))
     group_of = np.full(len(g.vertices) ** 2, -1, dtype=np.int64)
     row_of = np.zeros(len(g.vertices) ** 2, dtype=np.int64)
-    groups = []
-    for d, numbers in _dimension_groups(g, word):
-        group_of[numbers] = len(groups)
+    for k, (_, numbers) in enumerate(groups):
+        group_of[numbers] = k
         row_of[numbers] = np.arange(len(numbers))
-        rank = np.zeros(len(numbers), dtype=np.int64)
-        vh = np.broadcast_to(np.eye(d, dtype=complex), (len(numbers), d, d))
-        if slots:
-            stack = np.concatenate([p.stacked(numbers, values) for p, values in slots], axis=1)
-            finite = np.isfinite(stack).all(axis=(1, 2))
-            if not finite.all():
-                grading = _grading_at(g, word, int(numbers[finite.argmin()]))
-                raise DecompositionError(f"{grading}: non-finite operator entries")
-            _, svals, vh = np.linalg.svd(stack, full_matrices=stack.shape[1] < d)
-            rank = _ranks(svals)
-        kernel = d - rank
-        # column j is right singular vector rank + j, zeroed past the kernel
-        cols = np.arange(kernel.max())
-        basis = np.take_along_axis(_h(vh), ((cols + rank[:, None]) % d)[:, None, :], axis=2)
-        basis *= (cols < kernel[:, None])[:, None, :]
-        gens = np.where(cols < kernel[:, None], 0, -1)
-        failed = np.zeros(len(numbers), dtype=bool)
-        groups.append(_BasisGroup(numbers, basis, gens, kernel, kernel, failed))
-        for a in (numbers, basis, gens, kernel, failed):
-            a.setflags(write=False)
+        numbers.setflags(write=False)
     for a in (group_of, row_of):
         a.setflags(write=False)
-    return _WordBases(tuple(groups), group_of, row_of)
+    return groups, group_of, row_of
+
+
+def _check_finite(g: GraphSpec, word: Word, slots, vector: np.ndarray) -> None:
+    """Raise DecompositionError when a lowering entry of the word (slots
+    holds its patterns) is not finite, naming the first grading that
+    has one in the order of the word's groups: by dimension, then by
+    grading number."""
+    bad = set()
+    for p in slots:
+        finite = np.isfinite(p.values(vector))
+        if not finite.all():
+            entries = np.flatnonzero(~finite)
+            bad.update((np.searchsorted(p.offsets, entries, side="right") - 1).tolist())
+    if bad:
+        dims = _walk_counts(g, word).ravel()
+        s = min(bad, key=lambda s: (dims[s], s))
+        raise DecompositionError(f"{_grading_at(g, word, s)}: non-finite operator entries")
+
+
+def _group_kernels(numbers: np.ndarray, d: int, slots, vector: np.ndarray):
+    """The raw joint kernels of a word's dimension-d gradings ``numbers``
+    (slots holds the word's lowering patterns): a _BasisGroup of
+    read-only arrays whose blocks stop at the group's largest kernel.
+    With it, per slot, the entries that stack the group's blocks,
+    (values, (q, y, x)): entry j sits at row y[j] and column x[j] of the
+    block of grading numbers[q[j]] (_Pattern.stack)."""
+    entries, blocks = [], []
+    for p in slots:
+        take, at, shape = p.stack(numbers)
+        entries.append((p.values(vector, take), at))
+        blocks.append(np.zeros(shape, dtype=complex))
+        blocks[-1][at] = entries[-1][0]
+    if slots:
+        stack = np.concatenate(blocks, axis=1)
+        _, svals, vh = np.linalg.svd(stack, full_matrices=stack.shape[1] < d)
+        rank = _ranks(svals)
+    else:
+        rank = np.zeros(len(numbers), dtype=np.int64)
+        vh = np.broadcast_to(np.eye(d, dtype=complex), (len(numbers), d, d))
+    kernel = d - rank
+    # column j is right singular vector rank + j, zeroed past the kernel
+    cols = np.arange(kernel.max())
+    basis = np.take_along_axis(_h(vh), ((cols + rank[:, None]) % d)[:, None, :], axis=2)
+    basis *= (cols < kernel[:, None])[:, None, :]
+    gens = np.where(cols < kernel[:, None], 0, -1)
+    failed = np.zeros(len(numbers), dtype=bool)
+    for a in (basis, gens, kernel, failed):
+        a.setflags(write=False)
+    return _BasisGroup(numbers, basis, gens, kernel, kernel, failed), entries
+
+
+@cached_on
+def _word_kernels(cells: CellSystem, g: GraphSpec, word: Word) -> _WordBases:
+    """The generation-0 bases of every grading of a word on g, kept on
+    the cell system: the raw joint kernels (_group_kernels).  A
+    non-finite lowering entry raises DecompositionError (_check_finite)."""
+    slots = [p for p, _ in _lowering(g, word)]
+    _check_finite(g, word, slots, cells.vector)
+    groups, group_of, row_of = _word_groups(g, word)
+    kernels = (_group_kernels(numbers, d, slots, cells.vector)[0] for d, numbers in groups)
+    return _WordBases(tuple(kernels), group_of, row_of)
 
 
 @dataclass(frozen=True)
@@ -341,13 +389,20 @@ def essential_dims(g: GraphSpec, cells: CellSystem, tp: Tuple[int, int]) -> Esse
 #
 # A word's sources are shorter, so once the shorter words are built the
 # words of one length are raised together: their groups of one
-# dimension d are batched within _BATCH_BYTES, and each batch runs one
-# Gram-Schmidt loop with one accept mask per grading.  A group's bases
-# start from a copy of its kernels.  Every lowering column holds at most
-# one entry, so each raising candidate C^H s is a gathered and scaled
-# row of the source basis, written straight into its column of the
-# batch.  The padding changes no candidate or projection and the rows
-# are independent, so a grading's basis does not depend on its batch.
+# dimension d are batched within _BATCH_BYTES, and each batch is raised
+# from start to end before the next one starts (_raise_batch).  Its
+# groups' kernels are built there, and a group's bases start from a
+# copy of them.  One stable sort orders the candidates of every grading
+# of the batch.  Every lowering column holds at most one entry, so each
+# raising candidate C^H s is a gathered and scaled row of the source
+# basis, read with the same _Pattern.stack indices that stacked the
+# kernel's blocks and written straight into its column of the batch.
+# One Gram-Schmidt loop runs with one accept mask per grading.  The
+# padding changes no candidate or projection and the rows are
+# independent, so a grading's basis does not depend on its batch.
+# verify_decomposition checks each batch's projectors straight after it
+# is raised, keeps the bases of lengths n - 1 and n - 2 while it raises
+# length n, and keeps none of the last length.
 
 _DEAD = np.iinfo(np.int64).max  # generation of a padded candidate column
 
@@ -358,8 +413,16 @@ _DEAD = np.iinfo(np.int64).max  # generation of a padded candidate column
 # the rest of the process, and later arrays then fragment the heap: with
 # 1 MiB batches `report e5 --max-len 4` kept about 0.5 MiB more memory
 # than with 256 KiB, which raises as fast.  A larger group is a batch
-# of its own.
+# of its own.  verify_decomposition raises and checks one batch at a
+# time and keeps the bases of two lengths only, so of the last length
+# it holds one batch at a time.
 _BATCH_BYTES = 256 << 10
+
+# Bytes of bases whose projector residuals verify_decomposition forms at
+# once.  _projector_residuals makes about a dozen arrays of that size, so
+# a chunk stays well under 1 MiB; residuals of whole 256 KiB batches
+# raised the peak of `report e5 --max-len 4` by 0.9 MiB.
+_CHECK_BYTES = 64 << 10
 
 
 class Decomposer:
@@ -372,11 +435,13 @@ class Decomposer:
     slot order, the source basis in its order within a slot, then sorted
     stably by generation.
 
-    The bases are built from the words' kernels (_word_kernels) and kept
-    per word.  A word's sources (its collapsed and cup words) are shorter
-    and are built first; _raise_words then raises the words of one
-    length together, per dimension, in batches of bounded size.  Share
-    one instance across gradings to reuse them.
+    The bases are built from the words' kernels (_group_kernels) and
+    kept per word; the kernels are not kept on the cell system.  A word's
+    sources (its collapsed and cup words) are shorter and are built
+    first; _raise_words then raises the words of one length together,
+    per dimension, one bounded batch at a time.  Share one instance
+    across gradings to reuse them.  verify_decomposition uses one as a
+    window of two lengths and keeps no bases of the last.
     """
 
     def __init__(self, g: GraphSpec, cells: CellSystem):
@@ -399,59 +464,75 @@ class Decomposer:
             self._raise_words([word])
         return self._memo[word]
 
-    def _raise_words(self, words) -> None:
-        """Build and keep the bases of words of one length, none of them
-        built yet."""
-        built, todo = [], {}
+    def _raise_words(self, words, check=None, keep: bool = True) -> None:
+        """Build the bases of words of one length, none of them built yet,
+        a batch at a time (_raise_batch), and keep them.  check(batch,
+        raised), when given, sees each batch as soon as it is raised;
+        with keep false nothing is kept."""
+        vector = self.cells.vector
+        kept, todo = [], {}
         for w, word in enumerate(words):
-            kernels = _word_kernels(self.cells, self.g, word)
-            # per slot: the lowering pattern and the source word's bases
-            slots = [(p, self._word(src)) for p, src in _lowering(self.g, word)]
+            lowering = _lowering(self.g, word)
+            slots = [p for p, _ in lowering]
+            _check_finite(self.g, word, slots, vector)
+            # per slot, the source word's bases
+            sources = [self._word(src) for _, src in lowering]
             # per grading, its candidates: the source bases' sizes
-            width = sum((src.sizes() for _, src in slots), np.zeros_like(kernels.group_of))
-            built.append((word, kernels))
-            for k, grp in enumerate(kernels.groups):
-                item = ((w, k), grp, slots, int(width[grp.numbers].max()))
-                todo.setdefault(grp.basis.shape[1], []).append(item)
-        raised = [[None] * len(kernels.groups) for _, kernels in built]
+            groups, group_of, row_of = _word_groups(self.g, word)
+            width = sum((src.sizes() for src in sources), np.zeros_like(group_of))
+            kept.append((word, group_of, row_of, [None] * len(groups)))
+            for k, (d, numbers) in enumerate(groups):
+                item = ((w, k), numbers, (slots, sources), int(width[numbers].max()))
+                todo.setdefault(d, []).append(item)
         for d, items in todo.items():
             items.sort(key=lambda item: -item[-1])  # widest first, see _raise_batch
             for batch in _batches(items, d):
-                for ((w, k), *_), grp in zip(batch, _raise_batch(batch, d, self.cells.vector)):
-                    raised[w][k] = grp
-        for (word, kernels), groups in zip(built, raised):
-            self._memo[word] = _WordBases(tuple(groups), kernels.group_of, kernels.row_of)
+                raised = _raise_batch(batch, d, vector)
+                if check is not None:
+                    check(batch, raised)
+                if keep:
+                    r0 = 0
+                    for (w, k), numbers, *_ in batch:
+                        kept[w][-1][k] = raised.rows(r0, r0 + len(numbers))
+                        r0 += len(numbers)
+        if keep:
+            for word, group_of, row_of, groups in kept:
+                self._memo[word] = _WordBases(tuple(groups), group_of, row_of)
 
 
-def _candidate_order(numbers: np.ndarray, slots):
-    """Where the raising candidates of the gradings ``numbers`` go.
+def _candidate_order(batch, starts, width: int):
+    """Where the raising candidates of a batch's gradings go.
 
     Candidate (slot i, source column c) has the source vector's
     generation plus one; padded columns get _DEAD.  A grading's
     candidates are tried in slot order, source order within a slot,
-    sorted stably by generation.  Returns per slot a (len, R_i) array,
-    the place of each candidate in that order, and the (len, width)
-    generations in that order, width the most live candidates of any
-    grading."""
-    if not slots:
-        return [], np.zeros((len(numbers), 0), dtype=np.int64)
-    sgens = [src.generations(numbers) for _, src in slots]
-    cgen = np.concatenate([np.where(s >= 0, s + 1, _DEAD) for s in sgens], axis=1)
+    sorted stably by generation, in one sort for the whole batch.
+    Returns per group and slot a (rows, R_i) array, the place of each
+    candidate in that order, and the (n, width) generations in that
+    order, width the most live candidates of any grading."""
+    sgens = [[src.generations(numbers) for src in sources] for _, numbers, (_, sources), _ in batch]
+    spans = [np.cumsum([0] + [s.shape[1] for s in gs]).tolist() for gs in sgens]
+    cgen = np.full((starts[-1], max(c[-1] for c in spans)), _DEAD, dtype=np.int64)
+    for r0, gs, c in zip(starts, sgens, spans):
+        for s, c0 in zip(gs, c):
+            cgen[r0 : r0 + len(s), c0 : c0 + s.shape[1]] = np.where(s >= 0, s + 1, _DEAD)
     order = np.argsort(cgen, axis=1, kind="stable")
     pos = np.empty_like(order)
     np.put_along_axis(pos, order, np.arange(cgen.shape[1]), axis=1)
-    width = int((cgen != _DEAD).sum(axis=1).max(initial=0))
-    split = np.cumsum([s.shape[1] for s in sgens])[:-1]
-    return np.split(pos, split, axis=1), np.take_along_axis(cgen, order[:, :width], axis=1)
+    places = [
+        [pos[r0:r1, c0:c1] for c0, c1 in zip(c, c[1:])]
+        for r0, r1, c in zip(starts, starts[1:], spans)
+    ]
+    return places, np.take_along_axis(cgen, order[:, :width], axis=1)
 
 
 def _batches(items, d: int):
-    """Runs of consecutive items (key, group, slots, width) whose
-    candidates and bases, (rows, d, widest) and (rows, d, d) complex
-    arrays, fit in _BATCH_BYTES each."""
+    """Runs of consecutive items (key, numbers, (slots, sources), width)
+    whose candidates and bases, (rows, d, widest) and (rows, d, d)
+    complex arrays, fit in _BATCH_BYTES each."""
     batch, rows, width = [], 0, d
     for item in items:
-        k, w = len(item[1].numbers), item[-1]
+        k, w = len(item[1]), item[-1]
         if batch and (rows + k) * d * max(width, w) * 16 > _BATCH_BYTES:
             yield batch
             batch, rows, width = [], 0, d
@@ -461,38 +542,39 @@ def _batches(items, d: int):
         yield batch
 
 
-def _raise_batch(batch, d: int, vector: np.ndarray):
+def _raise_batch(batch, d: int, vector: np.ndarray) -> _BasisGroup:
     """The bases of a batch of dimension-d groups (see Decomposer) on the
-    cell vector, one _BasisGroup per group, in batch order.  The groups
-    come widest first, so those with a candidate j are a prefix."""
-    starts = np.cumsum([0] + [len(grp.numbers) for _, grp, *_ in batch]).tolist()
+    cell vector, from their kernels (_group_kernels) up: one _BasisGroup
+    that holds the groups' gradings one after another, in batch order.
+    The groups come widest first, so those with a candidate j are a
+    prefix."""
+    starts = np.cumsum([0] + [len(numbers) for _, numbers, *_ in batch]).tolist()
     widths = [w for *_, w in batch]
     n, width = starts[-1], widths[0]
     basis = np.zeros((n, d, d), dtype=complex)
     gens = np.full((n, d), -1, dtype=np.int64)
-    count = np.zeros(n, dtype=np.int64)
+    kernel = np.zeros(n, dtype=np.int64)
     failed = np.zeros(n, dtype=bool)
     cand = np.zeros((n, d, width), dtype=complex)
-    cgen = np.full((n, width), _DEAD, dtype=np.int64)
-    for r0, (_, grp, slots, _) in zip(starts, batch):
-        rows = slice(r0, r0 + len(grp.numbers))
+    places, cgen = _candidate_order(batch, starts, width)
+    for r0, (_, numbers, (slots, sources), _), pos in zip(starts, batch, places):
+        grp, entries = _group_kernels(numbers, d, slots, vector)
+        rows = slice(r0, r0 + len(numbers))
         basis[rows, :, : grp.basis.shape[2]] = grp.basis
         gens[rows, : grp.gens.shape[1]] = grp.gens
-        count[rows] = grp.count
-        pos, order = _candidate_order(grp.numbers, slots)
-        cgen[rows, : order.shape[1]] = order
-        for (p, src), at in zip(slots, pos):
+        kernel[rows] = grp.kernel
+        for (values, (q, y, x)), src, at in zip(entries, sources, pos):
             # entry j lowers column x[j] of grading q[j] to source row y[j],
             # so C^H s puts conj(value) s[y[j]] at x[j]
-            take, (q, y, x), _ = p.stack(grp.numbers)
-            scale = p.values(vector, take).conj()
-            which = src.group_of[grp.numbers[q]]
+            scale = values.conj()
+            which = src.group_of[numbers[q]]
             for k in set(which.tolist()):
                 e = np.flatnonzero(which == k)
-                sgrp, srow = src.groups[k], src.row_of[grp.numbers[q[e]]]
+                sgrp, srow = src.groups[k], src.row_of[numbers[q[e]]]
                 live, c = np.nonzero(sgrp.gens[srow] >= 0)
                 e, srow = e[live], srow[live]
                 cand[r0 + q[e], x[e], at[q[e], c]] = scale[e] * sgrp.basis[srow, y[e], c]
+    count = kernel.copy()
     # CGS2 against the zero-padded basis, one candidate column at a time,
     # on the rows of the groups that have one
     for j in range(width):
@@ -513,10 +595,8 @@ def _raise_batch(batch, d: int, vector: np.ndarray):
         gens[at, count[at]] = cgen[at, j]
         count[at] += 1
     failed |= count != d
-    return [
-        _BasisGroup(grp.numbers, basis[r0:r1], gens[r0:r1], grp.kernel, count[r0:r1], failed[r0:r1])
-        for (_, grp, *_), r0, r1 in zip(batch, starts, starts[1:])
-    ]
+    numbers = np.concatenate([numbers for _, numbers, *_ in batch])
+    return _BasisGroup(numbers, basis, gens, kernel, count, failed)
 
 
 def _projector_residuals(basis: np.ndarray, kernel: np.ndarray, count: np.ndarray):
@@ -614,10 +694,12 @@ def verify_decomposition(g: GraphSpec, cells: CellSystem, max_len: int = 4) -> M
 
     The sweep raises the words of one length together, per dimension,
     in batches of bounded size (see Decomposer), a length at a time, and
-    then evaluates the residuals of each word's group of gradings of one
-    dimension as one batch, in _words order.  A NaN residual, like a
-    non-finite operator entry, raises DecompositionError naming the
-    first such grading; a negative max_len raises ValueError."""
+    evaluates each batch's residuals as soon as it is raised, in chunks
+    of _CHECK_BYTES of bases.  It keeps the bases of the two lengths
+    that the next length raises from, and none of the last length.  A
+    NaN residual, like a non-finite operator entry, raises
+    DecompositionError naming the first such grading in _words order;
+    a negative max_len raises ValueError."""
     if max_len < 0:
         raise ValueError(f"max_len must be >= 0, got {max_len}")
     dec = Decomposer(g, cells)
@@ -630,23 +712,39 @@ def verify_decomposition(g: GraphSpec, cells: CellSystem, max_len: int = 4) -> M
     }
     count = 0
     failures = 0
-    for _, level in itertools.groupby(_words(max_len), len):
-        level = list(level)
-        dec._raise_words(level)
-        for word in level:
-            for grp in dec._word(word).groups:
-                count += len(grp.numbers)
-                failures += int(grp.failed.sum())
-                ok = ~grp.failed
-                if not ok.any():
-                    continue
-                _, _, residuals = _projector_residuals(grp.basis, grp.kernel, grp.count)
-                for key, values in residuals.items():
-                    nan = ok & np.isnan(values)
-                    if nan.any():
-                        grading = _grading_at(g, word, int(grp.numbers[nan.argmax()]))
-                        raise DecompositionError(f"{grading}: {key} residual is NaN")
-                    worst[key] = max(worst[key], float(values[ok].max()))
+    nans = []  # (word, group, residual, row, key, grading number) per NaN
+
+    def check(batch, raised: _BasisGroup) -> None:
+        nonlocal count, failures
+        count += len(raised.numbers)
+        failures += int(raised.failed.sum())
+        ends = np.cumsum([len(numbers) for _, numbers, *_ in batch])
+        d = raised.basis.shape[1]
+        step = max(1, _CHECK_BYTES // (16 * d * d))
+        for r0 in range(0, len(raised.numbers), step):
+            rows = slice(r0, r0 + step)
+            ok = ~raised.failed[rows]
+            if not ok.any():
+                continue
+            _, _, residuals = _projector_residuals(
+                raised.basis[rows], raised.kernel[rows], raised.count[rows]
+            )
+            for i, (key, values) in enumerate(residuals.items()):
+                for r in (r0 + np.flatnonzero(ok & np.isnan(values))).tolist():
+                    b = int(np.searchsorted(ends, r, side="right"))
+                    row = r - (int(ends[b - 1]) if b else 0)
+                    (w, k), numbers = batch[b][:2]
+                    nans.append((w, k, i, row, key, int(numbers[row])))
+                worst[key] = max(worst[key], float(values[ok].max()))
+
+    for n, level in itertools.groupby(_words(max_len), len):
+        words = list(level)
+        dec._raise_words(words, check, keep=n < max_len)
+        for word in [w for w in dec._memo if len(w) < n - 1]:
+            del dec._memo[word]
+        if nans:
+            w, _, _, _, key, number = min(nans)
+            raise DecompositionError(f"{_grading_at(g, words[w], number)}: {key} residual is NaN")
     worst["gradings"] = float(count)
     worst["failures"] = float(failures)
     worst["max_len"] = float(max_len)

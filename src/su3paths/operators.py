@@ -189,9 +189,9 @@ def _check_slot(i: int, lo: int, hi: int, what: str):
 # builders, so a block is cheaper to rebuild than to hold.  creation and
 # cap return a fresh conjugate transpose of an annihilation or cup block
 # on each call, and tl_u multiplies one; none of these keeps anything.
-# The stacks the sweeps build (_Pattern.stacked: the Decomposer's on
-# every word, verify_tl's on its window words only) and verify_tl's
-# window tables are not kept either.
+# The stacks the sweeps build (from _Pattern.stack's indices: the
+# Decomposer's on every word, verify_tl's on its window words only) and
+# verify_tl's window tables are not kept either.
 # Patterns and matrices are immutable.
 
 

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ from su3paths import (
     words_of_type,
 )
 from su3paths.essential import LIVE_TOL, NULL_TOL, RANK_TOL, _word_kernels
-from su3paths.paths import _grading_number, word_paths
+from su3paths.paths import _grading_at, _grading_number, word_paths
 
 from oracle import GradingDecomposer, grading_verify_decomposition, kernel_operators, raw_kernel
 
@@ -296,15 +297,99 @@ def test_nan_fails_the_decomposition_sweep_naming_the_grading(e5, e5_cells, monk
         verify_decomposition(e5, e5_cells, max_len=3)
 
 
+def test_nan_residuals_in_one_batch_name_the_first_grading_in_word_order(e5, e5_cells, monkeypatch):
+    """A raising batch holds its groups widest first, which need not be
+    _words order.  Of two gradings of different words in one batch with
+    NaN residuals, the error names the one whose word comes first in
+    _words order, though its group comes later in the batch."""
+    from su3paths import essential
+
+    raise_words, raise_batch = essential.Decomposer._raise_words, essential._raise_batch
+    levels, batches = [], []
+
+    def recorded_words(self, words, *args, **kwargs):
+        levels.append(words)
+        return raise_words(self, words, *args, **kwargs)
+
+    def recorded_batch(batch, *args):
+        batches.append((len(levels) - 1, [(key, numbers) for key, numbers, *_ in batch]))
+        return raise_batch(batch, *args)
+
+    monkeypatch.setattr(essential.Decomposer, "_raise_words", recorded_words)
+    monkeypatch.setattr(essential, "_raise_batch", recorded_batch)
+    verify_decomposition(e5, e5_cells, max_len=4)
+    # the first batch with a group of a later word ahead of an earlier one
+    level, items, ahead, behind = next(
+        (level, items, i, j)
+        for level, items in batches
+        for i, j in itertools.combinations(range(len(items)), 2)
+        if items[i][0][0] > items[j][0][0]
+    )
+    words = levels[level]
+    poisoned = {(level, items[ahead][0]), (level, items[behind][0])}
+
+    def poisoning(batch, *args):
+        raised = raise_batch(batch, *args)
+        r0 = 0
+        for key, numbers, *_ in batch:
+            if (len(levels) - 1, key) in poisoned:
+                raised.basis[r0, 0, 0] = math.nan  # NaN residuals on the group's first grading
+            r0 += len(numbers)
+        return raised
+
+    levels.clear()
+    monkeypatch.setattr(essential, "_raise_batch", poisoning)
+    first = _grading_at(e5, words[items[behind][0][0]], int(items[behind][1][0]))
+    message = rf"^{re.escape(str(first))}: hermitian residual is NaN$"
+    with pytest.raises(DecompositionError, match=message):
+        verify_decomposition(e5, e5_cells, max_len=4)
+
+
+@pytest.mark.parametrize("name,max_len", [("e5", 4), ("a2", 5)])
+@pytest.mark.parametrize("cells_kind", ["shipped", "random-gauge"])
+def test_decomposition_sweep_keeps_two_lengths(name, max_len, cells_kind, monkeypatch):
+    """Before each length is raised the sweep's Decomposer holds the
+    bases of the two lengths below it, and after the sweep only those
+    of the length before the last: it keeps none of the last length.
+    The sweep leaves the cell system's memo as it found it; the kernels
+    that essential_dims kept there stay."""
+    from su3paths import essential
+
+    g = get_graph(name)
+    cells = shipped_cells(g)
+    if cells_kind == "random-gauge":
+        cells = gauge_transform(cells, random_gauge(g, 5))
+    assert essential_dims(g, cells, (1, 0)).matches_fusion
+    memo = dict(cells._memo)
+    assert memo
+    raise_words, held, decomposers = essential.Decomposer._raise_words, [], set()
+
+    def recorded(self, words, *args, **kwargs):
+        decomposers.add(self)
+        held.append(sorted({len(w) for w in self._memo}))
+        return raise_words(self, words, *args, **kwargs)
+
+    monkeypatch.setattr(essential.Decomposer, "_raise_words", recorded)
+    assert verify_decomposition(g, cells, max_len)["failures"] == 0
+    (dec,) = decomposers
+    assert held == [[n for n in (m - 2, m - 1) if n >= 0] for m in range(max_len + 1)]
+    assert sorted({len(w) for w in dec._memo}) == [max_len - 1]
+    assert cells._memo == memo
+
+
 def _labels(dec, g, max_len: int):
     return [[gen for gen, _ in dec.basis(grading)] for grading in iter_gradings(g, max_len)]
 
 
-ORACLE_CASES = [
-    (name, max_len, kind)
-    for name, max_len in [("a2", 4), ("a3", 3), ("a4", 3), ("a5", 3), ("e5", 4)]
-    for kind in ("shipped", "random-gauge")
-] + [("a2", 4, "zero")]
+ORACLE_CASES = (
+    [
+        (name, max_len, kind)
+        for name, max_len in [("a2", 4), ("a3", 3), ("a4", 3), ("a5", 3), ("e5", 4)]
+        for kind in ("shipped", "random-gauge")
+    ]
+    + [("a2", 4, "zero")]
+    + [(f"A_{k}", 4 if k < 3 else 3, "solved") for k in range(1, 5)]
+)
 
 
 @pytest.mark.parametrize("name,max_len,cells_kind", ORACLE_CASES)
@@ -313,11 +398,16 @@ def test_decomposition_matches_grading_oracle(name, max_len, cells_kind):
     generation labels on every grading, equal counts, residuals within
     1e-13; and the word kernels against the per-grading ones: equal
     dimensions, projectors within 1e-12.  All-zero cells make every
-    like-slot stack zero (rank 0)."""
-    g = get_graph(name)
-    if cells_kind == "zero":
+    like-slot stack zero (rank 0); the A graphs built here carry cells
+    from the solver, not the shipped files."""
+    if cells_kind == "solved":
+        g = build_a_graph(int(name[2:]))
+        cells = solve_cells(g, seed=0)
+    elif cells_kind == "zero":
+        g = get_graph(name)
         cells = cell_system(g, {t: 0.0 for t in enumerate_triangles(g)})
     else:
+        g = get_graph(name)
         cells = shipped_cells(g)
         if cells_kind == "random-gauge":
             cells = gauge_transform(cells, random_gauge(g, 5))
