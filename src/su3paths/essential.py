@@ -3,11 +3,13 @@ constructive factorization of elementary paths.
 
 A path vector is essential when every annihilation and every cup
 applicable to its grading kills it; per grading that is the joint
-numerical kernel of the stacked operator blocks.  The kernels of all
-gradings of one word are found together (_group_kernels, one batched
-SVD per group of gradings of equal dimension).  essential_basis and
-essential_dims read them from the cell system, where _word_kernels
-keeps them; the decomposition builds its own and keeps none there.
+numerical kernel of the stacked operator blocks.  Kernels are found
+for many gradings at once (_kernels): the gradings of one dimension
+whose stacks have the same shape take one SVD.  essential_basis and
+essential_dims read a word's kernels from the cell system, where
+_word_kernels keeps them; the decomposition finds them one raising
+batch at a time, one SVD per stack shape per batch, and keeps none
+there.
 Types with alpha + beta beyond the graph level are excluded from the
 essential space by the length clause even where the joint kernel is
 nonzero; the raw kernel dimension is still reported (and is what the
@@ -102,8 +104,11 @@ class DecompositionError(RuntimeError):
 # the kernels and bases of a word's gradings are built together.  The
 # gradings of nonzero dimension d form one group.  Per slot, the group's
 # lowering blocks are one zero-padded stack scattered from the graph's
-# pattern (_Pattern.stack's indices); the kernels come from one batched
-# SVD of the stacks (_group_kernels).  Zero rows and columns from the
+# pattern (_Pattern.stack's indices), and a grading's slots are stacked
+# on top of each other.  _kernels takes any set of groups of one
+# dimension and runs one SVD per stack shape: numpy's stacked SVD runs
+# LAPACK on each matrix alone, so a kernel does not depend on the
+# gradings it shares an SVD with.  Zero rows and columns from the
 # padding change no singular value.  _word_kernels keeps a word's
 # kernels on the cell system for essential_basis and essential_dims.
 
@@ -166,19 +171,6 @@ class _WordBases:
             size[grp.numbers] = grp.count
         return size
 
-    def generations(self, numbers: np.ndarray) -> np.ndarray:
-        """The basis generations of the gradings ``numbers``, one row
-        each, padded with -1 to the largest of their dimensions."""
-        which = self.group_of[numbers]
-        present = sorted(set(which[which >= 0].tolist()))
-        width = max((self.groups[k].gens.shape[1] for k in present), default=0)
-        gens = np.full((len(numbers), width), -1, dtype=np.int64)
-        for k in present:
-            at = np.flatnonzero(which == k)
-            grp = self.groups[k]
-            gens[at, : grp.gens.shape[1]] = grp.gens[self.row_of[numbers[at]]]
-        return gens
-
 
 def _h(x: np.ndarray) -> np.ndarray:
     return x.conj().swapaxes(-1, -2)
@@ -230,47 +222,92 @@ def _check_finite(g: GraphSpec, word: Word, slots, vector: np.ndarray) -> None:
         raise DecompositionError(f"{_grading_at(g, word, s)}: non-finite operator entries")
 
 
-def _group_kernels(numbers: np.ndarray, d: int, slots, vector: np.ndarray):
-    """The raw joint kernels of a word's dimension-d gradings ``numbers``
-    (slots holds the word's lowering patterns): a _BasisGroup of
-    read-only arrays whose blocks stop at the group's largest kernel.
-    With it, per slot, the entries that stack the group's blocks,
-    (values, (q, y, x)): entry j sits at row y[j] and column x[j] of the
-    block of grading numbers[q[j]] (_Pattern.stack)."""
-    entries, blocks = [], []
-    for p in slots:
-        take, at, shape = p.stack(numbers)
-        entries.append((p.values(vector, take), at))
-        blocks.append(np.zeros(shape, dtype=complex))
-        blocks[-1][at] = entries[-1][0]
-    if slots:
-        stack = np.concatenate(blocks, axis=1)
-        _, svals, vh = np.linalg.svd(stack, full_matrices=stack.shape[1] < d)
-        rank = _ranks(svals)
-    else:
-        rank = np.zeros(len(numbers), dtype=np.int64)
-        vh = np.broadcast_to(np.eye(d, dtype=complex), (len(numbers), d, d))
-    kernel = d - rank
-    # column j is right singular vector rank + j, zeroed past the kernel
-    cols = np.arange(kernel.max())
-    basis = np.take_along_axis(_h(vh), ((cols + rank[:, None]) % d)[:, None, :], axis=2)
-    basis *= (cols < kernel[:, None])[:, None, :]
-    gens = np.where(cols < kernel[:, None], 0, -1)
-    failed = np.zeros(len(numbers), dtype=bool)
-    for a in (basis, gens, kernel, failed):
-        a.setflags(write=False)
-    return _BasisGroup(numbers, basis, gens, kernel, kernel, failed), entries
+def _kernels(groups, d: int, vector: np.ndarray):
+    """The raw joint kernels of groups (numbers, slots) of dimension-d
+    gradings (slots holds a word's lowering patterns, as many for every
+    group), the groups' gradings one after another in rows.
+
+    A grading's stack is its slots' blocks one on top of the other, each
+    zero-padded to the largest block of its group and slot
+    (_Pattern.stack).  The groups whose stacks have the same height
+    take one SVD, in row chunks whose stacks, singular vectors and
+    kernels fit in _BATCH_BYTES together.  Returns the (n, d, d) bases,
+    row r with kernel[r] kernel vectors and zero columns after them,
+    their (n, d) generations and kernel; and per group and slot the
+    entries of its blocks, (values, q, y, x, top): entry j sits at row
+    y[j] and column x[j] of the block of the group's grading q[j], whose
+    first row is row top of the grading's stack."""
+    lens = [len(numbers) for numbers, _ in groups]
+    starts = np.cumsum([0] + lens).tolist()
+    basis = np.zeros((starts[-1], d, d), dtype=complex)
+    gens = np.full((starts[-1], d), -1, dtype=np.int64)
+    kernel = np.full(starts[-1], d, dtype=np.int64)
+    entries, heights = [], []
+    for numbers, slots in groups:
+        top, mine = 0, []
+        for p in slots:
+            take, (q, y, x), shape = p.stack(numbers)
+            mine.append((p.values(vector, take), q, y, x, top))
+            top += shape[1]
+        entries.append(mine)
+        heights.append(top)
+    if not groups[0][1]:
+        basis[:] = np.eye(d)
+        gens[:] = 0
+        return basis, gens, kernel, entries
+    for h in sorted(set(heights)):
+        here = [height == h for height in heights]
+        rows = np.flatnonzero(np.repeat(here, lens))
+        # the entries of these groups, at their row p among these rows and
+        # their row t of the stack
+        first = np.cumsum([0] + list(itertools.compress(lens, here))).tolist()
+        pieces = zip(first, itertools.compress(entries, here))
+        offset, v, q, y, x, top = zip(*((r0, *e) for r0, slots in pieces for e in slots))
+        size = [len(a) for a in q]
+        p = np.concatenate(q) + np.repeat(offset, size)
+        t = np.concatenate(y) + np.repeat(top, size)
+        x, v = np.concatenate(x), np.concatenate(v)
+        step = max(1, _BATCH_BYTES // (32 * d * (h + d)))
+        for r0 in range(0, len(rows), step):
+            chunk = rows[r0 : r0 + step]
+            sel = (p >= r0) & (p < r0 + step)
+            stack = np.zeros((len(chunk), h, d), dtype=complex)
+            stack[p[sel] - r0, t[sel], x[sel]] = v[sel]
+            _, svals, vh = np.linalg.svd(stack, full_matrices=h < d)
+            rank = _ranks(svals)
+            # column j is right singular vector rank + j, zeroed past the kernel
+            j = np.arange(d)
+            null = vh[np.arange(len(chunk))[:, None], (j + rank[:, None]) % d]
+            np.conjugate(null, out=null)
+            null *= (j < d - rank[:, None])[:, :, None]
+            basis[chunk] = null.swapaxes(1, 2)
+            kernel[chunk] = d - rank
+    # Past its group's largest kernel a row is +0, as in a group's kernels
+    # computed alone; the signs of the raised vectors' zeros follow it.
+    largest = np.repeat(np.maximum.reduceat(kernel, starts[:-1]), lens)
+    basis.transpose(0, 2, 1)[np.arange(d) >= largest[:, None]] = 0
+    gens[np.arange(d) < kernel[:, None]] = 0
+    return basis, gens, kernel, entries
 
 
 @cached_on
 def _word_kernels(cells: CellSystem, g: GraphSpec, word: Word) -> _WordBases:
     """The generation-0 bases of every grading of a word on g, kept on
-    the cell system: the raw joint kernels (_group_kernels).  A
-    non-finite lowering entry raises DecompositionError (_check_finite)."""
+    the cell system: the raw joint kernels (_kernels), one call per
+    group, their blocks cut at the group's largest kernel.  A non-finite
+    lowering entry raises DecompositionError (_check_finite)."""
     slots = [p for p, _ in _lowering(g, word)]
     _check_finite(g, word, slots, cells.vector)
     groups, group_of, row_of = _word_groups(g, word)
-    kernels = (_group_kernels(numbers, d, slots, cells.vector)[0] for d, numbers in groups)
+    kernels = []
+    for d, numbers in groups:
+        basis, gens, kernel, _ = _kernels([(numbers, slots)], d, cells.vector)
+        top = kernel.max()
+        basis, gens = basis[:, :, :top].copy(), gens[:, :top].copy()
+        failed = np.zeros(len(numbers), dtype=bool)
+        for a in (basis, gens, kernel, failed):
+            a.setflags(write=False)
+        kernels.append(_BasisGroup(numbers, basis, gens, kernel, kernel, failed))
     return _WordBases(tuple(kernels), group_of, row_of)
 
 
@@ -391,14 +428,15 @@ def essential_dims(g: GraphSpec, cells: CellSystem, tp: Tuple[int, int]) -> Esse
 # words of one length are raised together: their groups of one
 # dimension d are batched within _BATCH_BYTES, and each batch is raised
 # from start to end before the next one starts (_raise_batch).  Its
-# groups' kernels are built there, and a group's bases start from a
-# copy of them.  One stable sort orders the candidates of every grading
-# of the batch.  Every lowering column holds at most one entry, so each
-# raising candidate C^H s is a gathered and scaled row of the source
-# basis, read with the same _Pattern.stack indices that stacked the
-# kernel's blocks and written straight into its column of the batch.
-# One Gram-Schmidt loop runs with one accept mask per grading.  The
-# padding changes no candidate or projection and the rows are
+# kernels are found there, one SVD per stack shape per batch
+# (_kernels), straight into the rows of the batch's bases.  Every
+# lowering column holds at most one entry, so each raising candidate
+# C^H s is a gathered and scaled row of the source basis, read with the
+# same _Pattern.stack indices that stacked the kernels' blocks.  One
+# stable sort orders the candidates of every grading of the batch, and
+# they are gathered a slot at a time straight into that order
+# (_candidates).  One Gram-Schmidt loop runs with one accept mask per
+# grading.  The padding changes no candidate or projection and the rows are
 # independent, so a grading's basis does not depend on its batch.
 # verify_decomposition checks each batch's projectors straight after it
 # is raised, keeps the bases of lengths n - 1 and n - 2 while it raises
@@ -406,16 +444,18 @@ def essential_dims(g: GraphSpec, cells: CellSystem, tp: Tuple[int, int]) -> Esse
 
 _DEAD = np.iinfo(np.int64).max  # generation of a padded candidate column
 
-# Bytes that one raising batch's candidates, and its bases, may take.
+# Bytes that one raising batch's candidates, and its bases, may take;
+# and one kernel SVD's stacks, singular vectors and kernels together.
 # A whole length's candidates take 1.1 MiB on e5 at length 4 and 14 MiB
 # at length 5, so a length needs several batches.  Freeing an array past
 # malloc's mmap threshold (128 KiB at start) raises the threshold for
 # the rest of the process, and later arrays then fragment the heap: with
 # 1 MiB batches `report e5 --max-len 4` kept about 0.5 MiB more memory
 # than with 256 KiB, which raises as fast.  A larger group is a batch
-# of its own.  verify_decomposition raises and checks one batch at a
-# time and keeps the bases of two lengths only, so of the last length
-# it holds one batch at a time.
+# of its own, whose kernels still take SVDs of bounded size.
+# verify_decomposition raises and checks one batch at a time and keeps
+# the bases of two lengths only, so of the last length it holds one
+# batch at a time.
 _BATCH_BYTES = 256 << 10
 
 # Bytes of bases whose projector residuals verify_decomposition forms at
@@ -435,11 +475,12 @@ class Decomposer:
     slot order, the source basis in its order within a slot, then sorted
     stably by generation.
 
-    The bases are built from the words' kernels (_group_kernels) and
-    kept per word; the kernels are not kept on the cell system.  A word's
-    sources (its collapsed and cup words) are shorter and are built
-    first; _raise_words then raises the words of one length together,
-    per dimension, one bounded batch at a time.  Share one instance
+    The bases are built from the words' kernels and kept per word; the
+    kernels are not kept on the cell system.  A word's sources (its
+    collapsed and cup words) are shorter and are built first;
+    _raise_words then raises the words of one length together, per
+    dimension, one bounded batch at a time, with one SVD per stack
+    shape per batch (_raise_batch).  Share one instance
     across gradings to reuse them.  verify_decomposition uses one as a
     window of two lengths and keeps no bases of the last.
     """
@@ -470,24 +511,34 @@ class Decomposer:
         raised), when given, sees each batch as soon as it is raised;
         with keep false nothing is kept."""
         vector = self.cells.vector
-        kept, todo = [], {}
+        kept, todo, found = [], {}, {}
         for w, word in enumerate(words):
             lowering = _lowering(self.g, word)
             slots = [p for p, _ in lowering]
             _check_finite(self.g, word, slots, vector)
-            # per slot, the source word's bases
-            sources = [self._word(src) for _, src in lowering]
+            # per slot, the source word's bases and its place among the
+            # source words found
+            bases = [self._word(src) for _, src in lowering]
+            at = [found.setdefault(src, (len(found), b))[0] for (_, src), b in zip(lowering, bases)]
             # per grading, its candidates: the source bases' sizes
             groups, group_of, row_of = _word_groups(self.g, word)
-            width = sum((src.sizes() for src in sources), np.zeros_like(group_of))
+            width = sum((b.sizes() for b in bases), np.zeros_like(group_of))
             kept.append((word, group_of, row_of, [None] * len(groups)))
             for k, (d, numbers) in enumerate(groups):
-                item = ((w, k), numbers, (slots, sources), int(width[numbers].max()))
+                item = ((w, k), numbers, (slots, at), int(width[numbers].max()))
                 todo.setdefault(d, []).append(item)
+        # the source words' groups in one list, and per source word and
+        # grading number the grading's place in it (-1 for dimension 0)
+        # and its row in its group
+        bases = [b for _, b in found.values()]
+        first = np.cumsum([0] + [len(b.groups) for b in bases]).tolist()
+        place = [np.where(b.group_of < 0, -1, f + b.group_of) for f, b in zip(first, bases)]
+        pooled = [grp for b in bases for grp in b.groups]
+        sources = (pooled, np.array(place), np.array([b.row_of for b in bases]))
         for d, items in todo.items():
             items.sort(key=lambda item: -item[-1])  # widest first, see _raise_batch
             for batch in _batches(items, d):
-                raised = _raise_batch(batch, d, vector)
+                raised = _raise_batch(batch, d, vector, sources)
                 if check is not None:
                     check(batch, raised)
                 if keep:
@@ -500,34 +551,8 @@ class Decomposer:
                 self._memo[word] = _WordBases(tuple(groups), group_of, row_of)
 
 
-def _candidate_order(batch, starts, width: int):
-    """Where the raising candidates of a batch's gradings go.
-
-    Candidate (slot i, source column c) has the source vector's
-    generation plus one; padded columns get _DEAD.  A grading's
-    candidates are tried in slot order, source order within a slot,
-    sorted stably by generation, in one sort for the whole batch.
-    Returns per group and slot a (rows, R_i) array, the place of each
-    candidate in that order, and the (n, width) generations in that
-    order, width the most live candidates of any grading."""
-    sgens = [[src.generations(numbers) for src in sources] for _, numbers, (_, sources), _ in batch]
-    spans = [np.cumsum([0] + [s.shape[1] for s in gs]).tolist() for gs in sgens]
-    cgen = np.full((starts[-1], max(c[-1] for c in spans)), _DEAD, dtype=np.int64)
-    for r0, gs, c in zip(starts, sgens, spans):
-        for s, c0 in zip(gs, c):
-            cgen[r0 : r0 + len(s), c0 : c0 + s.shape[1]] = np.where(s >= 0, s + 1, _DEAD)
-    order = np.argsort(cgen, axis=1, kind="stable")
-    pos = np.empty_like(order)
-    np.put_along_axis(pos, order, np.arange(cgen.shape[1]), axis=1)
-    places = [
-        [pos[r0:r1, c0:c1] for c0, c1 in zip(c, c[1:])]
-        for r0, r1, c in zip(starts, starts[1:], spans)
-    ]
-    return places, np.take_along_axis(cgen, order[:, :width], axis=1)
-
-
 def _batches(items, d: int):
-    """Runs of consecutive items (key, numbers, (slots, sources), width)
+    """Runs of consecutive items (key, numbers, (slots, places), width)
     whose candidates and bases, (rows, d, widest) and (rows, d, d)
     complex arrays, fit in _BATCH_BYTES each."""
     batch, rows, width = [], 0, d
@@ -542,44 +567,96 @@ def _batches(items, d: int):
         yield batch
 
 
-def _raise_batch(batch, d: int, vector: np.ndarray) -> _BasisGroup:
+def _candidates(batch, d: int, vector: np.ndarray, sources):
+    """The kernels of a batch of dimension-d groups (_kernels, one SVD per
+    stack shape of the batch), and the raising candidates of its
+    gradings in the order they are tried.  An item's places name its
+    source words, per slot, by their place in sources (groups, place,
+    row): the source words' groups, and per source word and grading
+    number the grading's group there (-1 for dimension 0) and its row in
+    it.
+
+    Candidate (slot i, source column c) has the source vector's
+    generation plus one, a padded one _DEAD.  One stable sort of the
+    batch's generations, each slot in columns of its own, orders them:
+    slot order, source order within a slot, sorted stably by generation.
+    The candidates are gathered a slot at a time straight into that
+    order.  Returns the kernels' basis, gens and kernel, the (n, width,
+    d) candidates, width the most live candidates of any grading, and
+    their (n, width) generations."""
+    lens = [len(numbers) for _, numbers, *_ in batch]
+    starts = np.cumsum([0] + lens).tolist()
+    n, width = starts[-1], batch[0][-1]
+    numbers = np.concatenate([numbers for _, numbers, *_ in batch])
+    basis, gens, kernel, entries = _kernels(
+        [(numbers, slots) for _, numbers, (slots, _), _ in batch], d, vector
+    )
+    groups, place, row = sources
+    # per slot: its entries, C^H putting scale[j] s[y[j]] at x[j] of row
+    # r[j] for a source vector s, and each grading's row in its source
+    # group; the gradings and the entries sorted by source group, and
+    # where the runs of the groups present start and end.  The slot's
+    # candidates take columns spans[i] to spans[i + 1] of the unsorted
+    # generations, as many as its widest source group has.
+    found, spans = [], [0]
+    for i in range(len(entries[0])):
+        v, q, y, x, _ = zip(*(group[i] for group in entries))
+        r = np.concatenate(q) + np.repeat(starts[:-1], [len(a) for a in q])
+        # conjugated before they are joined, so that a real cup weight stays
+        # real and its products with a source vector keep their signed zeros
+        scale = np.concatenate([a.conj() for a in v])
+        which = np.repeat([at[i] for _, _, (_, at), _ in batch], lens)
+        key, srow = place[which, numbers], row[which, numbers]
+        present = sorted(set(key.tolist()) - {-1})
+        rows, by = np.argsort(key, kind="stable"), np.argsort(key[r], kind="stable")
+        r, y, x, scale = r[by], np.concatenate(y)[by], np.concatenate(x)[by], scale[by]
+        runs = [
+            list(zip(np.searchsorted(on, present), np.searchsorted(on, present, side="right")))
+            for on in (key[rows], key[r])
+        ]
+        found.append(((scale, r, y, x), srow, present, rows, runs))
+        spans.append(spans[-1] + max((groups[k].gens.shape[1] for k in present), default=0))
+    del entries  # joined per slot in found
+    cgen = np.full((n, spans[-1]), _DEAD, dtype=np.int64)
+    for (_, srow, present, rows, (runs, _)), c0 in zip(found, spans):
+        for k, (a, b) in zip(present, runs):
+            sg = groups[k].gens[srow[rows[a:b]]]
+            cgen[rows[a:b], c0 : c0 + sg.shape[1]] = np.where(sg >= 0, sg + 1, _DEAD)
+    # each candidate's place in the order; a padded one goes to the last
+    # column, past the width, which is dropped
+    order = np.argsort(cgen, axis=1, kind="stable")
+    pos = np.empty_like(order)
+    np.put_along_axis(pos, order, np.arange(spans[-1]), axis=1)
+    pos[cgen == _DEAD] = width
+    cand = np.zeros((n, width + 1, d), dtype=complex)
+    for ((scale, r, y, x), srow, present, _, (_, runs)), c0 in zip(found, spans):
+        for k, (a, b) in zip(present, runs):
+            # these entries' gradings read source group k: each scales row
+            # y of its source basis into column x of the candidates
+            e = slice(a, b)
+            at = pos[r[e], c0 : c0 + groups[k].gens.shape[1]]
+            cand[r[e, None], at, x[e, None]] = scale[e, None] * groups[k].basis[srow[r[e]], y[e]]
+    cgen = np.take_along_axis(cgen, order[:, :width], axis=1)
+    return basis, gens, kernel, cand[:, :width], cgen
+
+
+def _raise_batch(batch, d: int, vector: np.ndarray, sources) -> _BasisGroup:
     """The bases of a batch of dimension-d groups (see Decomposer) on the
-    cell vector, from their kernels (_group_kernels) up: one _BasisGroup
-    that holds the groups' gradings one after another, in batch order.
-    The groups come widest first, so those with a candidate j are a
-    prefix."""
+    cell vector, from their kernels and raising candidates (_candidates)
+    up: one _BasisGroup that holds the groups' gradings one after
+    another, in batch order.  The groups come widest first, so those with
+    a candidate j are a prefix."""
     starts = np.cumsum([0] + [len(numbers) for _, numbers, *_ in batch]).tolist()
     widths = [w for *_, w in batch]
     n, width = starts[-1], widths[0]
-    basis = np.zeros((n, d, d), dtype=complex)
-    gens = np.full((n, d), -1, dtype=np.int64)
-    kernel = np.zeros(n, dtype=np.int64)
+    basis, gens, kernel, cand, cgen = _candidates(batch, d, vector, sources)
     failed = np.zeros(n, dtype=bool)
-    cand = np.zeros((n, d, width), dtype=complex)
-    places, cgen = _candidate_order(batch, starts, width)
-    for r0, (_, numbers, (slots, sources), _), pos in zip(starts, batch, places):
-        grp, entries = _group_kernels(numbers, d, slots, vector)
-        rows = slice(r0, r0 + len(numbers))
-        basis[rows, :, : grp.basis.shape[2]] = grp.basis
-        gens[rows, : grp.gens.shape[1]] = grp.gens
-        kernel[rows] = grp.kernel
-        for (values, (q, y, x)), src, at in zip(entries, sources, pos):
-            # entry j lowers column x[j] of grading q[j] to source row y[j],
-            # so C^H s puts conj(value) s[y[j]] at x[j]
-            scale = values.conj()
-            which = src.group_of[numbers[q]]
-            for k in set(which.tolist()):
-                e = np.flatnonzero(which == k)
-                sgrp, srow = src.groups[k], src.row_of[numbers[q[e]]]
-                live, c = np.nonzero(sgrp.gens[srow] >= 0)
-                e, srow = e[live], srow[live]
-                cand[r0 + q[e], x[e], at[q[e], c]] = scale[e] * sgrp.basis[srow, y[e], c]
     count = kernel.copy()
     # CGS2 against the zero-padded basis, one candidate column at a time,
     # on the rows of the groups that have one
     for j in range(width):
         m = starts[sum(n_cand > j for n_cand in widths)]
-        w = cand[:m, :, j]
+        w = cand[:m, j]
         nrm = np.linalg.norm(w, axis=1)
         live = nrm >= LIVE_TOL
         if not live.any():

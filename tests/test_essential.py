@@ -397,9 +397,11 @@ def test_decomposition_matches_grading_oracle(name, max_len, cells_kind):
     """The per-word batched sweep against the per-grading one: equal
     generation labels on every grading, equal counts, residuals within
     1e-13; and the word kernels against the per-grading ones: equal
-    dimensions, projectors within 1e-12.  All-zero cells make every
-    like-slot stack zero (rank 0); the A graphs built here carry cells
-    from the solver, not the shipped files."""
+    dimensions, projectors within 1e-12, and the same columns, bit for
+    bit, as the Decomposer's generation 0, which finds them in batches
+    of other words' groups.  All-zero cells make every like-slot stack
+    zero (rank 0); the A graphs built here carry cells from the solver,
+    not the shipped files."""
     if cells_kind == "solved":
         g = build_a_graph(int(name[2:]))
         cells = solve_cells(g, seed=0)
@@ -418,17 +420,20 @@ def test_decomposition_matches_grading_oracle(name, max_len, cells_kind):
         assert lib[key] == ref[key]
     for key in lib.keys() - {"gradings", "failures", "max_len"}:
         assert abs(lib[key] - ref[key]) <= 1e-13, key
-    assert _labels(Decomposer(g, cells), g, max_len) == _labels(
-        GradingDecomposer(g, cells), g, max_len
-    )
-    # the word kernels against the per-grading SVD, to length 3
+    dec = Decomposer(g, cells)
+    assert _labels(dec, g, max_len) == _labels(GradingDecomposer(g, cells), g, max_len)
+    # the word kernels against the per-grading SVD and the Decomposer's
+    # generation 0, to length 3
     for grading in iter_gradings(g, min(max_len, 3)):
         ref, _ = raw_kernel(g, cells, grading)
-        found = _word_kernels(cells, g, grading.word).find(_grading_number(g, grading))
+        number = _grading_number(g, grading)
+        found = _word_kernels(cells, g, grading.word).find(number)
         ker = ref[:, :0]
         if found is not None:
             grp, r = found
             ker = grp.basis[r, :, : grp.kernel[r]]
+            raised, r = dec._word(grading.word).find(number)
+            assert np.array_equal(ker, raised.basis[r, :, : raised.kernel[r]]), str(grading)
         assert ker.shape == ref.shape, str(grading)
         gap = np.abs(ker @ ker.conj().T - ref @ ref.conj().T)
         assert gap.max(initial=0.0) <= 1e-12, str(grading)
@@ -446,7 +451,9 @@ def test_length_batches_build_the_word_by_word_bases(name, max_len, cells_kind, 
     """The Decomposer raises a length's words together, per dimension,
     in batches of bounded size; every grading's basis, generations,
     count and failure flag are bit-equal to those built one word per
-    batch, with the default budget and with one group per batch."""
+    batch, with the default budget and with one group per batch.  With
+    the default budget the groups of a batch share their kernel SVDs:
+    there are fewer SVD calls than groups with a lowering slot."""
     from su3paths import essential
     from su3paths.paths import _words
 
@@ -466,20 +473,30 @@ def test_length_batches_build_the_word_by_word_bases(name, max_len, cells_kind, 
         alone._word(word)
 
     raise_batch, sizes = essential._raise_batch, []
+    svd, svds = np.linalg.svd, []
 
     def recorded(batch, *args):
         sizes.append(len(batch))
         return raise_batch(batch, *args)
 
+    def counted(*args, **kwargs):
+        svds.append(1)
+        return svd(*args, **kwargs)
+
     monkeypatch.setattr(essential, "_raise_batch", recorded)
+    monkeypatch.setattr(essential.np.linalg, "svd", counted)
+    # groups whose words have a slot, whose kernels take an SVD
+    groups = sum(len(alone._memo[word].groups) for word in words if len(word) > 1)
     # -1 is below every batch's size, so each group is a batch of its own
     for budget in (essential._BATCH_BYTES, -1):
         monkeypatch.setattr(essential, "_BATCH_BYTES", budget)
         sizes.clear()
+        svds.clear()
         dec = Decomposer(g, cells)
         for _, level in itertools.groupby(words, len):
             dec._raise_words(list(level))
         assert max(sizes) > 1 if budget > 0 else max(sizes) == 1
+        assert len(svds) < groups if budget > 0 else len(svds) >= groups
         for word in words:
             ours, ref = dec._memo[word].groups, alone._memo[word].groups
             assert len(ours) == len(ref)
