@@ -127,12 +127,15 @@ class CellSystem(HashedOnce):
     complex array in that order: an annihilation block gathers from it
     (conjugated on sigma-bar pairs) through its graph's pattern.  The
     hash, the value map and the vector are computed once per instance,
-    freed with it and never pickled.  The joint kernels of each word
-    that essential paths and the decomposition read are kept on the
-    system, per graph and word, and freed with it too.  No operator block
-    is kept: an annihilation block is one gather and one scatter on each
-    call, cup blocks read no cell and are scattered from the graph's
-    pattern, and creation and cap are rebuilt as conjugate transposes.
+    freed with it and never pickled.  ``dtype`` is the arithmetic of
+    every kernel SVD, raising batch, projector check and relation
+    window on the system: float64 when every cell is real, as the
+    shipped cells are, else complex128.  The joint kernels of each word
+    that essential paths read are kept on the system in that dtype, per
+    graph and word, and freed with it too.  No operator block is kept:
+    an annihilation block is one gather and one scatter on each call,
+    cup blocks read no cell and are scattered from the graph's pattern,
+    and creation and cap are rebuilt as conjugate transposes.
     """
 
     graph: str
@@ -154,6 +157,13 @@ class CellSystem(HashedOnce):
         v.setflags(write=False)
         return v
 
+    @cached_property
+    def dtype(self) -> np.dtype:
+        """float64 when every cell's imaginary part is 0.0, else
+        complex128: the arithmetic of every sweep on these cells (see
+        _in_dtype)."""
+        return np.dtype(complex if self.vector.imag.any() else float)
+
     @property
     def residuals(self) -> Mapping[str, float]:
         return MappingProxyType(dict(self.residual_items))
@@ -172,6 +182,15 @@ class CellSystem(HashedOnce):
             residual_items=tuple(sorted((str(k), float(v)) for k, v in residuals.items())),
             warnings=self.warnings if warnings is None else tuple(warnings),
         )
+
+
+def _in_dtype(values: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """Operator entries or blocks in a cell system's dtype: on real cells
+    their real parts, which equal the complex entries bit for bit (an
+    entry's real and imaginary parts are rounded apart, see
+    AnnihilationPattern.values).  They are taken with .real and never by
+    a float cast, which would warn and could drop an imaginary part."""
+    return values.real if dtype.kind == "f" else values
 
 
 def cell_system(g: GraphSpec, values: Mapping[OrientedTriangle, complex], **kw) -> CellSystem:

@@ -66,6 +66,7 @@ from .cells import (
 from .operators import verify_adjointness, verify_tl
 from .essential import (
     DecompositionError,
+    _check_level,
     essential_basis,
     essential_dims,
     factorize_path,
@@ -364,6 +365,7 @@ def _vector_terms(basis_paths: Sequence[ElementaryPath], coeffs: np.ndarray) -> 
 
 
 def _essential_grading_result(args, g: GraphSpec, cells: CellSystem, tp) -> CommandResult:
+    _check_level(g, tp)
     words = words_of_type(*tp)
     total = 0
     word_rows = []

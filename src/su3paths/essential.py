@@ -9,7 +9,11 @@ whose stacks have the same shape take one SVD.  essential_basis and
 essential_dims read a word's kernels from the cell system, where
 _word_kernels keeps them; the decomposition finds them one raising
 batch at a time, one SVD per stack shape per batch, and keeps none
-there.
+there.  All of this arithmetic, from the kernel SVDs through the
+raising batches and the projector checks, runs in the cell system's
+dtype (CellSystem.dtype): float64 on real cells, such as the shipped
+ones, else complex128.  The vectors handed out (essential_basis,
+Decomposer.basis, decompose_space) are complex either way.
 Types with alpha + beta beyond the graph level are excluded from the
 essential space by the length clause even where the joint kernel is
 nonzero; the raw kernel dimension is still reported (and is what the
@@ -51,7 +55,7 @@ from typing import Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .cells import CellSystem, OrientedTriangle
+from .cells import CellSystem, OrientedTriangle, _in_dtype
 from .fusion import _type_bound, fusion_matrix
 from .graphs import GraphError, GraphSpec, cached_on
 from .operators import (
@@ -222,10 +226,11 @@ def _check_finite(g: GraphSpec, word: Word, slots, vector: np.ndarray) -> None:
         raise DecompositionError(f"{_grading_at(g, word, s)}: non-finite operator entries")
 
 
-def _kernels(groups, d: int, vector: np.ndarray):
+def _kernels(groups, d: int, cells: CellSystem):
     """The raw joint kernels of groups (numbers, slots) of dimension-d
     gradings (slots holds a word's lowering patterns, as many for every
-    group), the groups' gradings one after another in rows.
+    group), the groups' gradings one after another in rows, in the cell
+    system's dtype.
 
     A grading's stack is its slots' blocks one on top of the other, each
     zero-padded to the largest block of its group and slot
@@ -237,9 +242,10 @@ def _kernels(groups, d: int, vector: np.ndarray):
     entries of its blocks, (values, q, y, x, top): entry j sits at row
     y[j] and column x[j] of the block of the group's grading q[j], whose
     first row is row top of the grading's stack."""
+    dtype = cells.dtype
     lens = [len(numbers) for numbers, _ in groups]
     starts = np.cumsum([0] + lens).tolist()
-    basis = np.zeros((starts[-1], d, d), dtype=complex)
+    basis = np.zeros((starts[-1], d, d), dtype=dtype)
     gens = np.full((starts[-1], d), -1, dtype=np.int64)
     kernel = np.full(starts[-1], d, dtype=np.int64)
     entries, heights = [], []
@@ -247,7 +253,7 @@ def _kernels(groups, d: int, vector: np.ndarray):
         top, mine = 0, []
         for p in slots:
             take, (q, y, x), shape = p.stack(numbers)
-            mine.append((p.values(vector, take), q, y, x, top))
+            mine.append((_in_dtype(p.values(cells.vector, take), dtype), q, y, x, top))
             top += shape[1]
         entries.append(mine)
         heights.append(top)
@@ -267,11 +273,11 @@ def _kernels(groups, d: int, vector: np.ndarray):
         p = np.concatenate(q) + np.repeat(offset, size)
         t = np.concatenate(y) + np.repeat(top, size)
         x, v = np.concatenate(x), np.concatenate(v)
-        step = max(1, _BATCH_BYTES // (32 * d * (h + d)))
+        step = max(1, _BATCH_BYTES // (2 * dtype.itemsize * d * (h + d)))
         for r0 in range(0, len(rows), step):
             chunk = rows[r0 : r0 + step]
             sel = (p >= r0) & (p < r0 + step)
-            stack = np.zeros((len(chunk), h, d), dtype=complex)
+            stack = np.zeros((len(chunk), h, d), dtype=dtype)
             stack[p[sel] - r0, t[sel], x[sel]] = v[sel]
             _, svals, vh = np.linalg.svd(stack, full_matrices=h < d)
             rank = _ranks(svals)
@@ -301,7 +307,7 @@ def _word_kernels(cells: CellSystem, g: GraphSpec, word: Word) -> _WordBases:
     groups, group_of, row_of = _word_groups(g, word)
     kernels = []
     for d, numbers in groups:
-        basis, gens, kernel, _ = _kernels([(numbers, slots)], d, cells.vector)
+        basis, gens, kernel, _ = _kernels([(numbers, slots)], d, cells)
         top = kernel.max()
         basis, gens = basis[:, :, :top].copy(), gens[:, :top].copy()
         failed = np.zeros(len(numbers), dtype=bool)
@@ -335,7 +341,8 @@ def essential_basis(g: GraphSpec, cells: CellSystem, grading: PathGrading) -> Es
     excluded = alpha + beta > g.level
     vectors: Tuple[PathVector, ...] = ()
     if raw_dim and not excluded:
-        null = found[0].basis[found[1], :, :raw_dim].copy()  # the kept kernels are read-only
+        # a complex copy: the kept kernels are read-only, and real on real cells
+        null = found[0].basis[found[1], :, :raw_dim].astype(complex)
         vectors = tuple(PathVector(grading, null[:, j]) for j in range(raw_dim))
     return EssentialBasis(
         grading=grading,
@@ -381,17 +388,26 @@ class EssentialDimReport:
         return not self.mismatches
 
 
-def essential_dims(g: GraphSpec, cells: CellSystem, tp: Tuple[int, int]) -> EssentialDimReport:
-    """Per word of the type, the kernel counts of its gradings
-    (_word_kernels) against F_(alpha,beta); a non-finite operator entry
-    raises DecompositionError naming its grading.  A negative type
-    component or a type beyond the level raises GraphError first."""
-    alpha, beta = int(tp[0]), int(tp[1])
-    if _type_bound((alpha, beta)) > g.level:
+def _check_level(g: GraphSpec, tp: Tuple[int, int]) -> None:
+    """Raise GraphError for a negative type component, or for a type
+    beyond the level, whose essential spaces the length clause excludes;
+    essential_dims and the CLI's one-grading listing call it before
+    building any kernel."""
+    if _type_bound((int(tp[0]), int(tp[1]))) > g.level:
         raise GraphError(
             f"type {tp} exceeds the level {g.level} of {g.name!r}; essential "
             "spaces there are excluded by the length clause"
         )
+
+
+def essential_dims(g: GraphSpec, cells: CellSystem, tp: Tuple[int, int]) -> EssentialDimReport:
+    """Per word of the type, the kernel counts of its gradings
+    (_word_kernels) against F_(alpha,beta); a non-finite operator entry
+    raises DecompositionError naming its grading.  A negative type
+    component or a type beyond the level raises GraphError first
+    (_check_level)."""
+    _check_level(g, tp)
+    alpha, beta = int(tp[0]), int(tp[1])
     ids = g.vertex_ids()
     n = len(ids)
     per_word = {}
@@ -446,10 +462,13 @@ _DEAD = np.iinfo(np.int64).max  # generation of a padded candidate column
 
 # Bytes that one raising batch's candidates, and its bases, may take;
 # and one kernel SVD's stacks, singular vectors and kernels together.
-# A whole length's candidates take 1.1 MiB on e5 at length 4 and 14 MiB
-# at length 5, so a length needs several batches.  Freeing an array past
-# malloc's mmap threshold (128 KiB at start) raises the threshold for
-# the rest of the process, and later arrays then fragment the heap: with
+# Sizes count entries of the cells' dtype, so a batch on real cells
+# holds twice the rows of one on complex cells.  A whole length's
+# candidates take 0.55 MiB on e5's real cells at length 4 and 6.1 MiB at
+# length 5 (0.96 and 11.9 MiB complex), so a length needs several
+# batches.  Freeing an array past malloc's mmap threshold (128 KiB at
+# start) raises the threshold for the rest of the process, and later
+# arrays then fragment the heap: with
 # 1 MiB batches `report e5 --max-len 4` kept about 0.5 MiB more memory
 # than with 256 KiB, which raises as fast.  A larger group is a batch
 # of its own, whose kernels still take SVDs of bounded size.
@@ -496,7 +515,7 @@ class Decomposer:
             return ()
         grp, r = found
         return tuple(
-            (int(gen), grp.basis[r, :, j])
+            (int(gen), grp.basis[r, :, j].astype(complex, copy=False))
             for j, gen in enumerate(grp.gens[r, : grp.count[r]].tolist())
         )
 
@@ -510,12 +529,11 @@ class Decomposer:
         a batch at a time (_raise_batch), and keep them.  check(batch,
         raised), when given, sees each batch as soon as it is raised;
         with keep false nothing is kept."""
-        vector = self.cells.vector
         kept, todo, found = [], {}, {}
         for w, word in enumerate(words):
             lowering = _lowering(self.g, word)
             slots = [p for p, _ in lowering]
-            _check_finite(self.g, word, slots, vector)
+            _check_finite(self.g, word, slots, self.cells.vector)
             # per slot, the source word's bases and its place among the
             # source words found
             bases = [self._word(src) for _, src in lowering]
@@ -537,8 +555,8 @@ class Decomposer:
         sources = (pooled, np.array(place), np.array([b.row_of for b in bases]))
         for d, items in todo.items():
             items.sort(key=lambda item: -item[-1])  # widest first, see _raise_batch
-            for batch in _batches(items, d):
-                raised = _raise_batch(batch, d, vector, sources)
+            for batch in _batches(items, d, self.cells.dtype.itemsize):
+                raised = _raise_batch(batch, d, self.cells, sources)
                 if check is not None:
                     check(batch, raised)
                 if keep:
@@ -551,14 +569,14 @@ class Decomposer:
                 self._memo[word] = _WordBases(tuple(groups), group_of, row_of)
 
 
-def _batches(items, d: int):
+def _batches(items, d: int, itemsize: int):
     """Runs of consecutive items (key, numbers, (slots, places), width)
     whose candidates and bases, (rows, d, widest) and (rows, d, d)
-    complex arrays, fit in _BATCH_BYTES each."""
+    arrays of itemsize-byte entries, fit in _BATCH_BYTES each."""
     batch, rows, width = [], 0, d
     for item in items:
         k, w = len(item[1]), item[-1]
-        if batch and (rows + k) * d * max(width, w) * 16 > _BATCH_BYTES:
+        if batch and (rows + k) * d * max(width, w) * itemsize > _BATCH_BYTES:
             yield batch
             batch, rows, width = [], 0, d
         batch.append(item)
@@ -567,7 +585,7 @@ def _batches(items, d: int):
         yield batch
 
 
-def _candidates(batch, d: int, vector: np.ndarray, sources):
+def _candidates(batch, d: int, cells: CellSystem, sources):
     """The kernels of a batch of dimension-d groups (_kernels, one SVD per
     stack shape of the batch), and the raising candidates of its
     gradings in the order they are tried.  An item's places name its
@@ -589,7 +607,7 @@ def _candidates(batch, d: int, vector: np.ndarray, sources):
     n, width = starts[-1], batch[0][-1]
     numbers = np.concatenate([numbers for _, numbers, *_ in batch])
     basis, gens, kernel, entries = _kernels(
-        [(numbers, slots) for _, numbers, (slots, _), _ in batch], d, vector
+        [(numbers, slots) for _, numbers, (slots, _), _ in batch], d, cells
     )
     groups, place, row = sources
     # per slot: its entries, C^H putting scale[j] s[y[j]] at x[j] of row
@@ -628,7 +646,7 @@ def _candidates(batch, d: int, vector: np.ndarray, sources):
     pos = np.empty_like(order)
     np.put_along_axis(pos, order, np.arange(spans[-1]), axis=1)
     pos[cgen == _DEAD] = width
-    cand = np.zeros((n, width + 1, d), dtype=complex)
+    cand = np.zeros((n, width + 1, d), dtype=basis.dtype)
     for ((scale, r, y, x), srow, present, _, (_, runs)), c0 in zip(found, spans):
         for k, (a, b) in zip(present, runs):
             # these entries' gradings read source group k: each scales row
@@ -640,16 +658,16 @@ def _candidates(batch, d: int, vector: np.ndarray, sources):
     return basis, gens, kernel, cand[:, :width], cgen
 
 
-def _raise_batch(batch, d: int, vector: np.ndarray, sources) -> _BasisGroup:
+def _raise_batch(batch, d: int, cells: CellSystem, sources) -> _BasisGroup:
     """The bases of a batch of dimension-d groups (see Decomposer) on the
-    cell vector, from their kernels and raising candidates (_candidates)
-    up: one _BasisGroup that holds the groups' gradings one after
-    another, in batch order.  The groups come widest first, so those with
+    cells, in their dtype, from their kernels and raising candidates
+    (_candidates) up: one _BasisGroup that holds the groups' gradings
+    one after another, in batch order.  The groups come widest first, so those with
     a candidate j are a prefix."""
     starts = np.cumsum([0] + [len(numbers) for _, numbers, *_ in batch]).tolist()
     widths = [w for *_, w in batch]
     n, width = starts[-1], widths[0]
-    basis, gens, kernel, cand, cgen = _candidates(batch, d, vector, sources)
+    basis, gens, kernel, cand, cgen = _candidates(batch, d, cells, sources)
     failed = np.zeros(n, dtype=bool)
     count = kernel.copy()
     # CGS2 against the zero-padded basis, one candidate column at a time,
@@ -797,7 +815,7 @@ def verify_decomposition(g: GraphSpec, cells: CellSystem, max_len: int = 4) -> M
         failures += int(raised.failed.sum())
         ends = np.cumsum([len(numbers) for _, numbers, *_ in batch])
         d = raised.basis.shape[1]
-        step = max(1, _CHECK_BYTES // (16 * d * d))
+        step = max(1, _CHECK_BYTES // (raised.basis.itemsize * d * d))
         for r0 in range(0, len(raised.numbers), step):
             rows = slice(r0, r0 + step)
             ok = ~raised.failed[rows]

@@ -65,7 +65,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .cells import CellSystem, _triangle_table
+from .cells import CellSystem, _in_dtype, _triangle_table
 from .graphs import GraphSpec, cached_on, spectral_data
 from .paths import (
     EdgeTag,
@@ -239,7 +239,7 @@ class _Pattern:
     def stacked(self, numbers: np.ndarray, values: np.ndarray) -> np.ndarray:
         """The blocks of the gradings ``numbers``, stacked (see ``stack``),
         with entry k of the pattern set to values[k]: one gather and one
-        scatter."""
+        scatter into a complex stack, as the per-grading blocks are."""
         take, at, shape = self.stack(numbers)
         m = np.zeros(shape, dtype=complex)
         m[at] = values[take]
@@ -444,10 +444,11 @@ def apply_annihilation(g, cells, p: ElementaryPath, i: int) -> PathVector:
 # checked once per call on its window words (two to four letters), where
 # the gradings of equal dimension d form one group, each slot's blocks
 # on a group are one zero-padded stack scattered from the graph's
-# pattern (_Pattern.stacked), and the relation is a batched product with
-# one residual per window grading (_window_tables).  The sweep then
-# visits words and reads each (check, grading) residual from the tables,
-# as a maximum over the grading's paths.  Cup cap and C_i C+_i are the
+# pattern (_Pattern.stack's indices) in the cells' dtype, and the
+# relation is a batched product with one residual per window grading
+# (_window_tables).  The sweep then visits words and reads each
+# (check, grading) residual from the tables, as a maximum over the
+# grading's paths.  Cup cap and C_i C+_i are the
 # zero- and one-letter windows: per-vertex and per-arrow tables
 # (_diagonal_tables).
 
@@ -592,22 +593,26 @@ def _gram(c: np.ndarray) -> np.ndarray:
     return c.conj().swapaxes(-1, -2) @ c
 
 
-def _window_us(g: GraphSpec, vector: np.ndarray, word: Word):
+def _window_us(g: GraphSpec, vector: np.ndarray, dtype: np.dtype, word: Word):
     """U_i = C_i^H C_i on the gradings of a window word, a dimension group
-    at a time: yields (numbers, us) with us[i - 1] the (k, d, d) stack of
-    slot i's blocks on the k gradings ``numbers`` of dimension d, zero
-    on a mixed slot."""
+    at a time, in the cells' dtype: yields (numbers, us) with us[i - 1]
+    the (k, d, d) stack of slot i's blocks on the k gradings ``numbers``
+    of dimension d, zero on a mixed slot.  Each slot's blocks are
+    scattered with _Pattern.stack's indices into a stack of that dtype."""
     n = len(word)
     slots = [(i, annihilation_pattern(g, word, i)) for i in range(1, n) if word[i - 1] is word[i]]
-    slots = [(i, p, p.values(vector)) for i, p in slots]
+    slots = [(i, p, _in_dtype(p.values(vector), dtype)) for i, p in slots]
     for d, numbers in _dimension_groups(g, word):
-        us = np.zeros((n - 1, len(numbers), d, d), dtype=complex)
+        us = np.zeros((n - 1, len(numbers), d, d), dtype=dtype)
         for i, p, values in slots:
-            us[i - 1] = _gram(p.stacked(numbers, values))
+            take, at, shape = p.stack(numbers)
+            c = np.zeros(shape, dtype=dtype)
+            c[at] = values[take]
+            us[i - 1] = _gram(c)
         yield numbers, us
 
 
-def _window_tables(g: GraphSpec, vector: np.ndarray, max_len: int) -> dict:
+def _window_tables(g: GraphSpec, vector: np.ndarray, dtype: np.dtype, max_len: int) -> dict:
     """Per relation checked on U blocks, its residual on every grading of
     every window word of at most max_len letters, as a stack of V x V
     tables, one per window tag pattern, indexed by the window's first
@@ -620,7 +625,8 @@ def _window_tables(g: GraphSpec, vector: np.ndarray, max_len: int) -> dict:
     ``h3[t]`` and ``f_square[t]`` are on (t, t, t), and ``h4[t]``,
     ``lemma[t]`` and the inner products ``num[t]`` = <F_1, F_1 F_2 F_1>
     and ``den[t]`` = <F_1, F_1> on (t, t, t, t).  Each window word's
-    groups of equal dimension are one batch.
+    groups of equal dimension are one batch, in ``dtype``, the cells'
+    CellSystem.dtype: real products on real cells.
     """
     sd = spectral_data(g)
     delta, beta = sd.delta, sd.beta
@@ -634,7 +640,7 @@ def _window_tables(g: GraphSpec, vector: np.ndarray, max_len: int) -> dict:
         for w in windows:
             if len(w) > max_len:
                 continue
-            for s, us in _window_us(g, vector, w):
+            for s, us in _window_us(g, vector, dtype, w):
                 if len(w) == 2:
                     u = us[0]
                     t["h1"][3 * k, s] = _mnorms(u @ u - delta * u)
@@ -691,10 +697,11 @@ def verify_tl(
     last, at the grading from the window's first vertex to its last.
     So the relations are checked once per call, on the window words
     only (_window_tables: at most eight words of two to four letters,
-    one batched product per group of equal dimension), and a word's
-    residual per (check, grading) is the maximum of the window's table
-    over the grading's paths: one gather from word_paths and one
-    np.maximum.reduceat over the grading offsets.  h2 at distance 2
+    one batched product per group of equal dimension, real on real
+    cells: CellSystem.dtype), and a word's residual per (check, grading)
+    is the maximum of the window's table over the grading's paths: one
+    gather from word_paths and one np.maximum.reduceat over the grading
+    offsets.  h2 at distance 2
     reads the window t t u u; at distance 3 or more the two operators
     touch disjoint vertices and commute exactly, so the check reads
     0.0, or NaN where a two-letter window is not finite.  The fitted
@@ -730,7 +737,7 @@ def verify_tl(
     fit_den = 0.0
 
     tags = (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR)
-    tables = _window_tables(g, cells.vector, max_len)
+    tables = _window_tables(g, cells.vector, cells.dtype, max_len)
     # the zero- and one-letter windows: ``cups`` holds cap s and cap b at
     # v_{i-1} (read at v_{i-1}, v_{i-1}), then with id 2 + 2 t + c the
     # square of C_i C+_i on a t arrow v_{i-1} -> v_i against cap c;

@@ -1,6 +1,16 @@
+import numpy as np
 import pytest
 
 from su3paths import get_graph, shipped_cells
+
+# numpy.exceptions holds ComplexWarning from numpy 1.25 on, numpy before
+ComplexWarning = getattr(np, "exceptions", np).ComplexWarning
+
+
+def pytest_configure(config):
+    # a complex-to-float cast drops the imaginary part: fail the test
+    name = f"{ComplexWarning.__module__}.{ComplexWarning.__qualname__}"
+    config.addinivalue_line("filterwarnings", f"error::{name}")
 
 
 @pytest.fixture(scope="session")

@@ -239,7 +239,7 @@ def test_solver_fits_the_sweeps_h3_relation(name):
     for _ in range(2):
         t = rng.normal(size=k) + 1j * rng.normal(size=k)
         rows = relations.residual(np.concatenate([t.real, t.imag]))[len(g.sigma_edges) :]
-        tables = _window_tables(g, t, 3)["h3"].reshape(2, -1)
+        tables = _window_tables(g, t, t.dtype, 3)["h3"].reshape(2, -1)
         for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
             for d, numbers in _dimension_groups(g, (tag,) * 3):
                 size = len(numbers) * d * d

@@ -93,6 +93,27 @@ def test_essential_dims_mode():
     assert half.status == 1 and "together" in half.text
 
 
+def test_essential_grading_mode_checks_the_level_first(monkeypatch):
+    """A type beyond the level is the error essential_dims gives, raised
+    before any kernel is built: the cells' memo stays empty, where type
+    (7,7) on a2 once grew past 600 MiB of kept kernels."""
+    from su3paths import cli
+    from su3paths.cells import cell_system
+
+    g = get_graph("a2")
+    cells = cell_system(g, shipped_cells(g).values)  # a fresh, empty memo
+    monkeypatch.setattr(cli, "shipped_cells", lambda graph: cells)
+    for tp in ("3,0", "5,5", "7,7"):
+        listing = run("essential", "a2", "--type", tp, "--from", "1", "--to", "1")
+        dims = run("essential", "a2", "--type", tp)
+        assert listing.status == dims.status == 1
+        assert listing.text == dims.text
+        assert listing.text.startswith(f"error: type ({tp.replace(',', ', ')}) exceeds the level 2")
+        assert cells._memo == {}
+    within = run("essential", "a2", "--type", "2,0", "--from", "1", "--to", "1")
+    assert within.status == 0 and cells._memo
+
+
 def test_fusion_table_text():
     r = run("fusion", "table", "a2")
     assert r.status == 0

@@ -505,6 +505,64 @@ def test_length_batches_build_the_word_by_word_bases(name, max_len, cells_kind, 
                     assert np.array_equal(getattr(a, field), getattr(b, field)), (word, field)
 
 
+@pytest.mark.parametrize("name", ["a2", "a3", "a4", "a5", "e5"])
+def test_real_cells_take_real_arithmetic_with_the_complex_answers(name, monkeypatch):
+    """The shipped cells are real and their sweeps run in float64; the
+    same cells under a random gauge are complex and run in complex128.
+    To length 4 both give every grading the same counts, generation
+    labels and failure flags, and every word the same essential_dims;
+    the vectors handed out are complex either way, and the float
+    batches keep their candidates and bases within _BATCH_BYTES."""
+    from su3paths import essential
+    from su3paths.paths import _words
+
+    g = get_graph(name)
+    shipped = shipped_cells(g)
+    gauged = gauge_transform(shipped, random_gauge(g, 5))
+    assert (shipped.dtype, gauged.dtype) == (np.dtype(np.float64), np.dtype(np.complex128))
+    candidates, batches = essential._candidates, []
+
+    def recorded(batch, d, cells, sources):
+        basis, gens, kernel, cand, cgen = candidates(batch, d, cells, sources)
+        batches.append((len(batch), basis.dtype, cand.dtype, basis.nbytes, cand.nbytes))
+        return basis, gens, kernel, cand, cgen
+
+    monkeypatch.setattr(essential, "_candidates", recorded)
+    words = list(_words(4))
+    answers = []
+    for cells in (shipped, gauged):
+        batches.clear()
+        dec = Decomposer(g, cells)
+        for _, level in itertools.groupby(words, len):
+            dec._raise_words(list(level))
+        assert {(b, c) for _, b, c, _, _ in batches} == {(cells.dtype, cells.dtype)}
+        for size, _, _, *nbytes in batches:
+            assert size == 1 or max(nbytes) <= essential._BATCH_BYTES
+        bases = {
+            word: [(grp.numbers, grp.gens, grp.count, grp.failed) for grp in dec._memo[word].groups]
+            for word in words
+        }
+        dims = {
+            (a, b): dict(essential_dims(g, cells, (a, b)).per_word)
+            for a in range(min(g.level, 4) + 1)
+            for b in range(min(g.level, 4) + 1 - a)
+        }
+        answers.append((bases, dims))
+        for grading in iter_gradings(g, 3):
+            assert all(v.dtype == complex for _, v in dec.basis(grading))
+            vectors = essential_basis(g, cells, grading).vectors
+            assert all(v.coefficients.dtype == complex for v in vectors)
+    (real_bases, real_dims), (complex_bases, complex_dims) = answers
+    for word in words:
+        for ours, theirs in zip(real_bases[word], complex_bases[word], strict=True):
+            assert all(map(np.array_equal, ours, theirs)), word
+    assert real_dims.keys() == complex_dims.keys()
+    for tp, per_word in real_dims.items():
+        assert per_word.keys() == complex_dims[tp].keys()
+        for word, m in per_word.items():
+            assert np.array_equal(m, complex_dims[tp][word]), (tp, word)
+
+
 @pytest.mark.parametrize("name,max_len", [("a2", 4), ("a3", 3), ("a4", 3), ("a5", 3), ("e5", 4)])
 def test_rank_decisions_keep_their_margins(name, max_len, monkeypatch):
     """Every rank decision lies a factor 1e3 or more from its cutoff, on
