@@ -259,11 +259,16 @@ class _Relations:
 
     A window's gradings of equal dimension are one batch, each slot's
     blocks one stack from the pattern's gather and scatter indices
-    (_Pattern.stack) and entries (AnnihilationPattern.values).  C is
-    linear in T on a sigma pair and in conj(T) on a sigma-bar pair, so
-    dC/dRe T_k is the pattern's entries 1/den on triangle k and dC/dIm T_k
-    is i (sigma) or -i (sigma-bar) times that; then dU = dC^H C + C^H dC,
-    and the product rule gives the relation rows.
+    (_Pattern.stack) and entries (AnnihilationPattern.values).  An entry
+    holds one cell (conjugated on a sigma-bar pair): at grading q, row r,
+    column c, on triangle t over den, it moves U by A + A^H per unit of
+    Re T_t and by phase (A - A^H) per unit of Im T_t, phase i on sigma and
+    -i on sigma-bar, with A = v e_c^T and v = conj(C[q, r, :]) / den.
+    The relation is linear in each dU, by L1(X) = X U21 + U12 X - U2 X U2
+    - X and L2(X) = U1 X U1 - X U12 - U21 X + X (Uij = Ui Uj), and
+    L(X^H) = L(X)^H; so the Jacobian columns are L(A) + L(A)^H and
+    phase (L(A) - L(A)^H), and L(A) is four outer products of n-vectors,
+    e.g. L1(A) = v (x) U21[c] + (U12 v) (x) e_c - (U2 v) (x) U2[c] - v (x) e_c.
     """
 
     def __init__(self, g: GraphSpec):
@@ -277,13 +282,21 @@ class _Relations:
             for e in t.edges():
                 self.incidence[arrows.index(e), j] = 1.0
         self.target = np.array([sd.delta * sd.mu[u] * sd.mu[v] for u, v in arrows])
-        # per window word and dimension group, each slot's (pattern, take, at, shape)
+        self.size = len(arrows)  # residual rows
+        # per window word and dimension group, each slot's pattern, the
+        # gather and scatter indices of its stack (take, at, shape), and
+        # each stacked entry's triangle and denominator
         self.groups = []
         for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
             word = (tag,) * 3
             slots = [annihilation_pattern(g, word, i) for i in (1, 2)]
             for _, numbers in _dimension_groups(g, word):
-                self.groups.append([(p, *p.stack(numbers)) for p in slots])
+                group = []
+                for p in slots:
+                    take, at, shape = p.stack(numbers)
+                    group.append((p, take, at, shape, p.tri[take], p.den[take][:, None]))
+                self.groups.append(group)
+                self.size += 2 * shape[0] * shape[2] ** 2
 
     def _stacks(self, x: np.ndarray):
         """Per group: its slots, and each slot's stacked C and U = C^H C."""
@@ -292,7 +305,7 @@ class _Relations:
         t = x[: len(x) // 2] + 1j * x[len(x) // 2 :]
         for slots in self.groups:
             cs = []
-            for p, take, at, shape in slots:
+            for p, take, at, shape, *_ in slots:
                 c = np.zeros(shape, dtype=complex)
                 c[at] = p.values(t, take)
                 cs.append(c)
@@ -308,44 +321,46 @@ class _Relations:
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         k = len(x) // 2
-        rows = [np.hstack([2.0 * self.incidence * x[:k], 2.0 * self.incidence * x[k:]])]
-        for slots, cs, (u1, u2) in self._stacks(x):
+        # written in place a group at a time, so one group's complex stack is alive at once
+        out = np.empty((self.size, 2 * k))
+        o = len(self.incidence)
+        out[:o, :k], out[:o, k:] = 2.0 * self.incidence * x[:k], 2.0 * self.incidence * x[k:]
+        for slots, (c1, c2), (u1, u2) in self._stacks(x):
             u12, u21 = u1 @ u2, u2 @ u1
-            one = np.broadcast_to(np.eye(u1.shape[-1]), u1.shape)
-            eye = np.eye(u1.shape[-1] ** 2)
-            # the relation is linear in dU1 and dU2, so it is a sum of maps
-            # dU -> A dU B, applied to every parameter's dU at once
-            d1 = _vec_map(one, u21) + _vec_map(u12, one) - _vec_map(u2, u2) - eye
-            d2 = _vec_map(u1, u1) - _vec_map(one, u12) - _vec_map(u21, one) + eye
-            dm = sum(_gram_derivatives(slot, c, k) @ d for slot, c, d in zip(slots, cs, (d1, d2)))
-            flat = dm.swapaxes(-1, -2).reshape(-1, 2 * k)
-            rows += [flat.real, flat.imag]
-        return np.vstack(rows)
+            n, m = u1.shape[-1], c1.shape[1]
+            # M v = conj((C M^H)[q, r]) / den, and U12^H = U21.  One product
+            # gives every C M^H needed; its 2m >= 2 rows keep numpy on BLAS
+            # gemm (one row would run gemv, which nothing else here runs).
+            # Then L(v e_c^T) = a (x) b[c] - d (x) e[c] + f (x) e_c, for the
+            # conjugated rows r of a, d and f
+            cm = np.concatenate([c1, c2], axis=1) @ np.concatenate([u2, u21, u1, u12], axis=-1)
+            c1u2, c1u21 = cm[:, :m, :n], cm[:, :m, n : 2 * n]
+            c2u1, c2u12 = cm[:, m:, 2 * n : 3 * n], cm[:, m:, 3 * n :]
+            lowered = (
+                (c1, u21, c1u2, u2, c1u21 - c1),
+                (c2u1, u1, c2, u12, c2 - c2u12),
+            )
+            j = np.zeros((*u1.shape, 2 * k), dtype=complex)
+            for (p, _, (q, r, c), _, tri, den), (a, b, d, e, f) in zip(slots, lowered):
+                la = a[q, r, :, None].conj() * (b[q, c] / den)[:, None, :]
+                la -= d[q, r, :, None].conj() * (e[q, c] / den)[:, None, :]
+                la[np.arange(len(c)), :, c] += f[q, r].conj() / den
+                lh = la.conj().swapaxes(-1, -2)
+                # a grading fixes the window's end vertices and with them a
+                # triangle fixes the path, so no (grading, triangle) pair
+                # repeats in one slot: each += adds every entry once
+                j[q, :, :, tri] += la + lh
+                j[q, :, :, k + tri] += (-1j if p.conj else 1j) * (la - lh)
+            flat = j.reshape(-1, 2 * k)
+            s = len(flat)
+            out[o : o + s], out[o + s : o + 2 * s] = flat.real, flat.imag
+            o += 2 * s
+        return out
 
 
-def _vec_map(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked M with vec(X) @ M = vec(a X b), for row-major vec."""
-    g, n, _ = a.shape
-    m = a.swapaxes(-1, -2)[:, :, None, :, None] * b[:, None, :, None, :]
-    return m.reshape(g, n * n, n * n)
-
-
-def _gram_derivatives(slot, c: np.ndarray, k: int) -> np.ndarray:
-    """d(C^H C)/dx for one slot's stacked blocks c, shape (batch, 2k,
-    n * n), Re T before Im T."""
-    p, take, (which, rows, cols), (g, _, n) = slot
-    # C^H dC/dRe T_k: each column of dC holds at most one entry
-    a = np.zeros((g, k, n, n), dtype=complex)
-    a[which, p.tri[take], :, cols] = c[which, rows, :].conj() / p.den[take][:, None]
-    ah = a.conj().swapaxes(-1, -2)
-    phase = -1j if p.conj else 1j  # dC/dIm T = phase dC/dRe T
-    du = np.concatenate([a + ah, phase * a + np.conj(phase) * ah], axis=1)
-    return du.reshape(g, 2 * k, n * n)
-
-
-def _levenberg_marquardt(fun, jac, x0: np.ndarray) -> np.ndarray:
+def _levenberg_marquardt(fun, jac, x0: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Minimize |fun(x)|^2 from x0 by Levenberg-Marquardt with Nielsen's
-    damping update.
+    damping update; returns x and its residual fun(x).
 
     Each step solves (J^T J + lam 1) dx = -J^T r and is taken only if
     the new cost is finite and lower; a taken step shrinks lam by the
@@ -373,7 +388,7 @@ def _levenberg_marquardt(fun, jac, x0: np.ndarray) -> np.ndarray:
             x, r, cost, nu, a = x + dx, trial, new, 2.0, None
         else:
             lam, nu = lam * nu, nu * 2.0
-    return x
+    return x, r
 
 
 def solve_cells(
@@ -392,10 +407,14 @@ def solve_cells(
     Gauss-Newton step from Im T = 0 never leaves that plane.  The result
     is put in the canonical gauge (greedy positivization along the
     triangle list) and carries the verification report up to word
-    length 4.  Deterministic for a fixed seed.
+    length 4.  Deterministic for a fixed seed.  tol must be finite and
+    positive (ValueError otherwise): no residual compares above NaN or
+    infinity, so such a tol would pass any candidate.
     """
     from .operators import verify_tl
 
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"solver tolerance must be finite and positive, not {tol!r}")
     tris = enumerate_triangles(g)
     if not tris:
         raise CellSolveError(f"graph {g.name!r} has no triangles")
@@ -414,20 +433,17 @@ def solve_cells(
         )
     s = np.maximum(s, 0.0)
 
-    def max_residual(x: np.ndarray) -> float:
-        return float(np.abs(relations.residual(x)).max())
-
     best = np.concatenate([np.sqrt(s), np.zeros(len(tris))])
-    best_res = max_residual(best)
+    best_res = float(np.abs(relations.residual(best)).max())
 
     if best_res > tol:
         rng = np.random.default_rng(seed)
         for _ in range(_SOLVER_STARTS):
             t0 = np.sqrt(s) * np.exp(1j * rng.uniform(-np.pi, np.pi, size=len(tris)))
-            x = _levenberg_marquardt(
+            x, r = _levenberg_marquardt(
                 relations.residual, relations.jacobian, np.concatenate([t0.real, t0.imag])
             )
-            res = max_residual(x)
+            res = float(np.abs(r).max())
             if res < best_res:
                 best, best_res = x, res
             if best_res < tol * 1e-2:
@@ -486,7 +502,7 @@ def canonical_gauge(g: GraphSpec, cells: CellSystem) -> CellSystem:
     """
     arrows = list(g.sigma_edges)
     aidx = {e: k for k, e in enumerate(arrows)}
-    rows, targets = [], []
+    rows, targets, rank = [], [], 0  # rank: of the adopted rows
     for tri, t in cells.items:
         if abs(t) < 1e-14:
             continue
@@ -494,17 +510,16 @@ def canonical_gauge(g: GraphSpec, cells: CellSystem) -> CellSystem:
         for e in tri.edges():
             row[aidx[e]] += 1.0
         target = -np.angle(t)
-        if rows:
-            a = np.array(rows)
-            if np.linalg.matrix_rank(np.vstack([a, row]), tol=1e-9) == np.linalg.matrix_rank(
-                a, tol=1e-9
-            ):
-                phi, *_ = np.linalg.lstsq(a, np.array(targets), rcond=None)
-                gap = (target - row @ phi + np.pi) % (2 * np.pi) - np.pi
-                if abs(gap) > 1e-9:
-                    continue  # inconsistent: this cell keeps an invariant phase
+        # a first row is adopted as it is: its three arrows give rank 1
+        grown = np.linalg.matrix_rank(np.vstack(rows + [row]), tol=1e-9) if rows else 1
+        if grown == rank:
+            phi, *_ = np.linalg.lstsq(np.array(rows), np.array(targets), rcond=None)
+            gap = (target - row @ phi + np.pi) % (2 * np.pi) - np.pi
+            if abs(gap) > 1e-9:
+                continue  # inconsistent: this cell keeps an invariant phase
         rows.append(row)
         targets.append(target)
+        rank = grown
     if not rows:
         return cells
     phi, *_ = np.linalg.lstsq(np.array(rows), np.array(targets), rcond=None)

@@ -14,10 +14,12 @@ from su3paths import (
     EdgeTag,
     GraphError,
     OrientedTriangle,
+    build_a_graph,
     canonical_gauge,
     cell_system,
     cells,
     collapsed_cell,
+    conjugate_graph,
     enumerate_triangles,
     gauge_transform,
     get_graph,
@@ -39,6 +41,7 @@ from su3paths.cells import (
     _Relations,
     cells_to_dict,
 )
+from su3paths.cli import dispatch
 from su3paths.operators import _window_tables
 from su3paths.paths import _dimension_groups
 
@@ -209,9 +212,40 @@ def test_cli_solves_e5_without_scipy(e5_cells):
     assert np.abs(solved - e5_cells.vector).max() < 1e-9
 
 
-@pytest.mark.parametrize("name", ["a2", "e5"])
+def test_every_conjugate_e5_seed_solves(e5, monkeypatch):
+    # reversing every arrow trades the sss and bbb windows' patterns, so
+    # the plain and the conjugated Jacobian entries trade windows too
+    fits = _counted_fits(monkeypatch)
+    g = conjugate_graph(e5)
+    for seed in range(8):
+        fits.clear()
+        c = solve_cells(g, seed=seed)
+        assert fits and fits[0] > 0, seed
+        for key in SOLVE_RESIDUALS:
+            assert c.residuals[key] < 1e-8, (seed, key)
+        assert not c.warnings
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_solver_rejects_a_tolerance_that_is_not_finite_and_positive(e5, monkeypatch, tol):
+    # no residual compares above NaN or infinity: such a tol would pass
+    # the positive-real candidate, which does not solve e5
+    fits = _counted_fits(monkeypatch)
+    with pytest.raises(ValueError, match="finite and positive"):
+        solve_cells(e5, tol=tol)
+    assert fits == []
+    res = dispatch(["cells", "solve", "e5", "--tol", str(tol), "--json"])
+    assert res.status == 1 and "finite and positive" in res.payload["error"]
+
+
+def _graph(name):
+    """A shipped graph by name, its conjugate for a trailing '~'."""
+    return conjugate_graph(get_graph(name[:-1])) if name.endswith("~") else get_graph(name)
+
+
+@pytest.mark.parametrize("name", [*graph_names(), "e5~"])
 def test_solver_jacobian_matches_central_differences(name):
-    g = get_graph(name)
+    g = _graph(name)
     relations = _Relations(g)
     k = len(enumerate_triangles(g))
     rng = np.random.default_rng(17)
@@ -248,6 +282,19 @@ def test_solver_fits_the_sweeps_h3_relation(name):
                 expected = tables[0 if tag is EdgeTag.SIGMA else 1, numbers]
                 assert np.abs(h3 - expected).max() <= 1e-15
         assert rows.size == 0
+
+
+@pytest.mark.parametrize(
+    "name", [*graph_names(), *(n + "~" for n in graph_names()), *(f"A_{n}" for n in range(1, 9))]
+)
+def test_no_triangle_repeats_in_a_solver_slot_grading(name):
+    # the Jacobian scatters each stacked entry into its grading's column
+    # of its triangle with one +=, which adds a repeated pair only once
+    g = build_a_graph(int(name[2:])) if name.startswith("A_") else _graph(name)
+    for slots in _Relations(g).groups:
+        for _, _, (which, _, _), _, tri, _ in slots:
+            pairs = which.astype(np.int64) * len(enumerate_triangles(g)) + tri
+            assert np.unique(pairs).size == pairs.size
 
 
 def test_h1_follows_from_the_sum_rule(e5, e5_cells):
