@@ -226,8 +226,12 @@ def sum_rule_residuals(g: GraphSpec, cells: CellSystem) -> Mapping[Tuple[str, st
     delta = sd.delta
     acc = {e: 0.0 for e in g.sigma_edges}
     for tri, t in cells.items:
+        try:
+            square = abs(t) ** 2
+        except OverflowError:  # |t| above about 1.3e154
+            square = math.inf
         for e in tri.edges():
-            acc[e] += abs(t) ** 2
+            acc[e] += square
     return MappingProxyType(
         {e: abs(acc[e] - delta * sd.mu[e[0]] * sd.mu[e[1]]) for e in g.sigma_edges}
     )

@@ -107,7 +107,7 @@ class GraphSpec(HashedOnce):
     ``sigma_edges`` is an ordered tuple of (from, to) vertex-id pairs; the
     order is part of the value (it fixes matrix layouts downstream).
 
-    Derived data (the hash, lookup maps, adjacency, walk table, spectral
+    Derived data (the hash, lookup maps, adjacency, walk counts, spectral
     data, path arrays and bases, triangles, annihilation and cup patterns
     and fusion matrices) is computed on first use and kept on the
     instance, so it is freed with the graph.  It is never pickled.
@@ -179,13 +179,6 @@ class GraphSpec(HashedOnce):
         a = adjacency_matrix(self).astype(object)
         a.flags.writeable = False
         return a
-
-    @cached_property
-    def walk_table(self) -> dict:
-        """Word -> exact walk-count matrix, filled by ``path_space_dim``."""
-        one = np.eye(len(self.vertices), dtype=object)
-        one.flags.writeable = False
-        return {(): one}
 
 
 def adjacency_matrix(g: GraphSpec) -> np.ndarray:

@@ -40,20 +40,23 @@ sweeps all words up to a length and reports max residuals for: the
 quadratic relation U^2 = [2] U, commutation at distance, the two-sided
 triangle identity, the quartic relation, the F-lemma
 F_i F_{i+1} F_i = K F_i with F_i = U_i U_{i+1} U_i - U_i, and the cup-cap
-identities.  C_i changes only v_i, given v_{i-1} and v_{i+1}, so each
-relation is checked once per call on its window words, the two to four
-letters its slots touch, and tabled per window grading; a word's
-residual on a grading is the maximum of the table over the grading's
-paths.  Cup cap and the collapse block C_i C+_i are zero- and one-letter
-windows: diagonal, with an entry per path that depends only on the
-vertex v_{i-1} (beta) or the arrow v_{i-1} -> v_i ([2]).  So the sweep
-builds no block of a swept word and needs paths only up to the swept
-length.  The worst location of each relation is named as if the
-gradings had been visited one at a time.  The triangle identities are
-evaluated at positions where every operator involved acts on a
-constant-tag run; on other patterns the operators involved are not all
-triangle moves and the identities do not apply (see tests for an
-explicit mixed-word counterexample).
+identities.  C_i changes only v_i, given v_{i-1} and v_{i+1}, so on any
+grading each check is a direct sum of copies of one window check, on the
+zero to four letters its slots touch.  Each relation is tabled once per
+call per window grading and read only on the word that is its window:
+a longer word's paths pass through window gradings that were read
+there first, so the longer word changes no maximum and no location and
+only adds to the count of checks.  Cup cap and the collapse block
+C_i C+_i are the zero- and one-letter windows: diagonal, with an entry
+per path that depends only on the vertex v_{i-1} (beta) or the arrow
+v_{i-1} -> v_i ([2]).  So the sweep builds no block and reads no path
+array of a swept word; it needs paths only of its window words.  The
+worst location of each relation is named as if the gradings had been
+visited one at a time.  The triangle identities are evaluated at
+positions where every operator involved acts on a constant-tag run; on
+other patterns the operators involved are not all triangle moves and
+the identities do not apply (see tests for an explicit mixed-word
+counterexample).
 """
 
 from __future__ import annotations
@@ -446,11 +449,11 @@ def apply_annihilation(g, cells, p: ElementaryPath, i: int) -> PathVector:
 # on a group are one zero-padded stack scattered from the graph's
 # pattern (_Pattern.stack's indices) in the cells' dtype, and the
 # relation is a batched product with one residual per window grading
-# (_window_tables).  The sweep then visits words and reads each
-# (check, grading) residual from the tables, as a maximum over the
-# grading's paths.  Cup cap and C_i C+_i are the
-# zero- and one-letter windows: per-vertex and per-arrow tables
-# (_diagonal_tables).
+# (_window_tables).  Cup cap and C_i C+_i are the zero- and one-letter
+# windows: per-vertex and per-arrow tables (_diagonal_tables).  The
+# sweep then visits words, reads each relation's table on the word that
+# is its window, one row per check, and on every other word only counts
+# the checks.
 
 
 def _mnorm(x: np.ndarray) -> float:
@@ -470,56 +473,36 @@ def _above(a: float, b: float) -> bool:
 
 
 class _Maxima:
-    """Largest residual per relation, where it is first reached, and the
-    number of checks.
+    """Largest residual per relation and where it is first reached.
 
     "First" is in the order of a sweep one grading at a time: gradings in
     iter_gradings order, and on each grading the checks of one relation
-    in the order verify_tl makes them.  So the locations do not depend on
-    how a word's gradings are grouped.  A NaN residual ranks above every
+    in the order verify_tl makes them.  A NaN residual ranks above every
     number (see _above), so the maximum is NaN and the location is that
     of the first NaN.
     """
 
-    def __init__(self, keys):
+    def __init__(self, g: GraphSpec, keys):
+        self._g = g
         self.res = dict.fromkeys(keys, 0.0)
         self.worst = dict.fromkeys(keys, "")
-        self.checks = 0
 
     def bump_one(self, key: str, value: float, where: str):
-        self.checks += 1
         if _above(value, self.res[key]):
             self.res[key], self.worst[key] = value, where
 
-    def start_word(self, word: Word):
-        self._word, self._best = word, {}
-
-    def start_group(self, numbers: np.ndarray):
-        """The next checks are on the word's gradings ``numbers``, ascending."""
-        self._numbers = numbers
-
-    def bump(self, key: str, values: np.ndarray, where: Sequence[str]):
-        """values[c, q] is the residual of check c on grading numbers[q],
-        and where[c] is check c's location after the grading.  The rows
-        come in the per-grading order of the relation's checks, so a tie
-        on one grading goes to the earlier row; a group's later bumps of
-        the same relation continue that order."""
-        if not values.size:
-            return
-        self.checks += values.size
+    def bump(self, key: str, word: Word, numbers, values: np.ndarray, where: Sequence[str]):
+        """values[c, q] is the residual of check c on the word's grading
+        numbers[q] (ascending), and where[c] is check c's location after
+        the grading.  Each relation is bumped at most once per word, in
+        word order; on one grading a tie goes to the earlier row."""
         # grading-major, so the first maximum is the first in sweep order
         flat = values.T.ravel()
         nan = np.isnan(flat)
         q, c = divmod(int(nan.argmax() if nan.any() else flat.argmax()), values.shape[0])
-        value, s = float(values[c, q]), int(self._numbers[q])
-        best = self._best.get(key)
-        if best is None or _above(value, best[0]) or (not _above(best[0], value) and s < best[1]):
-            self._best[key] = (value, s, where[c])
-
-    def end_word(self, g: GraphSpec):
-        for key, (value, s, where) in self._best.items():
-            if _above(value, self.res[key]):
-                self.res[key], self.worst[key] = value, f"{_grading_at(g, self._word, s)}{where}"
+        value = float(values[c, q])
+        if _above(value, self.res[key]):
+            self.bump_one(key, value, f"{_grading_at(self._g, word, int(numbers[q]))}{where[c]}")
 
 
 def _square_sums(p: _Pattern, values: np.ndarray) -> np.ndarray:
@@ -667,6 +650,34 @@ def _window_tables(g: GraphSpec, vector: np.ndarray, dtype: np.dtype, max_len: i
     return {key: table.reshape(-1, V, V) for key, table in t.items()}
 
 
+def _bump_far_pairs(g: GraphSpec, top: _Maxima, word: Word, nonzero, letters, unstable):
+    """h2 on the word's far pairs: slots at distance 3 or more, or at
+    distance 2 beside a mixed slot, where no window t t u u holds both.
+
+    On the far pairs U_i and U_j touch disjoint vertices, or one of them
+    is zero, and commute exactly: the check reads 0.0 times the two
+    slots' h1 residuals, so 0.0, or NaN on each grading with a path that
+    crosses, at slot i or at slot j, a two-letter window t t whose h1
+    residual is NaN or +inf (``unstable[t]``, V x V).  Whether some path
+    does is a walk-count product: the prefix's reachability, the
+    window's, the suffix's.
+    """
+    n = len(word)
+    like = letters[:-1] == letters[1:]
+    i, j = np.array([(i, j) for i in range(1, n) for j in range(i + 2, n)]).T
+    far = ~((j == i + 2) & like[i - 1] & like[j - 1])
+    i, j = i[far], j[far]
+    if not i.size:
+        return
+    reaches = np.zeros((n, nonzero.size), dtype=bool)
+    for slot in (np.flatnonzero(like) + 1).tolist():
+        pre = (_walk_counts(g, word[: slot - 1]) > 0).astype(float)
+        post = (_walk_counts(g, word[slot + 1 :]) > 0).astype(float)
+        reaches[slot] = (pre @ unstable[letters[slot - 1]] @ post).ravel()[nonzero] > 0
+    values = np.where(reaches[i] | reaches[j], np.nan, 0.0)
+    top.bump("h2", word, nonzero, values, [f" i={a} j={b}" for a, b in zip(i.tolist(), j.tolist())])
+
+
 def verify_tl(
     g: GraphSpec,
     cells: CellSystem,
@@ -698,25 +709,39 @@ def verify_tl(
     So the relations are checked once per call, on the window words
     only (_window_tables: at most eight words of two to four letters,
     one batched product per group of equal dimension, real on real
-    cells: CellSystem.dtype), and a word's residual per (check, grading)
-    is the maximum of the window's table over the grading's paths: one
-    gather from word_paths and one np.maximum.reduceat over the grading
-    offsets.  h2 at distance 2
-    reads the window t t u u; at distance 3 or more the two operators
-    touch disjoint vertices and commute exactly, so the check reads
-    0.0, or NaN where a two-letter window is not finite.  The fitted
-    K's inner products on a grading are the window's, once per way to
-    reach the window from the start and to leave it to the end.  Cup
-    cap and the collapse block C_i C+_i are zero- and one-letter
-    windows: diagonal, with an entry per path that depends only on
-    v_{i-1} or on the arrow v_{i-1} -> v_i (_diagonal_tables).  So the
-    sweep builds no block of a swept word, and reads no path array or
-    pattern longer than max_len (or two letters); PathSpaceTooLarge
-    stops it only at a swept word.  The checks on whole blocks are held
-    to their windows' maxima in the tests, and the cap words' cups and
-    the expanded words' annihilations, which the sweep does not read,
-    are checked against the tables and loop-built blocks there and by
-    verify_adjointness.
+    cells: CellSystem.dtype), and each relation's table is read on the
+    word that is its window, where each grading is one window grading:
+    the empty word for the caps, s and b for the collapse block and the
+    square against the caps (_diagonal_tables: the entry at a path
+    depends only on v_{i-1} or on the arrow v_{i-1} -> v_i), the
+    two-letter words for h1, sss and bbb for h3 and f_square, t t u u
+    for h2 at distance 2 and ssss and bbbb for h4 and lemma.  Every other
+    word's check on a grading is the maximum of the same table over the
+    window gradings its paths pass through; each of those was read on
+    the window word at that grading, earlier in word order, and a
+    maximum moves only on a residual strictly above it (NaN above a
+    number, never NaN above NaN), so the longer word can change no
+    maximum and no location: it only adds its checks to the count.
+
+    h2 on the far pairs, at distance 3 or more or at distance 2 beside
+    a mixed slot, pairs operators that touch disjoint vertices or a zero
+    one, which commute exactly: the check reads 0.0, or NaN on the
+    gradings whose paths cross a two-letter window t t with an h1
+    residual of NaN or +inf (_bump_far_pairs, a walk-count product that
+    runs only when such a window exists).  Such a NaN can come first:
+    with one cell of a3 at 2.45e77, U^2 overflows on a window s s, and
+    h2 is first NaN on a far pair of bsss, before any t t u u window
+    (the first is bbss).
+
+    The fitted K's inner products on a grading are the window's, once
+    per way to reach the window from the start and to leave it to the
+    end: walk-count arithmetic too.  So the sweep builds no block and
+    reads no path array or pattern of a swept word, only of the window
+    words (at most four letters); PathSpaceTooLarge stops it only at a
+    window word.  The checks on whole blocks are held to their windows'
+    maxima in the tests, and the cap words' cups and the expanded words'
+    annihilations, which the sweep does not read, are checked against
+    the tables and loop-built blocks there and by verify_adjointness.
 
     A check is counted per grading, and ``worst`` names the first
     grading and slot, in iter_gradings order, where a relation reaches
@@ -731,105 +756,71 @@ def verify_tl(
     delta, beta = sd.delta, sd.beta
     kconst = float(delta**2)
 
-    top = _Maxima(("h1", "h2", "h3", "h4", "lemma", "f_square", "cupcap", "sum_rule"))
+    top = _Maxima(g, ("h1", "h2", "h3", "h4", "lemma", "f_square", "cupcap", "sum_rule"))
     top.bump_one("sum_rule", max_sum_rule_residual(g, cells), "arrows")
+    checks = 1
     fit_num = 0.0
     fit_den = 0.0
 
     tags = (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR)
     tables = _window_tables(g, cells.vector, cells.dtype, max_len)
-    # the zero- and one-letter windows: ``cups`` holds cap s and cap b at
-    # v_{i-1} (read at v_{i-1}, v_{i-1}), then with id 2 + 2 t + c the
-    # square of C_i C+_i on a t arrow v_{i-1} -> v_i against cap c;
-    # ``collapse`` holds the collapse block on a t arrow, with id t
     cupcap, collapse = _diagonal_tables(g, cells.vector)
-    V = len(g.vertices)
-    cups = np.concatenate(
-        [
-            np.repeat(np.abs(cupcap - beta)[:, :, None], V, axis=2),
-            np.abs((collapse * collapse)[:, None] - (1.0 + cupcap[None, :, :, None])).reshape(4, V, V),
-        ]
-    )
-    collapse = np.abs(collapse - delta)
+    # per tag t, the two-letter windows t t whose h1 residual is NaN or
+    # +inf: the far h2 pairs read NaN on every grading that reaches one
+    h1 = tables["h1"][[0, 3]]
+    unstable = np.isnan(h1) | (h1 == np.inf)
     for w in _words(max_len):
         dims = _walk_counts(g, w).ravel()
         nonzero = np.flatnonzero(dims)
         if not nonzero.size:
             continue
         n = len(w)
-        paths = word_paths(g, w).T
-        starts = (np.cumsum(dims) - dims)[nonzero].astype(np.intp)
-
-        def read(tables: np.ndarray, ids, first, last) -> np.ndarray:
-            """Row r: per grading, the maximum over the grading's paths of
-            tables[ids[r]] at the path's vertices first[r] and last[r]."""
-            at = tables[np.asarray(ids)[:, None], paths[first], paths[last]]
-            return np.maximum.reduceat(at, starts, axis=1)
-
         letters = np.array([tags.index(t) for t in w], dtype=np.intp)
-        slots = np.arange(1, n)
         like = letters[:-1] == letters[1:]
-        top.start_word(w)
-        top.start_group(nonzero)
-        h1 = read(tables["h1"], 2 * letters[:-1] + letters[1:], slots - 1, slots + 1)
-        top.bump("h1", h1, [f" i={i}" for i in slots.tolist()])
-        if n >= 4:
-            # U_i and U_j on disjoint vertices commute exactly: 0.0, or NaN
-            # where a slot's window is not finite (0.0 times its h1
-            # residual); at distance 2 they share v_{i+1}, and on a window
-            # t t u u both act
-            i, j = np.array([(i, j) for i in range(1, n) for j in range(i + 2, n)]).T
-            h2 = np.maximum(h1[i - 1], h1[j - 1]) * 0.0
-            near = (j == i + 2) & like[i - 1] & like[j - 1]
-            i2, j2 = i[near], j[near]
-            h2[near] = read(tables["h2"], 2 * letters[i2 - 1] + letters[j2 - 1], i2 - 1, j2 + 1)
-            top.bump("h2", h2, [f" i={a} j={b}" for a, b in zip(i.tolist(), j.tolist())])
         runs3 = np.flatnonzero(like[:-1] & like[1:]) + 1
-        if len(runs3):
-            where = [f" i={i}" for i in runs3.tolist()]
-            for key in ("h3", "f_square"):
-                top.bump(key, read(tables[key], letters[runs3 - 1], runs3 - 1, runs3 + 2), where)
         runs4 = np.flatnonzero(like[:-2] & like[1:-1] & like[2:]) + 1
-        fits = []
-        if len(runs4):
-            where = [f" i={i}" for i in runs4.tolist()]
-            for key in ("h4", "lemma"):
-                top.bump(key, read(tables[key], letters[runs4 - 1], runs4 - 1, runs4 + 3), where)
-            # the word block's inner product: each window's, once per way
-            # to reach the window from the start and to leave it to the end
-            for i in runs4.tolist():
-                pre = _walk_counts(g, w[: i - 1]).astype(float)
-                post = _walk_counts(g, w[i + 3 :]).astype(float)
-                num, den = (
-                    (pre @ tables[key][letters[i - 1]] @ post).ravel()[nonzero].tolist()
-                    for key in ("num", "den")
-                )
-                fits += zip(nonzero.tolist(), [i] * len(num), num, den)
+        # per grading: h1 on every slot and collapse block, h2 on every
+        # pair at distance >= 2, h3 and f_square per 3-run, h4 and lemma
+        # per 4-run, and per slot 1 .. n + 1 two caps and, but for the
+        # last, the square of the collapse block against each
+        rows = max(n - 1, 0) + n + math.comb(max(n - 2, 0), 2)
+        checks += (rows + 2 * len(runs3) + 2 * len(runs4) + 4 * n + 2) * nonzero.size
 
-        # the collapse and cup cap rows come last, so on a tie within one
-        # grading the U rows of h1 keep the location: they come first
-        # among a grading's h1 checks
-        vertex = np.arange(n + 1)
-        top.bump(
-            "h1",
-            read(collapse, letters, vertex[:-1], vertex[1:]),
-            [f" i={i} collapse block" for i in range(1, n + 1)],
-        )
-        # per slot: cap s, cap b, square vs cap s, square vs cap b; the
-        # last slot, n + 1, has no collapse block and so only the caps
-        ids = np.stack(
-            [np.zeros_like(letters), np.ones_like(letters), 2 + 2 * letters, 3 + 2 * letters], axis=1
-        )
-        first = vertex.repeat(4)[: 4 * n + 2]
-        last = first + np.tile([0, 0, 1, 1], n + 1)[: 4 * n + 2]
-        where = [
-            f" i={i} {check} {t.value}"
-            for i in range(1, n + 2)
-            for check in (("cap", "square vs cap") if i <= n else ("cap",))
-            for t in tags
-        ]
-        top.bump("cupcap", read(cups, np.append(ids, [0, 1]), first, last), where)
-        top.end_word(g)
+        def bump(key: str, table: np.ndarray, ids, where):
+            top.bump(key, w, nonzero, table[ids].reshape(len(ids), -1)[:, nonzero], where)
+
+        if n == 0:
+            # the caps, per vertex; every vertex is a grading of ()
+            top.bump("cupcap", w, nonzero, np.abs(cupcap - beta), [" i=1 cap s", " i=1 cap b"])
+        elif n == 1:
+            bump("h1", np.abs(collapse - delta), letters, [" i=1 collapse block"])
+            c = collapse[letters[0]]
+            square = np.abs(c * c - (1.0 + cupcap[:, :, None]))
+            bump("cupcap", square, [0, 1], [f" i=1 square vs cap {t.value}" for t in tags])
+        elif n == 2:
+            bump("h1", tables["h1"], [2 * letters[0] + letters[1]], [" i=1"])
+        elif n == 3 and len(runs3):
+            for key in ("h3", "f_square"):
+                bump(key, tables[key], [letters[0]], [" i=1"])
+        elif n == 4 and like[0] and like[2]:
+            bump("h2", tables["h2"], [2 * letters[0] + letters[2]], [" i=1 j=3"])
+            if len(runs4):
+                for key in ("h4", "lemma"):
+                    bump(key, tables[key], [letters[0]], [" i=1"])
+        if n >= 4 and unstable.any():
+            _bump_far_pairs(g, top, w, nonzero, letters, unstable)
+
+        # the word block's inner product: each window's, once per way to
+        # reach the window from the start and to leave it to the end
+        fits = []
+        for i in runs4.tolist():
+            pre = _walk_counts(g, w[: i - 1]).astype(float)
+            post = _walk_counts(g, w[i + 3 :]).astype(float)
+            num, den = (
+                (pre @ tables[key][letters[i - 1]] @ post).ravel()[nonzero].tolist()
+                for key in ("num", "den")
+            )
+            fits += zip(nonzero.tolist(), [i] * len(num), num, den)
         for _, _, num, den in sorted(fits):
             fit_num += num
             fit_den += den
@@ -842,7 +833,7 @@ def verify_tl(
         residual_items=tuple(sorted(top.res.items())),
         worst_items=tuple(sorted(top.worst.items())),
         lemma_fit=fit,
-        checks=top.checks,
+        checks=checks,
     )
 
 

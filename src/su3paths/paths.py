@@ -202,28 +202,23 @@ def path_space_dim(g: GraphSpec, grading: PathGrading) -> int:
 
     Entry (start, end) of the word's walk-count matrix.
     """
-    m = g.walk_table.get(grading.word)
-    if m is None:
-        m = _walk_counts(g, grading.word)
+    m = _walk_counts(g, grading.word)
     return int(m[g.index(grading.start), g.index(grading.end)])
 
 
+@cached_on
 def _walk_counts(g: GraphSpec, word: Word) -> np.ndarray:
     """Dimensions of every (start, end) grading of a typed word: the
     ordered product of step matrices (adjacency for SIGMA, its transpose
-    for SIGMA_BAR) in exact integers.  Each word's product is its
-    prefix's product times one step matrix, kept in the graph's walk
-    table, so words sharing a prefix share its product."""
-    table = g.walk_table
-    known = len(word)
-    while word[:known] not in table:
-        known -= 1
-    m = table[word[:known]]
-    a = g.adjacency
-    for k in range(known, len(word)):
-        m = m @ (a if word[k] is EdgeTag.SIGMA else a.T)
-        m.flags.writeable = False
-        table[word[: k + 1]] = m
+    for SIGMA_BAR) in exact integers, read-only.  Each word's product is
+    its prefix's product times one step matrix, kept on the graph, so
+    words sharing a prefix share its product."""
+    if not word:
+        m = np.eye(len(g.vertices), dtype=object)
+    else:
+        a = g.adjacency
+        m = _walk_counts(g, word[:-1]) @ (a if word[-1] is EdgeTag.SIGMA else a.T)
+    m.flags.writeable = False
     return m
 
 

@@ -8,7 +8,15 @@ import sys
 import pytest
 
 import su3paths
-from su3paths import enumerate_triangles, get_graph, graph_to_dict, save_cells, shipped_cells
+from su3paths import (
+    cell_system,
+    enumerate_triangles,
+    get_graph,
+    graph_to_dict,
+    load_cells,
+    save_cells,
+    shipped_cells,
+)
 from su3paths.cells import cells_to_dict
 from su3paths.cli import dispatch, main
 
@@ -197,6 +205,23 @@ def test_corrupt_cell_file_exits_with_an_error_line(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_huge_cell_is_an_inf_residual_not_a_traceback(tmp_path, capsys):
+    # |T|^2 overflows a float above about 1.3e154: the sum rule reads inf
+    g = get_graph("a2")
+    values = dict(shipped_cells(g).items)
+    values[next(iter(values))] = 1e300
+    p = tmp_path / "huge.json"
+    save_cells(cell_system(g, values), str(p))
+    warning = "loaded cells fail the arrow sum rule: max residual inf"
+    assert load_cells(g, str(p)).warnings == (warning,)
+    for argv in (["verify", "tl", "a2"], ["report", "a2"]):
+        code = main([*argv, "--cells", str(p)])
+        out, err = capsys.readouterr()
+        assert code == 1 and err == ""
+        assert "FAIL" in out and "sum_rule" in out
 
 
 _CAPPED = """

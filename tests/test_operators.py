@@ -327,6 +327,13 @@ def test_sweeps_match_grading_oracle_at_length_5(a2):
     failing = [k for k, v in rep.residual_items if math.isnan(v)]
     assert failing == [k for k, v in ref.residual_items if math.isnan(v)]
     assert {"h2", "lemma"} <= set(failing)
+    # cells near 1e80: U^2 overflows, so the two-letter h1 windows read
+    # +inf, and the far pairs (0.0 times those) NaN
+    big = cell_system(a2, {t: 1e80 * v for t, v in shipped.items})
+    rep, ref = verify_tl(a2, big, 5), grading_verify_tl(a2, big, 5)
+    assert rep.worst_items == ref.worst_items and rep.checks == ref.checks
+    assert repr(rep.residual_items) == repr(ref.residual_items)
+    assert rep.residuals["h1"] == math.inf and math.isnan(rep.residuals["h2"])
 
 
 def test_negative_max_len_raises(e5, e5_cells):
@@ -355,68 +362,100 @@ def test_sweep_worst_on_failing_systems(a2, e5, e5_cells):
         "cupcap", "f_square", "h1", "h3", "sum_rule",
     ]
     assert verify_adjointness(e5, scaled, 3) == grading_verify_adjointness(e5, scaled, 3)
+    # one a3 cell at 2.45e77: U^2 overflows on a window ss, so h1 reads
+    # +inf there, and a far h2 pair reads 0.0 times it, NaN; no t t u u
+    # window is NaN before bbss, so h2 is first NaN on the far pair of
+    # bsss (the oracle multiplies the blocks, in which the mixed slot's
+    # U is zero, and names bbss)
+    a3 = get_graph("a3")
+    values = dict(shipped_cells(a3).items)
+    values[list(values)[1]] = 2.45e77
+    rep = verify_tl(a3, cell_system(a3, values), 4)
+    assert rep.residuals["h1"] == math.inf and rep.worst["h1"] == "0,1->0,2:ss i=1"
+    assert math.isnan(rep.residuals["h2"]) and rep.worst["h2"] == "0,1->0,2:bsss i=1 j=3"
 
 
 def test_worst_is_the_first_grading_to_reach_the_maximum(a2):
     from su3paths.operators import _Maxima
     from su3paths.paths import _grading_at
 
-    # two dimension groups of one word, the later grading's group first:
-    # a tie goes to the lower grading number
-    top = _Maxima(("h1",))
-    top.start_word(parse_word("ss"))
-    top.start_group(np.array([7, 20]))
-    top.bump("h1", np.array([[0.5, 2.0]]), [" i=1"])
-    top.start_group(np.array([3, 9]))
-    top.bump("h1", np.array([[2.0, 0.5]]), [" i=1"])
-    top.end_word(a2)
-    assert (top.res, top.worst, top.checks) == ({"h1": 2.0}, {"h1": "1->3:ss i=1"}, 4)
-    # a NaN ranks above every number, and the first NaN keeps its location,
-    # on later words too
-    for word, values in (("ss", [5.0, np.nan]), ("bb", [np.nan, np.nan])):
-        top.start_word(parse_word(word))
-        top.start_group(np.array([7, 20]))
-        top.bump("h1", np.array([[np.nan, 9.0]]), [" i=1"])
-        top.start_group(np.array([3, 9]))
-        top.bump("h1", np.array([values]), [" i=1"])
-        top.end_word(a2)
-        assert math.isnan(top.res["h1"]) and top.worst["h1"] == "3b->3b:ss i=1"
-    top.bump_one("h1", 1e3, "arrows")
-    assert math.isnan(top.res["h1"]) and top.worst["h1"] == "3b->3b:ss i=1"
+    def at(word, s, where):
+        return f"{_grading_at(a2, parse_word(word), s)}{where}"
 
-    # several checks at once: values[c, q] is check c on grading q, and
-    # where[c] is check c's location
-    word = parse_word("sss")
-
-    def worst(groups):
-        top = _Maxima(("h2",))
-        top.start_word(word)
-        for numbers, values, where in groups:
-            top.start_group(np.array(numbers))
-            top.bump("h2", np.array(values), where)
-        top.end_word(a2)
-        return top.res["h2"], top.worst["h2"], top.checks
-
-    def at(s, where):
-        return f"{_grading_at(a2, word, s)}{where}"
+    # several checks at once: values[c, q] is check c on grading
+    # numbers[q], and where[c] is check c's location
+    def worst(values, where):
+        top = _Maxima(a2, ("h2",))
+        top.bump("h2", parse_word("sss"), np.array([7, 20]), np.array(values), where)
+        return top.res["h2"], top.worst["h2"]
 
     # a tie within one grading goes to the earlier check row
     rows = [[1.0, 3.0], [2.0, 3.0], [0.0, 3.0]]
-    assert worst([([7, 20], rows, [" a", " b", " c"])]) == (3.0, at(20, " a"), 6)
+    assert worst(rows, [" a", " b", " c"]) == (3.0, at("sss", 20, " a"))
     # a tie across gradings goes to the lower grading number before the
-    # earlier row, within a group and across groups
-    rows = [[1.0, 2.0], [2.0, 1.0]]
-    assert worst([([7, 20], rows, [" a", " b"])]) == (2.0, at(7, " b"), 4)
-    later = ([3, 9], [[0.0, 2.0], [0.5, 0.0]], [" a", " b"])
-    assert worst([([7, 20], rows, [" a", " b"]), later]) == (2.0, at(7, " b"), 8)
-    lower = ([3, 9], [[0.0, 0.0], [2.0, 2.0]], [" c", " d"])
-    assert worst([([7, 20], rows, [" a", " b"]), later, lower]) == (2.0, at(3, " d"), 12)
+    # earlier row
+    assert worst([[1.0, 2.0], [2.0, 1.0]], [" a", " b"]) == (2.0, at("sss", 7, " b"))
     # the first NaN in (grading, check) order keeps its location
-    nans = [[4.0, np.nan], [np.nan, 1.0], [np.nan, np.nan]]
-    value, where, _ = worst(
-        [([7, 20], nans, [" a", " b", " c"]), ([3, 9], [[5.0, np.nan], [6.0, np.nan]], [" a", " b"])]
-    )
-    assert math.isnan(value) and where == at(7, " b")
+    value, where = worst([[4.0, np.nan], [np.nan, 1.0], [np.nan, np.nan]], [" a", " b", " c"])
+    assert math.isnan(value) and where == at("sss", 7, " b")
+
+    # word by word: a later word moves the maximum only from above, so
+    # a tie goes to the earlier word
+    top = _Maxima(a2, ("h1",))
+    top.bump("h1", parse_word("ss"), np.array([3, 9]), np.array([[0.5, 2.0]]), [" i=1"])
+    top.bump("h1", parse_word("bb"), np.array([1, 2]), np.array([[2.0, 1.0]]), [" i=1"])
+    assert (top.res, top.worst) == ({"h1": 2.0}, {"h1": at("ss", 9, " i=1")})
+    top.bump("h1", parse_word("sb"), np.array([1, 2]), np.array([[2.5, 2.5]]), [" i=1"])
+    assert (top.res, top.worst) == ({"h1": 2.5}, {"h1": at("sb", 1, " i=1")})
+    # a NaN ranks above every number, and the first NaN keeps its
+    # location, on later words too
+    for word, values in (("ss", [5.0, np.nan]), ("bb", [np.nan, np.nan])):
+        top.bump("h1", parse_word(word), np.array([3, 9]), np.array([values]), [" i=1"])
+        assert math.isnan(top.res["h1"]) and top.worst["h1"] == at("ss", 9, " i=1")
+    top.bump_one("h1", 1e3, "arrows")
+    assert math.isnan(top.res["h1"]) and top.worst["h1"] == at("ss", 9, " i=1")
+
+
+def test_far_pairs_are_nan_where_a_path_crosses_an_unstable_window(a2):
+    """The far h2 pairs read NaN on each grading with a path that crosses
+    an unstable two-letter window (h1 NaN or +inf) at either slot: the
+    walk-count product against the paths themselves, on random sets of
+    unstable windows."""
+    from su3paths.operators import _Maxima, _bump_far_pairs
+    from su3paths.paths import _grading_at, _grading_numbers, _walk_counts, _words
+
+    V = len(a2.vertices)
+    tags = (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR)
+    for seed in range(4):
+        unstable = np.random.default_rng(seed).random((2, V, V)) < 0.1
+        for w in (w for w in _words(5) if len(w) >= 4):
+            nonzero = np.flatnonzero(_walk_counts(a2, w).ravel())
+            letters = np.array([tags.index(t) for t in w])
+            top = _Maxima(a2, ("h2",))
+            _bump_far_pairs(a2, top, w, nonzero, letters, unstable)
+            paths, n = word_paths(a2, w), len(w)
+            numbers = _grading_numbers(a2, paths)
+
+            def crosses(i):
+                if w[i - 1] is not w[i]:
+                    return np.zeros(len(paths), dtype=bool)
+                return unstable[letters[i - 1], paths[:, i - 1], paths[:, i + 1]]
+
+            pairs = [(i, j) for i in range(1, n) for j in range(i + 2, n)]
+            first = min(
+                (
+                    (s, k, f" i={i} j={j}")
+                    for k, (i, j) in enumerate(pairs)
+                    if not (j == i + 2 and w[i - 1] is w[i] and w[j - 1] is w[j])
+                    for s in numbers[crosses(i) | crosses(j)].tolist()
+                ),
+                default=None,
+            )
+            if first is None:
+                assert (top.res["h2"], top.worst["h2"]) == (0.0, "")
+            else:
+                assert math.isnan(top.res["h2"])
+                assert top.worst["h2"] == f"{_grading_at(a2, w, first[0])}{first[2]}"
 
 
 @pytest.mark.parametrize("name", ["a2", "e5"])
@@ -535,6 +574,13 @@ def test_sweep_reads_no_word_longer_than_max_len(monkeypatch):
     for fn in (word_paths, cup_pattern, annihilation_pattern):
         words = [key[1] for key in g._memo if key[0] is fn.__wrapped__]
         assert words and max(len(w) for w in words) <= 3
+    # past four letters the sweep reads only walk counts: no path array
+    # or pattern of a swept word
+    g = build_a_graph(2)
+    assert verify_tl(g, shipped_cells(g), 6).passed(1e-8)
+    for fn in (word_paths, cup_pattern, annihilation_pattern):
+        words = [key[1] for key in g._memo if key[0] is fn.__wrapped__]
+        assert words and max(len(w) for w in words) <= 4
     # words of length 3 have 24 paths each on a2: capped below that, the
     # sweep to length 2 still runs, with every check
     unbounded = verify_tl(g, shipped_cells(g), 2)
