@@ -175,8 +175,8 @@ class GraphSpec(HashedOnce):
 
     @cached_property
     def adjacency(self) -> np.ndarray:
-        """Read-only adjacency matrix in exact Python ints (object dtype)."""
-        a = adjacency_matrix(self).astype(object)
+        """Read-only int64 adjacency matrix (adjacency_matrix), kept."""
+        a = adjacency_matrix(self)
         a.flags.writeable = False
         return a
 
@@ -218,9 +218,12 @@ def validate_graph(g: GraphSpec) -> None:
         seen.add((u, v))
     n = len(ids)
     if n > 1:
-        a = adjacency_matrix(g) + np.eye(n, dtype=np.int64)
-        reach = np.linalg.matrix_power(a.astype(object), n - 1)
-        if not (np.array(reach, dtype=object) != 0).all():
+        # reach[i, j] = 1 when a walk of length <= 2**k leads from i to j;
+        # squaring to 2**k >= n - 1 keeps the entries 0 or 1, in int64
+        reach = adjacency_matrix(g) + np.eye(n, dtype=np.int64)
+        for _ in range((n - 2).bit_length()):
+            reach = np.minimum(reach @ reach, 1)
+        if not reach.all():
             raise GraphError("adjacency matrix is not irreducible (graph disconnected)")
     tris = [v.tri for v in g.vertices if v.tri is not None]
     if tris:

@@ -200,7 +200,7 @@ class PathGrading(HashedOnce):
 def path_space_dim(g: GraphSpec, grading: PathGrading) -> int:
     """Dimension of the grading without enumeration.
 
-    Entry (start, end) of the word's walk-count matrix.
+    Entry (start, end) of the word's walk-count matrix, as a Python int.
     """
     m = _walk_counts(g, grading.word)
     return int(m[g.index(grading.start), g.index(grading.end)])
@@ -210,14 +210,23 @@ def path_space_dim(g: GraphSpec, grading: PathGrading) -> int:
 def _walk_counts(g: GraphSpec, word: Word) -> np.ndarray:
     """Dimensions of every (start, end) grading of a typed word: the
     ordered product of step matrices (adjacency for SIGMA, its transpose
-    for SIGMA_BAR) in exact integers, read-only.  Each word's product is
-    its prefix's product times one step matrix, kept on the graph, so
-    words sharing a prefix share its product."""
+    for SIGMA_BAR), read-only.  Each word's product is its prefix's
+    product times one step matrix, kept on the graph, so words sharing a
+    prefix share its product.
+
+    Exact: int64 while d ** len(word) < 2**63, with d the largest out-
+    or in-degree (no entry, row sum or partial sum of the product
+    exceeds d ** len(word)); past that the prefix is cast to Python
+    integers (object dtype), as _row_keys does."""
     if not word:
-        m = np.eye(len(g.vertices), dtype=object)
+        m = np.eye(len(g.vertices), dtype=np.int64)
     else:
         a = g.adjacency
-        m = _walk_counts(g, word[:-1]) @ (a if word[-1] is EdgeTag.SIGMA else a.T)
+        prefix, step = _walk_counts(g, word[:-1]), a if word[-1] is EdgeTag.SIGMA else a.T
+        d = int(max(a.sum(axis=0).max(), a.sum(axis=1).max()))
+        if d ** len(word) >= 2**63:
+            prefix, step = prefix.astype(object), step.astype(object)
+        m = prefix @ step
     m.flags.writeable = False
     return m
 
@@ -300,7 +309,8 @@ def word_paths(g: GraphSpec, word: Word) -> np.ndarray:
     counts give the word more than MAX_PATH_SPACE paths.
     """
     word = tuple(EdgeTag(t) for t in word)
-    total = _walk_counts(g, word).sum()
+    # row sums are bounded like the entries; their sum may pass int64
+    total = sum(_walk_counts(g, word).sum(axis=1).tolist())
     if total > MAX_PATH_SPACE:
         raise PathSpaceTooLarge(
             f"word {word_str(word) or '()'} has {total} paths on {g.name} (cap {MAX_PATH_SPACE})"

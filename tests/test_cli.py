@@ -1,5 +1,6 @@
 """Command-line surface: dispatch, formats, exit codes, file plumbing."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -18,7 +19,8 @@ from su3paths import (
     shipped_cells,
 )
 from su3paths.cells import cells_to_dict
-from su3paths.cli import dispatch, main
+from su3paths.cli import build_parser, dispatch, main
+from su3paths.reference import _f
 
 
 def run(*argv):
@@ -207,14 +209,21 @@ def test_corrupt_cell_file_exits_with_an_error_line(tmp_path, capsys):
     assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_huge_cell_is_an_inf_residual_not_a_traceback(tmp_path, capsys):
-    # |T|^2 overflows a float above about 1.3e154: the sum rule reads inf
+def _huge_cell_file(tmp_path):
+    """a2's shipped cells with the first one at 1e300, as a cell file."""
     g = get_graph("a2")
     values = dict(shipped_cells(g).items)
     values[next(iter(values))] = 1e300
     p = tmp_path / "huge.json"
     save_cells(cell_system(g, values), str(p))
+    return p
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_huge_cell_is_an_inf_residual_not_a_traceback(tmp_path, capsys):
+    # |T|^2 overflows a float above about 1.3e154: the sum rule reads inf
+    g = get_graph("a2")
+    p = _huge_cell_file(tmp_path)
     warning = "loaded cells fail the arrow sum rule: max residual inf"
     assert load_cells(g, str(p)).warnings == (warning,)
     for argv in (["verify", "tl", "a2"], ["report", "a2"]):
@@ -222,6 +231,101 @@ def test_huge_cell_is_an_inf_residual_not_a_traceback(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert code == 1 and err == ""
         assert "FAIL" in out and "sum_rule" in out
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_tl_without_a_lemma_fit_prints_none(tmp_path):
+    def fitted(*argv):
+        text, payload = run("verify", "tl", "a2", *argv), run("verify", "tl", "a2", *argv, "--json")
+        assert text.text.splitlines()[-2].startswith("lemma constant 2.61803398875, fitted ")
+        return text.text.splitlines()[-2].split()[-1], payload.payload["lemma_fit"]
+
+    # a fit needs a 4-run: none up to length 3
+    assert fitted("--max-len", "3") == ("none", None)
+    # with a 1e300 cell the fit's denominator is NaN
+    assert fitted("--cells", str(_huge_cell_file(tmp_path))) == ("none", None)
+    shown, fit = fitted()
+    assert fit == pytest.approx(2.618033988749895) and shown == _f(fit)
+
+
+#: one argument list per command path, with every option it has
+_SAMPLES = {
+    ("graphs", "list"): ["--json"],
+    ("graphs", "show"): ["a2", "--format", "json"],
+    ("paths", "enumerate"): ["a2", "--from", "1", "--to", "3", "--word", "s"],
+    ("cells", "solve"): ["e5", "--seed", "3", "--tol", "1e-8", "--out", "c.json"],
+    ("cells", "verify"): ["e5", "--in", "c.json", "--max-len", "2"],
+    ("verify", "tl"): ["a2", "--max-len", "3", "--cells", "c.json", "--json"],
+    ("verify", "decomposition"): ["--graph-file", "g.json", "--max-len", "0"],
+    ("essential",): ["a2", "--type", "1,1", "--from", "1", "--to", "3", "--format", "csv"],
+    ("factorize",): ["a2", "--path", "1,3", "--word", "s", "--cells", "c.json"],
+    ("fusion", "table"): ["a2"],
+    ("fusion", "module"): ["a2", "--type", "1,0", "--json"],
+    ("report",): ["a2", "--cells", "c.json", "--max-len", "2"],
+}
+
+
+def _command_paths(parser, path=()):
+    """Every command path of a parser, down through its sub-commands."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return [path]
+    return [p for name, sub in subs[0].choices.items() for p in _command_paths(sub, (*path, name))]
+
+
+def _parse(parser, argv, capsys):
+    """(namespace or None, exit code or None, stdout, stderr) of one parse."""
+    try:
+        args, code = parser.parse_args(argv), None
+    except SystemExit as exc:
+        args, code = None, exc.code
+    return (args, code, *capsys.readouterr())
+
+
+def test_samples_cover_every_command_path():
+    assert sorted(_command_paths(build_parser())) == sorted(_SAMPLES)
+
+
+@pytest.mark.parametrize("path", sorted(_SAMPLES), ids=" ".join)
+def test_one_command_parser_parses_and_prints_as_the_full_parser(path, capsys):
+    full, one = build_parser(), build_parser(path[0])
+    argvs = [
+        [*path, *_SAMPLES[path]],
+        [path[0], "--help"],
+        [*path, "--help"],
+        list(path),  # a missing argument, where one is required
+        [*path, "--max-len", "-1"],  # out of range, or no such option
+        [*path, "a2", "--bogus"],  # always an error
+        [path[0], "nosuch"],  # an unknown sub-command, or a graph name
+    ]
+    for argv in argvs:
+        expected = _parse(full, argv, capsys)
+        assert _parse(one, argv, capsys) == expected, argv
+        if expected[1] is not None:
+            # dispatch prints what the full parser prints and exits with its code
+            assert dispatch(argv).status == expected[1]
+            assert (None, expected[1], *capsys.readouterr()) == expected
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["-h"], ["nosuch"], ["--json", "report"]])
+def test_top_level_help_and_errors_come_from_the_full_parser(argv, capsys):
+    expected = _parse(build_parser(), argv, capsys)
+    assert expected[1] in (0, 2)
+    assert dispatch(argv).status == expected[1]
+    assert (None, expected[1], *capsys.readouterr()) == expected
+
+
+def test_a_command_builds_only_its_own_parser(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    assert dispatch(["report", "a2"]).status == 0
+    assert built == ["su3paths", "su3paths report"]
 
 
 _CAPPED = """

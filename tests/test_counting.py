@@ -1,5 +1,6 @@
 """Walk-count tables: exactness against the plain object-dtype product."""
 
+import dataclasses
 import itertools
 import re
 
@@ -20,6 +21,7 @@ from su3paths import (
     conjugate_graph,
     cup,
     enumerate_paths,
+    fusion_matrices,
     get_graph,
     graph_names,
     parse_word,
@@ -27,6 +29,7 @@ from su3paths import (
     shipped_cells,
     word_paths,
 )
+from su3paths.paths import _walk_counts, _words
 
 
 def oracle_counts(g, word):
@@ -120,3 +123,82 @@ def test_dim_invariant_under_conjugation(name, text, ends):
     assert path_space_dim(g, PathGrading(a, b, word)) == path_space_dim(
         conjugate_graph(g), PathGrading(a, b, flipped)
     )
+
+
+def _boundary_graphs():
+    """Fresh graphs, so that the long words' counts are freed with them:
+    the shipped graphs, A_1 .. A_6 and the shipped graphs' conjugates."""
+    graphs = [dataclasses.replace(get_graph(name)) for name in graph_names()]
+    graphs += [build_a_graph(k) for k in range(1, 7)]
+    graphs += [conjugate_graph(get_graph(name)) for name in graph_names()]
+    return graphs
+
+
+def _last_int64_length(g):
+    """The longest word length with d ** length < 2**63, d the largest
+    out- or in-degree; None when d <= 1 (every length is int64)."""
+    a = adjacency_matrix(g)
+    d = int(max(a.sum(axis=0).max(), a.sum(axis=1).max()))
+    if d <= 1:
+        return None
+    n = 0
+    while d ** (n + 1) < 2**63:
+        n += 1
+    return n
+
+
+def _check_boundary(g, word):
+    """The walk counts of word and of its prefix against the oracle's,
+    entry by entry as Python ints, and each in int64 exactly while the
+    degree bound allows it."""
+    last = _last_int64_length(g)
+    a = adjacency_matrix(g).astype(object)
+    prefix = oracle_counts(g, word[:-1])
+    full = prefix @ (a if word[-1] is EdgeTag.SIGMA else a.T)
+    for w, oracle in ((word[:-1], prefix), (word, full)):
+        m = _walk_counts(g, w)
+        exact = last is None or len(w) <= last
+        assert m.dtype == (np.int64 if exact else object), (g.name, len(w))
+        assert m.tolist() == oracle.tolist()
+
+
+def test_boundary_graphs_have_the_expected_degrees():
+    lasts = {g.name: _last_int64_length(g) for g in _boundary_graphs()}
+    assert lasts["a5"] == lasts["a5~"] == 39  # 3 ** 39 < 2**63 <= 3 ** 40
+    assert lasts["a2"] == 62 and lasts["a1"] is None
+
+
+@pytest.mark.parametrize("g", _boundary_graphs(), ids=lambda g: g.name)
+def test_constant_words_switch_to_python_ints_past_the_degree_bound(g):
+    last = _last_int64_length(g)
+    for tag in EdgeTag:
+        _check_boundary(g, (tag,) * (64 if last is None else last + 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data(), k=st.integers(0, len(_boundary_graphs()) - 1))
+def test_drawn_words_switch_to_python_ints_past_the_degree_bound(data, k):
+    g = _boundary_graphs()[k]
+    last = _last_int64_length(g)
+    n = 64 if last is None else last + 1
+    text = data.draw(st.text(alphabet="sb", min_size=n, max_size=n), label="word")
+    _check_boundary(g, parse_word(text))
+
+
+def test_walks_are_the_a_graph_walks_through_the_fusion_matrices():
+    # identity (i): A^W(a, b) = sum over the A graph's vertices lambda of
+    # m_W(lambda) F_lambda(a, b), with m_W the walks along W on the A
+    # graph of g's level from its vertex (0, 0); every word to length 10
+    # on the five graphs, exact in int64 (about 0.5 s on two cores)
+    for name in graph_names():
+        g = dataclasses.replace(get_graph(name))
+        a = build_a_graph(g.level)
+        mats = fusion_matrices(g, g.level)
+        fusion = np.stack([mats[v.tri].matrix for v in a.vertices])
+        origin = [v.tri for v in a.vertices].index((0, 0))
+        for word in _words(10):
+            m = _walk_counts(a, word)[origin]
+            assert np.array_equal(np.tensordot(m, fusion, 1), _walk_counts(g, word)), (
+                name,
+                word,
+            )

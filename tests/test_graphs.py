@@ -8,6 +8,8 @@ import pytest
 
 from su3paths import (
     GraphError,
+    GraphSpec,
+    Vertex,
     adjacency_matrix,
     build_a_graph,
     conjugate_graph,
@@ -154,6 +156,18 @@ def test_build_a_graph_counts():
         n = (level + 1) * (level + 2) // 2
         assert len(g.vertices) == n
         validate_graph(g)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 9, 16, 17, 33])
+def test_validation_needs_every_vertex_to_reach_every_other(n):
+    # on a directed n-cycle, vertex k reaches k - 1 only in n - 1 steps;
+    # without one arrow the others still reach it, but it reaches none
+    ids = [str(k) for k in range(n)]
+    arrows = [(ids[k], ids[(k + 1) % n]) for k in range(n)]
+    vertices = tuple(Vertex(v) for v in ids)
+    validate_graph(GraphSpec("cycle", vertices, tuple(arrows), 5))
+    with pytest.raises(GraphError, match="not irreducible"):
+        validate_graph(GraphSpec("path", vertices, tuple(arrows[:-1]), 5))
 
 
 def test_conjugate_graph():
