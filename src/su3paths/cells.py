@@ -262,8 +262,9 @@ class _Relations:
     = [2] U1.
 
     A window's gradings of equal dimension are one batch, each slot's
-    blocks one stack from the pattern's gather and scatter indices
-    (_Pattern.stack) and entries (AnnihilationPattern.values).  An entry
+    blocks one stack, scattered from the entries that one gather over
+    the window's groups (operators._gather) finds and filled with their
+    values (AnnihilationPattern.values).  An entry
     holds one cell (conjugated on a sigma-bar pair): at grading q, row r,
     column c, on triangle t over den, it moves U by A + A^H per unit of
     Re T_t and by phase (A - A^H) per unit of Im T_t, phase i on sigma and
@@ -276,7 +277,7 @@ class _Relations:
     """
 
     def __init__(self, g: GraphSpec):
-        from .operators import annihilation_pattern
+        from .operators import _gather, annihilation_pattern
 
         tris = enumerate_triangles(g)
         sd = spectral_data(g)
@@ -288,19 +289,26 @@ class _Relations:
         self.target = np.array([sd.delta * sd.mu[u] * sd.mu[v] for u, v in arrows])
         self.size = len(arrows)  # residual rows
         # per window word and dimension group, each slot's pattern, the
-        # gather and scatter indices of its stack (take, at, shape), and
-        # each stacked entry's triangle and denominator
+        # entries of its stack (take, at, shape) split from one gather
+        # over the word's groups, and each entry's triangle and denominator
         self.groups = []
         for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
             word = (tag,) * 3
-            slots = [annihilation_pattern(g, word, i) for i in (1, 2)]
-            for _, numbers in _dimension_groups(g, word):
+            groups = list(_dimension_groups(g, word))
+            starts = np.cumsum([0] + [len(numbers) for _, numbers in groups]).tolist()
+            slots = []
+            for p in [annihilation_pattern(g, word, i) for i in (1, 2)]:
+                _, take, r, y, x, heights = _gather([(p, numbers) for _, numbers in groups], None, None)
+                slots.append((p, take, r, y, x, heights, np.searchsorted(r, starts).tolist()))
+            for k, (d, numbers) in enumerate(groups):
                 group = []
-                for p in slots:
-                    take, at, shape = p.stack(numbers)
-                    group.append((p, take, at, shape, p.tri[take], p.den[take][:, None]))
+                for p, take, r, y, x, heights, ends in slots:
+                    e = slice(ends[k], ends[k + 1])
+                    at = (r[e] - starts[k], y[e], x[e])
+                    shape = (len(numbers), int(heights[k]), d)
+                    group.append((p, take[e], at, shape, p.tri[take[e]], p.den[take[e]][:, None]))
                 self.groups.append(group)
-                self.size += 2 * shape[0] * shape[2] ** 2
+                self.size += 2 * len(numbers) * d**2
 
     def _stacks(self, x: np.ndarray):
         """Per group: its slots, and each slot's stacked C and U = C^H C."""

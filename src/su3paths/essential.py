@@ -5,11 +5,12 @@ A path vector is essential when every annihilation and every cup
 applicable to its grading kills it; per grading that is the joint
 numerical kernel of the stacked operator blocks.  Kernels are found
 for many gradings at once (_kernels): the gradings of one dimension
-whose stacks have the same shape take one SVD.  essential_basis and
-essential_dims read a word's kernels from the cell system, where
-_word_kernels keeps them; the decomposition finds them one raising
-batch at a time, one SVD per stack shape per batch, and keeps none
-there.  All of this arithmetic, from the kernel SVDs through the
+whose stacks have the same shape take one SVD, and each slot's blocks
+on all of them come from one gather (_lowering_entries).
+essential_basis and essential_dims read a word's kernels from the cell
+system, where _word_kernels keeps them; the decomposition finds them
+one raising batch at a time, one SVD per stack shape and one gather
+per slot per batch, and keeps none there.  All of this arithmetic, from the kernel SVDs through the
 raising batches and the projector checks, runs in the cell system's
 dtype (CellSystem.dtype): float64 on real cells, such as the shipped
 ones, else complex128.  The vectors handed out (essential_basis,
@@ -55,12 +56,14 @@ from typing import Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from .cells import CellSystem, OrientedTriangle, _in_dtype
+from .cells import CellSystem, OrientedTriangle
 from .fusion import _type_bound, fusion_matrix
 from .graphs import GraphError, GraphSpec, cached_on
 from .operators import (
+    CupPattern,
     _collapsed_word,
     _cup_word,
+    _gather,
     _mnorms,
     annihilation_pattern,
     cap_oriented,
@@ -106,15 +109,17 @@ class DecompositionError(RuntimeError):
 #
 # Every raising and lowering operator keeps a path's start and end, so
 # the kernels and bases of a word's gradings are built together.  The
-# gradings of nonzero dimension d form one group.  Per slot, the group's
-# lowering blocks are one zero-padded stack scattered from the graph's
-# pattern (_Pattern.stack's indices), and a grading's slots are stacked
-# on top of each other.  _kernels takes any set of groups of one
-# dimension and runs one SVD per stack shape: numpy's stacked SVD runs
-# LAPACK on each matrix alone, so a kernel does not depend on the
-# gradings it shares an SVD with.  Zero rows and columns from the
-# padding change no singular value.  _word_kernels keeps a word's
-# kernels on the cell system for essential_basis and essential_dims.
+# gradings of nonzero dimension d form one group.  Per slot, the
+# lowering entries of any set of groups, of one word or of many, are one
+# gather (operators._gather, in _lowering_entries); each group's blocks
+# are zero-padded to the largest of its own, and a grading's slots are
+# stacked on top of each other.  _kernels takes groups of one dimension
+# and runs one SVD per stack shape: numpy's stacked SVD runs LAPACK on
+# each matrix alone, so a kernel does not depend on the gradings it
+# shares an SVD with.  Zero rows and columns from the padding change no
+# singular value.  _word_kernels gathers a word's entries once for all
+# of its groups, runs _kernels a group at a time, and keeps the kernels
+# on the cell system for essential_basis and essential_dims.
 
 
 def _ranks(svals: np.ndarray) -> np.ndarray:
@@ -157,11 +162,14 @@ class _BasisGroup:
 class _WordBases:
     """Every grading's basis on one word: grading number s is row
     row_of[s] of groups[group_of[s]], and group_of[s] is -1 when its
-    dimension is 0."""
+    dimension is 0.  Group k is rows start: of pool, for origin[k] =
+    (pool, start): the _BasisGroup of the raising batch it came from,
+    which holds other words' gradings too, or the group itself."""
 
     groups: Tuple[_BasisGroup, ...]
     group_of: np.ndarray
     row_of: np.ndarray
+    origin: Tuple[Tuple[_BasisGroup, int], ...]
 
     def find(self, s: int):
         """(group, row) of grading number s, or None for dimension 0."""
@@ -226,53 +234,60 @@ def _check_finite(g: GraphSpec, word: Word, slots, vector: np.ndarray) -> None:
         raise DecompositionError(f"{_grading_at(g, word, s)}: non-finite operator entries")
 
 
-def _kernels(groups, d: int, cells: CellSystem):
-    """The raw joint kernels of groups (numbers, slots) of dimension-d
+def _lowering_entries(groups, cells: CellSystem):
+    """The entries of the lowering blocks of groups (numbers, slots) of
     gradings (slots holds a word's lowering patterns, as many for every
-    group), the groups' gradings one after another in rows, in the cell
-    system's dtype.
-
-    A grading's stack is its slots' blocks one on top of the other, each
-    zero-padded to the largest block of its group and slot
-    (_Pattern.stack).  The groups whose stacks have the same height
-    take one SVD, in row chunks whose stacks, singular vectors and
-    kernels fit in _BATCH_BYTES together.  Returns the (n, d, d) bases,
-    row r with kernel[r] kernel vectors and zero columns after them,
-    their (n, d) generations and kernel; and per group and slot the
-    entries of its blocks, (values, q, y, x, top): entry j sits at row
-    y[j] and column x[j] of the block of the group's grading q[j], whose
-    first row is row top of the grading's stack."""
-    dtype = cells.dtype
+    group), the groups' gradings one after another in rows: per slot one
+    gather over all of the groups (_gather), its entries (values, r, y,
+    x) in the cell system's dtype; and tops, whose row i gives each
+    grading's first row of slot i in its stack, and whose last row the
+    stack's height.  Each slot's blocks are padded to the largest of
+    their group."""
     lens = [len(numbers) for numbers, _ in groups]
-    starts = np.cumsum([0] + lens).tolist()
-    basis = np.zeros((starts[-1], d, d), dtype=dtype)
-    gens = np.full((starts[-1], d), -1, dtype=np.int64)
-    kernel = np.full(starts[-1], d, dtype=np.int64)
-    entries, heights = [], []
-    for numbers, slots in groups:
-        top, mine = 0, []
-        for p in slots:
-            take, (q, y, x), shape = p.stack(numbers)
-            mine.append((_in_dtype(p.values(cells.vector, take), dtype), q, y, x, top))
-            top += shape[1]
-        entries.append(mine)
-        heights.append(top)
-    if not groups[0][1]:
+    entries, tops = [], [np.zeros(len(groups), dtype=np.int64)]
+    for i in range(len(groups[0][1])):
+        parts = [(slots[i], numbers) for numbers, slots in groups]
+        values, _, r, y, x, heights = _gather(parts, cells.vector, cells.dtype)
+        entries.append((values, r, y, x))
+        tops.append(tops[-1] + heights)
+    return entries, np.repeat(np.array(tops), lens, axis=1)
+
+
+def _kernels(entries, tops: np.ndarray, lens, d: int, dtype: np.dtype):
+    """The raw joint kernels of groups of dimension-d gradings, of lens[k]
+    gradings each, from their lowering entries and tops
+    (_lowering_entries), in dtype.
+
+    A grading's stack is its slots' blocks one on top of the other.  The
+    gradings whose stacks have the same height take one SVD, in row
+    chunks whose stacks, singular vectors and kernels fit in
+    _BATCH_BYTES together.  Returns the (n, d, d) bases, row r with
+    kernel[r] kernel vectors and zero columns after them, their (n, d)
+    generations and kernel."""
+    starts = np.cumsum([0] + list(lens)).tolist()
+    n = starts[-1]
+    basis = np.zeros((n, d, d), dtype=dtype)
+    gens = np.full((n, d), -1, dtype=np.int64)
+    kernel = np.full(n, d, dtype=np.int64)
+    if not entries:
         basis[:] = np.eye(d)
         gens[:] = 0
-        return basis, gens, kernel, entries
-    for h in sorted(set(heights)):
-        here = [height == h for height in heights]
-        rows = np.flatnonzero(np.repeat(here, lens))
-        # the entries of these groups, at their row p among these rows and
+        return basis, gens, kernel
+    height = tops[-1]
+    for h in sorted(set(height.tolist())):
+        rows = np.flatnonzero(height == h)
+        # every slot's entries on these rows, at their row p among them and
         # their row t of the stack
-        first = np.cumsum([0] + list(itertools.compress(lens, here))).tolist()
-        pieces = zip(first, itertools.compress(entries, here))
-        offset, v, q, y, x, top = zip(*((r0, *e) for r0, slots in pieces for e in slots))
-        size = [len(a) for a in q]
-        p = np.concatenate(q) + np.repeat(offset, size)
-        t = np.concatenate(y) + np.repeat(top, size)
-        x, v = np.concatenate(x), np.concatenate(v)
+        place = np.empty(n, dtype=np.int64)
+        place[rows] = np.arange(len(rows))
+        pieces = []
+        for slot, top in zip(entries, tops):
+            if len(rows) < n:
+                slot = [a[height[slot[1]] == h] for a in slot]
+            v, r, y, x = slot
+            pieces.append((v, place[r], y + top[r], x))
+        v, p, t, x = (np.concatenate(c) for c in zip(*pieces))
+        del pieces
         step = max(1, _BATCH_BYTES // (2 * dtype.itemsize * d * (h + d)))
         for r0 in range(0, len(rows), step):
             chunk = rows[r0 : r0 + step]
@@ -293,28 +308,39 @@ def _kernels(groups, d: int, cells: CellSystem):
     largest = np.repeat(np.maximum.reduceat(kernel, starts[:-1]), lens)
     basis.transpose(0, 2, 1)[np.arange(d) >= largest[:, None]] = 0
     gens[np.arange(d) < kernel[:, None]] = 0
-    return basis, gens, kernel, entries
+    return basis, gens, kernel
 
 
 @cached_on
 def _word_kernels(cells: CellSystem, g: GraphSpec, word: Word) -> _WordBases:
     """The generation-0 bases of every grading of a word on g, kept on
     the cell system: the raw joint kernels (_kernels), one call per
-    group, their blocks cut at the group's largest kernel.  A non-finite
-    lowering entry raises DecompositionError (_check_finite)."""
+    group, their blocks cut at the group's largest kernel.  Each slot's
+    entries are one gather over all of the word's groups
+    (_lowering_entries), split by group.  A non-finite lowering entry
+    raises DecompositionError (_check_finite)."""
     slots = [p for p, _ in _lowering(g, word)]
     _check_finite(g, word, slots, cells.vector)
     groups, group_of, row_of = _word_groups(g, word)
+    entries, tops = _lowering_entries([(numbers, slots) for _, numbers in groups], cells)
+    starts = np.cumsum([0] + [len(numbers) for _, numbers in groups]).tolist()
+    ends = [np.searchsorted(r, starts).tolist() for _, r, _, _ in entries]
     kernels = []
-    for d, numbers in groups:
-        basis, gens, kernel, _ = _kernels([(numbers, slots)], d, cells)
+    for k, (d, numbers) in enumerate(groups):
+        a, b = starts[k], starts[k + 1]
+        mine = []
+        for (v, r, y, x), e in zip(entries, ends):
+            s = slice(e[k], e[k + 1])
+            mine.append((v[s], r[s] - a, y[s], x[s]))
+        basis, gens, kernel = _kernels(mine, tops[:, a:b], [len(numbers)], d, cells.dtype)
         top = kernel.max()
         basis, gens = basis[:, :, :top].copy(), gens[:, :top].copy()
         failed = np.zeros(len(numbers), dtype=bool)
         for a in (basis, gens, kernel, failed):
             a.setflags(write=False)
         kernels.append(_BasisGroup(numbers, basis, gens, kernel, kernel, failed))
-    return _WordBases(tuple(kernels), group_of, row_of)
+    origin = tuple((grp, 0) for grp in kernels)
+    return _WordBases(tuple(kernels), group_of, row_of, origin)
 
 
 @dataclass(frozen=True)
@@ -445,14 +471,17 @@ def essential_dims(g: GraphSpec, cells: CellSystem, tp: Tuple[int, int]) -> Esse
 # dimension d are batched within _BATCH_BYTES, and each batch is raised
 # from start to end before the next one starts (_raise_batch).  Its
 # kernels are found there, one SVD per stack shape per batch
-# (_kernels), straight into the rows of the batch's bases.  Every
-# lowering column holds at most one entry, so each raising candidate
-# C^H s is a gathered and scaled row of the source basis, read with the
-# same _Pattern.stack indices that stacked the kernels' blocks.  One
+# (_kernels), straight into the rows of the batch's bases, from one
+# gather per slot over all of the batch's groups.  Every lowering column
+# holds at most one entry, so each raising candidate C^H s is a
+# gathered and scaled row of the source basis, read at the same entries
+# that stacked the kernels' blocks.  A source word's groups are rows of
+# the raising batches they came from (_WordBases.origin), so the
+# candidates read the source bases a batch (pool) at a time.  One
 # stable sort orders the candidates of every grading of the batch, and
-# they are gathered a slot at a time straight into that order
-# (_candidates).  One Gram-Schmidt loop runs with one accept mask per
-# grading.  The padding changes no candidate or projection and the rows are
+# they are gathered a slot and a source pool at a time straight into
+# that order (_candidates).  One Gram-Schmidt loop runs with one accept
+# mask per grading.  The padding changes no candidate or projection and the rows are
 # independent, so a grading's basis does not depend on its batch.
 # verify_decomposition checks each batch's projectors straight after it
 # is raised, keeps the bases of lengths n - 1 and n - 2 while it raises
@@ -541,18 +570,22 @@ class Decomposer:
             # per grading, its candidates: the source bases' sizes
             groups, group_of, row_of = _word_groups(self.g, word)
             width = sum((b.sizes() for b in bases), np.zeros_like(group_of))
-            kept.append((word, group_of, row_of, [None] * len(groups)))
+            kept.append((word, group_of, row_of, [None] * len(groups), [None] * len(groups)))
             for k, (d, numbers) in enumerate(groups):
                 item = ((w, k), numbers, (slots, at), int(width[numbers].max()))
                 todo.setdefault(d, []).append(item)
-        # the source words' groups in one list, and per source word and
-        # grading number the grading's place in it (-1 for dimension 0)
-        # and its row in its group
-        bases = [b for _, b in found.values()]
-        first = np.cumsum([0] + [len(b.groups) for b in bases]).tolist()
-        place = [np.where(b.group_of < 0, -1, f + b.group_of) for f, b in zip(first, bases)]
-        pooled = [grp for b in bases for grp in b.groups]
-        sources = (pooled, np.array(place), np.array([b.row_of for b in bases]))
+        # the pools of the source words' groups in one list, and per source
+        # word and grading number the grading's pool there (-1 for
+        # dimension 0) and its row in it
+        pools, place, row = {}, [], []
+        for _, b in found.values():
+            # per group, its pool's place and its first row there; the
+            # last entries serve group_of -1
+            k = np.array([pools.setdefault(pool, len(pools)) for pool, _ in b.origin] + [-1])
+            start = np.array([start for _, start in b.origin] + [0])
+            place.append(k[b.group_of])
+            row.append(start[b.group_of] + b.row_of)
+        sources = (list(pools), np.array(place), np.array(row))
         for d, items in todo.items():
             items.sort(key=lambda item: -item[-1])  # widest first, see _raise_batch
             for batch in _batches(items, d, self.cells.dtype.itemsize):
@@ -562,11 +595,12 @@ class Decomposer:
                 if keep:
                     r0 = 0
                     for (w, k), numbers, *_ in batch:
-                        kept[w][-1][k] = raised.rows(r0, r0 + len(numbers))
+                        kept[w][3][k] = raised.rows(r0, r0 + len(numbers))
+                        kept[w][4][k] = (raised, r0)
                         r0 += len(numbers)
         if keep:
-            for word, group_of, row_of, groups in kept:
-                self._memo[word] = _WordBases(tuple(groups), group_of, row_of)
+            for word, group_of, row_of, groups, origin in kept:
+                self._memo[word] = _WordBases(tuple(groups), group_of, row_of, tuple(origin))
 
 
 def _batches(items, d: int, itemsize: int):
@@ -589,56 +623,56 @@ def _candidates(batch, d: int, cells: CellSystem, sources):
     """The kernels of a batch of dimension-d groups (_kernels, one SVD per
     stack shape of the batch), and the raising candidates of its
     gradings in the order they are tried.  An item's places name its
-    source words, per slot, by their place in sources (groups, place,
-    row): the source words' groups, and per source word and grading
-    number the grading's group there (-1 for dimension 0) and its row in
-    it.
+    source words, per slot, by their place in sources (pools, place,
+    row): the raised batches (pools) that the source words' groups are
+    rows of, and per source word and grading number the grading's pool
+    (-1 for dimension 0) and its row there.
 
     Candidate (slot i, source column c) has the source vector's
     generation plus one, a padded one _DEAD.  One stable sort of the
     batch's generations, each slot in columns of its own, orders them:
     slot order, source order within a slot, sorted stably by generation.
-    The candidates are gathered a slot at a time straight into that
-    order.  Returns the kernels' basis, gens and kernel, the (n, width,
-    d) candidates, width the most live candidates of any grading, and
-    their (n, width) generations."""
+    The candidates are gathered a slot and a source pool at a time,
+    straight into that order, with the slot's lowering entries as
+    _lowering_entries joined them.  Returns the kernels' basis, gens
+    and kernel, the (n, width, d) candidates, width the most live
+    candidates of any grading, and their (n, width) generations."""
     lens = [len(numbers) for _, numbers, *_ in batch]
-    starts = np.cumsum([0] + lens).tolist()
-    n, width = starts[-1], batch[0][-1]
+    n, width = sum(lens), batch[0][-1]
     numbers = np.concatenate([numbers for _, numbers, *_ in batch])
-    basis, gens, kernel, entries = _kernels(
-        [(numbers, slots) for _, numbers, (slots, _), _ in batch], d, cells
-    )
-    groups, place, row = sources
+    entries, tops = _lowering_entries([(numbers, slots) for _, numbers, (slots, _), _ in batch], cells)
+    basis, gens, kernel = _kernels(entries, tops, lens, d, cells.dtype)
+    pools, place, row = sources
     # per slot: its entries, C^H putting scale[j] s[y[j]] at x[j] of row
     # r[j] for a source vector s, and each grading's row in its source
-    # group; the gradings and the entries sorted by source group, and
-    # where the runs of the groups present start and end.  The slot's
+    # pool; the gradings and the entries sorted by source pool, and where
+    # the runs of the pools present start and end.  The slot's
     # candidates take columns spans[i] to spans[i + 1] of the unsorted
-    # generations, as many as its widest source group has.
+    # generations, as many as its widest source pool has.
     found, spans = [], [0]
-    for i in range(len(entries[0])):
-        v, q, y, x, _ = zip(*(group[i] for group in entries))
-        r = np.concatenate(q) + np.repeat(starts[:-1], [len(a) for a in q])
-        # conjugated before they are joined, so that a real cup weight stays
-        # real and its products with a source vector keep their signed zeros
-        scale = np.concatenate([a.conj() for a in v])
+    for i, (scale, r, y, x) in enumerate(entries):
         which = np.repeat([at[i] for _, _, (_, at), _ in batch], lens)
         key, srow = place[which, numbers], row[which, numbers]
         present = sorted(set(key.tolist()) - {-1})
         rows, by = np.argsort(key, kind="stable"), np.argsort(key[r], kind="stable")
-        r, y, x, scale = r[by], np.concatenate(y)[by], np.concatenate(x)[by], scale[by]
+        r, y, x, scale = r[by], y[by], x[by], scale[by]
+        if scale.dtype.kind == "c":
+            # C^H: a cup weight is real, and keeps the +0 imaginary part it
+            # took when it was joined with complex entries, so that its
+            # products with a source vector keep their signed zeros
+            cup = np.repeat([isinstance(slots[i], CupPattern) for _, _, (slots, _), _ in batch], lens)
+            np.conjugate(scale, out=scale, where=~cup[r])
         runs = [
             list(zip(np.searchsorted(on, present), np.searchsorted(on, present, side="right")))
             for on in (key[rows], key[r])
         ]
         found.append(((scale, r, y, x), srow, present, rows, runs))
-        spans.append(spans[-1] + max((groups[k].gens.shape[1] for k in present), default=0))
-    del entries  # joined per slot in found
+        spans.append(spans[-1] + max((pools[k].gens.shape[1] for k in present), default=0))
+    del entries  # sorted per slot in found
     cgen = np.full((n, spans[-1]), _DEAD, dtype=np.int64)
     for (_, srow, present, rows, (runs, _)), c0 in zip(found, spans):
         for k, (a, b) in zip(present, runs):
-            sg = groups[k].gens[srow[rows[a:b]]]
+            sg = pools[k].gens[srow[rows[a:b]]]
             cgen[rows[a:b], c0 : c0 + sg.shape[1]] = np.where(sg >= 0, sg + 1, _DEAD)
     # each candidate's place in the order; a padded one goes to the last
     # column, past the width, which is dropped
@@ -649,11 +683,11 @@ def _candidates(batch, d: int, cells: CellSystem, sources):
     cand = np.zeros((n, width + 1, d), dtype=basis.dtype)
     for ((scale, r, y, x), srow, present, _, (_, runs)), c0 in zip(found, spans):
         for k, (a, b) in zip(present, runs):
-            # these entries' gradings read source group k: each scales row
+            # these entries' gradings read source pool k: each scales row
             # y of its source basis into column x of the candidates
             e = slice(a, b)
-            at = pos[r[e], c0 : c0 + groups[k].gens.shape[1]]
-            cand[r[e, None], at, x[e, None]] = scale[e, None] * groups[k].basis[srow[r[e]], y[e]]
+            at = pos[r[e], c0 : c0 + pools[k].gens.shape[1]]
+            cand[r[e, None], at, x[e, None]] = scale[e, None] * pools[k].basis[srow[r[e]], y[e]]
     cgen = np.take_along_axis(cgen, order[:, :width], axis=1)
     return basis, gens, kernel, cand[:, :width], cgen
 

@@ -61,6 +61,7 @@ counterexample).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -192,9 +193,13 @@ def _check_slot(i: int, lo: int, hi: int, what: str):
 # builders, so a block is cheaper to rebuild than to hold.  creation and
 # cap return a fresh conjugate transpose of an annihilation or cup block
 # on each call, and tl_u multiplies one; none of these keeps anything.
-# The stacks the sweeps build (from _Pattern.stack's indices: the
-# Decomposer's on every word, verify_tl's on its window words only) and
-# verify_tl's window tables are not kept either.
+# The sweeps find a slot's entries on many gradings with one gather
+# (_gather): the Decomposer's over a raising batch's groups, whose words
+# have different patterns, each group padded to its own height;
+# _word_kernels', verify_tl's and the cell solver's over one word's
+# groups.  The stacks they scatter (the Decomposer's on every word,
+# verify_tl's on its window words only) and verify_tl's window tables
+# are not kept either.
 # Patterns and matrices are immutable.
 
 
@@ -223,29 +228,23 @@ class _Pattern:
         m[self.rows[k], self.cols[k]] = values
         return m
 
-    def stack(self, numbers: np.ndarray):
-        """Gather and scatter indices that stack the blocks of the gradings
-        ``numbers`` on a leading axis, in that order, each zero-padded to
-        the largest block's shape.
+    def values(self, vector: np.ndarray, k=slice(None)) -> np.ndarray:
+        """Entries k (all of them by default) for the cell vector."""
+        return self._evaluate(vector, *(a[k] for a in self._inputs()))
 
-        Returns (take, at, shape): entry take[j] of the pattern goes to
-        the stack position (at[0][j], at[1][j], at[2][j]), and the stack
-        has the given shape.  Zero rows or columns on the padded side
-        leave C^H C unchanged.
-        """
-        lo, hi = self.offsets[numbers], self.offsets[numbers + 1]
-        counts = hi - lo
-        take = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-        at = (np.repeat(np.arange(len(numbers)), counts), self.rows[take], self.cols[take])
-        return take, at, (len(numbers), *self.shapes[numbers].max(axis=0).tolist())
+    def _kind(self):
+        """Patterns of one kind compute their values alike, so _gather
+        evaluates the joined inputs of all of them at once."""
+        return type(self)
 
-    def stacked(self, numbers: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """The blocks of the gradings ``numbers``, stacked (see ``stack``),
-        with entry k of the pattern set to values[k]: one gather and one
-        scatter into a complex stack, as the per-grading blocks are."""
-        take, at, shape = self.stack(numbers)
-        m = np.zeros(shape, dtype=complex)
-        m[at] = values[take]
+    def stacked(self, numbers: np.ndarray, vector: np.ndarray) -> np.ndarray:
+        """The blocks of the gradings ``numbers`` for the cell vector, on a
+        leading axis, each zero-padded to the largest block's shape: one
+        gather (_gather) and one scatter into a complex stack, as the
+        per-grading blocks are."""
+        values, _, r, y, x, heights = _gather([(self, numbers)], vector, np.dtype(complex))
+        m = np.zeros((len(numbers), int(heights[0]), int(self.shapes[numbers, 1].max())), complex)
+        m[r, y, x] = values
         return m
 
 
@@ -262,8 +261,14 @@ class AnnihilationPattern(_Pattern):
     den: np.ndarray
     conj: bool
 
-    def values(self, vector: np.ndarray, k=slice(None)) -> np.ndarray:
-        """Entries k (all of them by default) for the cell vector.
+    def _inputs(self):
+        return self.tri, self.den
+
+    def _kind(self):
+        return type(self), self.conj
+
+    def _evaluate(self, vector: np.ndarray, tri: np.ndarray, den: np.ndarray) -> np.ndarray:
+        """The entries on triangles tri over den for the cell vector.
 
         They are rounded as the loop builder in tests/oracle.py rounds
         them, so blocks on cells read from a file match it bit for bit: a
@@ -273,7 +278,7 @@ class AnnihilationPattern(_Pattern):
         turns a negative zero into 0.0, as filling a zero block by
         addition does there.
         """
-        t, den = vector[self.tri[k]], self.den[k]
+        t = vector[tri]
         if self.conj:
             values = t.conj() * (1.0 / den)
         else:
@@ -292,13 +297,83 @@ class CupPattern(_Pattern):
 
     weight: np.ndarray
 
-    def values(self, vector: np.ndarray, k=slice(None)) -> np.ndarray:
-        """Entries k (all of them by default): the weights, which read no
-        cell, so any cell vector gives them."""
-        return self.weight[k]
+    def _inputs(self):
+        return (self.weight,)
+
+    def _evaluate(self, vector: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        """The weights, which read no cell, so any cell vector gives them."""
+        return weight
 
     def block(self, s: int) -> np.ndarray:
         return self._scatter(s, self.weight[self.entries(s)])
+
+
+def _gather(parts, vector: np.ndarray, dtype: np.dtype):
+    """The entries of the blocks of several patterns, in one gather.
+
+    parts holds (pattern, numbers) pairs, each numbers nonempty and
+    ascending, and their gradings count one after another as rows 0, 1,
+    ... .  Returns (values, take, r, y, x, heights): entry j is entry
+    take[j] of its part's pattern, at row y[j] and column x[j] of the
+    block of row r[j], with r ascending and each row's entries in
+    pattern order; heights[k] is the largest block height of part k.
+    values[j] is the entry for the cell vector in dtype (_in_dtype), but
+    cup weights stay real unless they are joined with other values;
+    values is None when vector is.
+
+    Each part's entries are read from the span of its pattern between
+    its first and last grading.  The spans are joined, those of one kind
+    of pattern (_kind) next to each other, and each kind's values are
+    one computation on its joined inputs.
+    """
+    kinds = {}
+    for k, (p, _) in enumerate(parts):
+        kinds.setdefault(p._kind(), []).append(k)
+    # per part: its gradings s0:s1 and their entries a:b, and where its
+    # span starts among the joined offsets (o), shapes (h) and entries (e)
+    span, o, h, e = [None] * len(parts), 0, 0, 0
+    for k in itertools.chain.from_iterable(kinds.values()):
+        p, numbers = parts[k]
+        s0, s1 = int(numbers[0]), int(numbers[-1]) + 1
+        a, b = int(p.offsets[s0]), int(p.offsets[s1])
+        span[k] = (s0, s1, a, b, o, h, e)
+        o, h, e = o + s1 - s0 + 1, h + s1 - s0, e + b - a
+
+    def joined(ks, pieces):
+        return [np.concatenate(c) for c in zip(*(pieces(parts[k][0], *span[k][:4]) for k in ks))]
+
+    order = list(itertools.chain.from_iterable(kinds.values()))
+    offsets, tall, rows, cols = joined(
+        order, lambda p, s0, s1, a, b: (p.offsets[s0 : s1 + 1], p.shapes[s0:s1, 0], p.rows[a:b], p.cols[a:b])
+    )
+    # per grading: its first entry among the joined ones, and its count
+    s0, _, a, _, o, h, e = (np.array(c) for c in zip(*span))
+    lens = [len(numbers) for _, numbers in parts]
+    numbers = np.concatenate([numbers for _, numbers in parts])
+    g = numbers + np.repeat(o - s0, lens)
+    shift = np.repeat(e - a, lens)
+    counts = offsets[g + 1] - offsets[g]
+    starts = offsets[g] + shift
+    at = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    take = at - np.repeat(shift, counts)
+    r = np.repeat(np.arange(len(numbers)), counts)
+    tops = np.cumsum([0] + lens[:-1])
+    heights = np.maximum.reduceat(tall[numbers + np.repeat(h - s0, lens)], tops)
+    if vector is None:
+        return None, take, r, rows[at], cols[at], heights
+    values = None
+    for ks in kinds.values():
+        p = parts[ks[0]][0]
+        inputs = joined(ks, lambda p, s0, s1, a, b: tuple(x[a:b] for x in p._inputs()))
+        if len(kinds) == 1:
+            values = _in_dtype(p._evaluate(vector, *(x[at] for x in inputs)), dtype)
+            break
+        if values is None:
+            values = np.empty(len(at), dtype=dtype)
+        e0 = span[ks[0]][6]
+        here = (at >= e0) & (at < e0 + len(inputs[0]))
+        values[here] = _in_dtype(p._evaluate(vector, *(x[at[here] - e0] for x in inputs)), dtype)
+    return values, take, r, rows[at], cols[at], heights
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -446,8 +521,8 @@ def apply_annihilation(g, cells, p: ElementaryPath, i: int) -> PathVector:
 # diagonal over the word's gradings.  The relations are local: each is
 # checked once per call on its window words (two to four letters), where
 # the gradings of equal dimension d form one group, each slot's blocks
-# on a group are one zero-padded stack scattered from the graph's
-# pattern (_Pattern.stack's indices) in the cells' dtype, and the
+# on a group are one zero-padded stack in the cells' dtype, scattered
+# from one gather over all of the word's groups (_window_us), and the
 # relation is a batched product with one residual per window grading
 # (_window_tables).  Cup cap and C_i C+_i are the zero- and one-letter
 # windows: per-vertex and per-arrow tables (_diagonal_tables).  The
@@ -580,17 +655,23 @@ def _window_us(g: GraphSpec, vector: np.ndarray, dtype: np.dtype, word: Word):
     """U_i = C_i^H C_i on the gradings of a window word, a dimension group
     at a time, in the cells' dtype: yields (numbers, us) with us[i - 1]
     the (k, d, d) stack of slot i's blocks on the k gradings ``numbers``
-    of dimension d, zero on a mixed slot.  Each slot's blocks are
-    scattered with _Pattern.stack's indices into a stack of that dtype."""
+    of dimension d, zero on a mixed slot.  Each slot's entries are one
+    gather (_gather) over all of the word's groups, scattered a group at
+    a time into a stack of that dtype."""
     n = len(word)
-    slots = [(i, annihilation_pattern(g, word, i)) for i in range(1, n) if word[i - 1] is word[i]]
-    slots = [(i, p, _in_dtype(p.values(vector), dtype)) for i, p in slots]
-    for d, numbers in _dimension_groups(g, word):
+    patterns = [(i, annihilation_pattern(g, word, i)) for i in range(1, n) if word[i - 1] is word[i]]
+    groups = list(_dimension_groups(g, word))
+    starts = np.cumsum([0] + [len(numbers) for _, numbers in groups]).tolist()
+    slots = []
+    for i, p in patterns:
+        values, _, r, y, x, heights = _gather([(p, numbers) for _, numbers in groups], vector, dtype)
+        slots.append((i, values, r, y, x, heights, np.searchsorted(r, starts).tolist()))
+    for k, (d, numbers) in enumerate(groups):
         us = np.zeros((n - 1, len(numbers), d, d), dtype=dtype)
-        for i, p, values in slots:
-            take, at, shape = p.stack(numbers)
-            c = np.zeros(shape, dtype=dtype)
-            c[at] = values[take]
+        for i, values, r, y, x, heights, ends in slots:
+            e = slice(ends[k], ends[k + 1])
+            c = np.zeros((len(numbers), heights[k], d), dtype=dtype)
+            c[r[e] - starts[k], y[e], x[e]] = values[e]
             us[i - 1] = _gram(c)
         yield numbers, us
 

@@ -453,7 +453,8 @@ def test_length_batches_build_the_word_by_word_bases(name, max_len, cells_kind, 
     count and failure flag are bit-equal to those built one word per
     batch, with the default budget and with one group per batch.  With
     the default budget the groups of a batch share their kernel SVDs:
-    there are fewer SVD calls than groups with a lowering slot."""
+    there are fewer SVD calls than groups with a lowering slot; and each
+    slot's lowering entries are one gather over the batch's groups."""
     from su3paths import essential
     from su3paths.paths import _words
 
@@ -472,31 +473,39 @@ def test_length_batches_build_the_word_by_word_bases(name, max_len, cells_kind, 
     for word in reversed(words):  # sources after the words raised from them
         alone._word(word)
 
-    raise_batch, sizes = essential._raise_batch, []
+    raise_batch, sizes, slots = essential._raise_batch, [], []
     svd, svds = np.linalg.svd, []
+    gather, gathers = essential._gather, []
 
     def recorded(batch, *args):
         sizes.append(len(batch))
+        slots.append(len(batch[0][2][0]))
         return raise_batch(batch, *args)
 
     def counted(*args, **kwargs):
         svds.append(1)
         return svd(*args, **kwargs)
 
+    def gathered(parts, *args):
+        gathers.append(len(parts))
+        return gather(parts, *args)
+
     monkeypatch.setattr(essential, "_raise_batch", recorded)
     monkeypatch.setattr(essential.np.linalg, "svd", counted)
+    monkeypatch.setattr(essential, "_gather", gathered)
     # groups whose words have a slot, whose kernels take an SVD
     groups = sum(len(alone._memo[word].groups) for word in words if len(word) > 1)
     # -1 is below every batch's size, so each group is a batch of its own
     for budget in (essential._BATCH_BYTES, -1):
         monkeypatch.setattr(essential, "_BATCH_BYTES", budget)
-        sizes.clear()
-        svds.clear()
+        for counts in (sizes, slots, svds, gathers):
+            counts.clear()
         dec = Decomposer(g, cells)
         for _, level in itertools.groupby(words, len):
             dec._raise_words(list(level))
         assert max(sizes) > 1 if budget > 0 else max(sizes) == 1
         assert len(svds) < groups if budget > 0 else len(svds) >= groups
+        assert len(gathers) <= sum(slots) and sum(gathers) == sum(s * k for s, k in zip(sizes, slots))
         for word in words:
             ours, ref = dec._memo[word].groups, alone._memo[word].groups
             assert len(ours) == len(ref)

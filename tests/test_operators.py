@@ -478,20 +478,59 @@ def test_nan_cell_fails_the_sweep_where_it_first_shows(name):
     assert all(rep.worst[k] for k in failing)
 
 
-@pytest.mark.parametrize("word,i", [("sss", 1), ("bbb", 2), ("sbs", 1)])
-def test_stacked_blocks_are_padded_blocks(e5, e5_cells, word, i):
-    ann = annihilation_pattern(e5, parse_word(word), i)
-    cu = cup_pattern(e5, parse_word(word), i)
-    numbers = np.flatnonzero(ann.shapes[:, 1])
-    stacks = (
-        (ann.stacked(numbers, ann.values(e5_cells.vector)), lambda s: ann.block(e5_cells.vector, s)),
-        (cu.stacked(numbers, cu.weight), cu.block),
-    )
-    for stack, block in stacks:
-        for q, s in enumerate(numbers.tolist()):
-            m = block(s)
-            assert stack[q][: m.shape[0], : m.shape[1]].tobytes() == m.tobytes()
-            assert not stack[q][m.shape[0] :].any() and not stack[q][:, m.shape[1] :].any()
+@pytest.mark.parametrize("words,i", [("sss", 1), ("bbb", 2), ("sbs", 1), ("sss bsb sbb bbs ssb", 2)])
+def test_stacked_blocks_are_padded_blocks(e5, words, i):
+    """A pattern's stack on the gradings of one word, and one gather
+    (_gather) over the dimension groups of several words, each slot an
+    annihilation or a cup, are the per-grading blocks, zero-padded to
+    each group's largest block; bit for bit, on shipped (real) and
+    gauged (complex) cells, with the gathered values in the cells'
+    dtype."""
+    from su3paths.operators import _gather
+    from su3paths.paths import _dimension_groups, _grading_at
+
+    g = e5
+    shipped = shipped_cells(g)
+    words = [parse_word(w) for w in words.split()]
+    for cells in (shipped, gauge_transform(shipped, random_gauge(g, 5))):
+        if len(words) == 1:
+            ann, cu = annihilation_pattern(g, words[0], i), cup_pattern(g, words[0], i)
+            numbers = np.flatnonzero(ann.shapes[:, 1])
+            for p, block in ((ann, lambda s: ann.block(cells.vector, s)), (cu, cu.block)):
+                stack = p.stacked(numbers, cells.vector)
+                for q, s in enumerate(numbers.tolist()):
+                    m = block(s)
+                    assert stack[q][: m.shape[0], : m.shape[1]].tobytes() == m.tobytes()
+                    assert not stack[q][m.shape[0] :].any() and not stack[q][:, m.shape[1] :].any()
+            continue
+        # every group of every word, one part each, in one gather
+        parts, blocks = [], []
+        for w in words:
+            if w[i - 1] is w[i]:
+                p, op = annihilation_pattern(g, w, i), annihilation
+            else:
+                p, op = cup_pattern(g, w, i), cup
+            for d, numbers in _dimension_groups(g, w):
+                parts.append((p, numbers))
+                gradings = [_grading_at(g, w, s) for s in numbers.tolist()]
+                blocks.append([op(g, cells, grading, i).matrix for grading in gradings])
+        assert len({type(p) for p, _ in parts}) == 2
+        values, take, r, y, x, heights = _gather(parts, cells.vector, cells.dtype)
+        assert values.dtype == cells.dtype
+        row = 0
+        for (p, numbers), mine, h in zip(parts, blocks, heights.tolist()):
+            assert h == max(m.shape[0] for m in mine)
+            e = (r >= row) & (r < row + len(numbers))
+            assert np.array_equal(p.rows[take[e]], y[e]) and np.array_equal(p.cols[take[e]], x[e])
+            stack = np.zeros((len(numbers), h, mine[0].shape[1]), dtype=cells.dtype)
+            stack[r[e] - row, y[e], x[e]] = values[e]
+            for c, m in zip(stack, mine):
+                if cells.dtype.kind == "f":
+                    assert not m.imag.any()
+                    m = m.real
+                assert c[: m.shape[0]].tobytes() == m.tobytes() and not c[m.shape[0] :].any()
+            row += len(numbers)
+        assert (r < row).all()
 
 
 @pytest.mark.parametrize("name", ["a2", "a3", "a4", "a5", "e5"])
@@ -558,11 +597,11 @@ def test_cup_cap_and_collapse_blocks_are_the_tables(name, max_len):
                 for k, t in enumerate(tags):
                     p = cup_pattern(g, _cap_word(w, i, t), i)
                     table = cupcap[k, paths[:, i - 1]]
-                    _assert_gram_is_diagonal(p.stacked(numbers, p.weight), dims[numbers], table)
+                    _assert_gram_is_diagonal(p.stacked(numbers, cells.vector), dims[numbers], table)
             for i in range(1, n + 1):
                 p = annihilation_pattern(g, _expanded_word(w, i), i)
                 table = collapse[tags.index(w[i - 1]), paths[:, i - 1], paths[:, i]]
-                c = p.stacked(numbers, p.values(cells.vector))
+                c = p.stacked(numbers, cells.vector)
                 _assert_gram_is_diagonal(c, dims[numbers], table)
 
 
