@@ -298,7 +298,8 @@ class _Relations:
             starts = np.cumsum([0] + [len(numbers) for _, numbers in groups]).tolist()
             slots = []
             for p in [annihilation_pattern(g, word, i) for i in (1, 2)]:
-                _, take, r, y, x, heights = _gather([(p, numbers) for _, numbers in groups], None, None)
+                parts = [(p, numbers) for _, numbers in groups]
+                _, take, r, y, x, heights = _gather(parts, None, None)
                 slots.append((p, take, r, y, x, heights, np.searchsorted(r, starts).tolist()))
             for k, (d, numbers) in enumerate(groups):
                 group = []

@@ -640,7 +640,8 @@ def _candidates(batch, d: int, cells: CellSystem, sources):
     lens = [len(numbers) for _, numbers, *_ in batch]
     n, width = sum(lens), batch[0][-1]
     numbers = np.concatenate([numbers for _, numbers, *_ in batch])
-    entries, tops = _lowering_entries([(numbers, slots) for _, numbers, (slots, _), _ in batch], cells)
+    groups = [(numbers, slots) for _, numbers, (slots, _), _ in batch]
+    entries, tops = _lowering_entries(groups, cells)
     basis, gens, kernel = _kernels(entries, tops, lens, d, cells.dtype)
     pools, place, row = sources
     # per slot: its entries, C^H putting scale[j] s[y[j]] at x[j] of row
@@ -660,7 +661,7 @@ def _candidates(batch, d: int, cells: CellSystem, sources):
             # C^H: a cup weight is real, and keeps the +0 imaginary part it
             # took when it was joined with complex entries, so that its
             # products with a source vector keep their signed zeros
-            cup = np.repeat([isinstance(slots[i], CupPattern) for _, _, (slots, _), _ in batch], lens)
+            cup = np.repeat([isinstance(slots[i], CupPattern) for _, slots in groups], lens)
             np.conjugate(scale, out=scale, where=~cup[r])
         runs = [
             list(zip(np.searchsorted(on, present), np.searchsorted(on, present, side="right")))

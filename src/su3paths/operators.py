@@ -61,7 +61,6 @@ counterexample).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -329,24 +328,29 @@ def _gather(parts, vector: np.ndarray, dtype: np.dtype):
     kinds = {}
     for k, (p, _) in enumerate(parts):
         kinds.setdefault(p._kind(), []).append(k)
+    order = [k for ks in kinds.values() for k in ks]
     # per part: its gradings s0:s1 and their entries a:b, and where its
     # span starts among the joined offsets (o), shapes (h) and entries (e)
     span, o, h, e = [None] * len(parts), 0, 0, 0
-    for k in itertools.chain.from_iterable(kinds.values()):
+    for k in order:
         p, numbers = parts[k]
         s0, s1 = int(numbers[0]), int(numbers[-1]) + 1
         a, b = int(p.offsets[s0]), int(p.offsets[s1])
         span[k] = (s0, s1, a, b, o, h, e)
         o, h, e = o + s1 - s0 + 1, h + s1 - s0, e + b - a
 
-    def joined(ks, pieces):
-        return [np.concatenate(c) for c in zip(*(pieces(parts[k][0], *span[k][:4]) for k in ks))]
+    def joined(ks, spans):
+        # one part's span is used where it lies, as a view
+        pieces = zip(*(spans(parts[k][0], *span[k][:4]) for k in ks))
+        return [c[0] if len(c) == 1 else np.concatenate(c) for c in pieces]
 
-    order = list(itertools.chain.from_iterable(kinds.values()))
     offsets, tall, rows, cols = joined(
-        order, lambda p, s0, s1, a, b: (p.offsets[s0 : s1 + 1], p.shapes[s0:s1, 0], p.rows[a:b], p.cols[a:b])
+        order,
+        lambda p, s0, s1, a, b: (
+            p.offsets[s0 : s1 + 1], p.shapes[s0:s1, 0], p.rows[a:b], p.cols[a:b]
+        ),
     )
-    # per grading: its first entry among the joined ones, and its count
+    # per grading: where its offset and its entries sit among the joined ones
     s0, _, a, _, o, h, e = (np.array(c) for c in zip(*span))
     lens = [len(numbers) for _, numbers in parts]
     numbers = np.concatenate([numbers for _, numbers in parts])
@@ -361,18 +365,17 @@ def _gather(parts, vector: np.ndarray, dtype: np.dtype):
     heights = np.maximum.reduceat(tall[numbers + np.repeat(h - s0, lens)], tops)
     if vector is None:
         return None, take, r, rows[at], cols[at], heights
-    values = None
+    values = np.empty(len(at), dtype=dtype) if len(kinds) > 1 else None
     for ks in kinds.values():
         p = parts[ks[0]][0]
         inputs = joined(ks, lambda p, s0, s1, a, b: tuple(x[a:b] for x in p._inputs()))
-        if len(kinds) == 1:
-            values = _in_dtype(p._evaluate(vector, *(x[at] for x in inputs)), dtype)
-            break
         if values is None:
-            values = np.empty(len(at), dtype=dtype)
-        e0 = span[ks[0]][6]
-        here = (at >= e0) & (at < e0 + len(inputs[0]))
-        values[here] = _in_dtype(p._evaluate(vector, *(x[at[here] - e0] for x in inputs)), dtype)
+            values = _in_dtype(p._evaluate(vector, *(x[at] for x in inputs)), dtype)
+        else:
+            e0 = span[ks[0]][6]
+            here = (at >= e0) & (at < e0 + len(inputs[0]))
+            mine = at[here] - e0
+            values[here] = _in_dtype(p._evaluate(vector, *(x[mine] for x in inputs)), dtype)
     return values, take, r, rows[at], cols[at], heights
 
 
@@ -659,12 +662,14 @@ def _window_us(g: GraphSpec, vector: np.ndarray, dtype: np.dtype, word: Word):
     gather (_gather) over all of the word's groups, scattered a group at
     a time into a stack of that dtype."""
     n = len(word)
-    patterns = [(i, annihilation_pattern(g, word, i)) for i in range(1, n) if word[i - 1] is word[i]]
+    like = [i for i in range(1, n) if word[i - 1] is word[i]]
+    patterns = [(i, annihilation_pattern(g, word, i)) for i in like]
     groups = list(_dimension_groups(g, word))
     starts = np.cumsum([0] + [len(numbers) for _, numbers in groups]).tolist()
     slots = []
     for i, p in patterns:
-        values, _, r, y, x, heights = _gather([(p, numbers) for _, numbers in groups], vector, dtype)
+        parts = [(p, numbers) for _, numbers in groups]
+        values, _, r, y, x, heights = _gather(parts, vector, dtype)
         slots.append((i, values, r, y, x, heights, np.searchsorted(r, starts).tolist()))
     for k, (d, numbers) in enumerate(groups):
         us = np.zeros((n - 1, len(numbers), d, d), dtype=dtype)

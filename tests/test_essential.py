@@ -505,7 +505,8 @@ def test_length_batches_build_the_word_by_word_bases(name, max_len, cells_kind, 
             dec._raise_words(list(level))
         assert max(sizes) > 1 if budget > 0 else max(sizes) == 1
         assert len(svds) < groups if budget > 0 else len(svds) >= groups
-        assert len(gathers) <= sum(slots) and sum(gathers) == sum(s * k for s, k in zip(sizes, slots))
+        assert len(gathers) <= sum(slots)
+        assert sum(gathers) == sum(s * k for s, k in zip(sizes, slots))
         for word in words:
             ours, ref = dec._memo[word].groups, alone._memo[word].groups
             assert len(ours) == len(ref)

@@ -478,7 +478,9 @@ def test_nan_cell_fails_the_sweep_where_it_first_shows(name):
     assert all(rep.worst[k] for k in failing)
 
 
-@pytest.mark.parametrize("words,i", [("sss", 1), ("bbb", 2), ("sbs", 1), ("sss bsb sbb bbs ssb", 2)])
+@pytest.mark.parametrize(
+    "words,i", [("sss", 1), ("bbb", 2), ("sbs", 1), ("sss bsb sbb bbs ssb", 2)]
+)
 def test_stacked_blocks_are_padded_blocks(e5, words, i):
     """A pattern's stack on the gradings of one word, and one gather
     (_gather) over the dimension groups of several words, each slot an
