@@ -10,11 +10,12 @@ on all of them come from one gather (_lowering_entries).
 essential_basis and essential_dims read a word's kernels from the cell
 system, where _word_kernels keeps them; the decomposition finds them
 one raising batch at a time, one SVD per stack shape and one gather
-per slot per batch, and keeps none there.  All of this arithmetic, from the kernel SVDs through the
-raising batches and the projector checks, runs in the cell system's
-dtype (CellSystem.dtype): float64 on real cells, such as the shipped
-ones, else complex128.  The vectors handed out (essential_basis,
-Decomposer.basis, decompose_space) are complex either way.
+per slot per batch, and keeps none there.  All of this arithmetic,
+from the kernel SVDs through the raising batches and the projector
+checks, runs in the cell system's dtype (CellSystem.dtype): float64 on
+real cells, such as the shipped ones, else complex128.  The vectors
+handed out (essential_basis, Decomposer.basis, decompose_space) are
+complex either way.
 Types with alpha + beta beyond the graph level are excluded from the
 essential space by the length clause even where the joint kernel is
 nonzero; the raw kernel dimension is still reported (and is what the
@@ -577,15 +578,17 @@ class Decomposer:
         # the pools of the source words' groups in one list, and per source
         # word and grading number the grading's pool there (-1 for
         # dimension 0) and its row in it
-        pools, place, row = {}, [], []
-        for _, b in found.values():
+        pools = {}
+        place = np.empty((len(found), len(self.g.vertices) ** 2), dtype=np.int64)
+        row = np.empty_like(place)
+        for j, (_, b) in enumerate(found.values()):
             # per group, its pool's place and its first row there; the
             # last entries serve group_of -1
             k = np.array([pools.setdefault(pool, len(pools)) for pool, _ in b.origin] + [-1])
             start = np.array([start for _, start in b.origin] + [0])
-            place.append(k[b.group_of])
-            row.append(start[b.group_of] + b.row_of)
-        sources = (list(pools), np.array(place), np.array(row))
+            place[j] = k[b.group_of]
+            row[j] = start[b.group_of] + b.row_of
+        sources = (list(pools), place, row)
         for d, items in todo.items():
             items.sort(key=lambda item: -item[-1])  # widest first, see _raise_batch
             for batch in _batches(items, d, self.cells.dtype.itemsize):
