@@ -672,7 +672,7 @@ def _candidates(batch, d: int, cells: CellSystem, sources):
         ]
         found.append(((scale, r, y, x), srow, present, rows, runs))
         spans.append(spans[-1] + max((pools[k].gens.shape[1] for k in present), default=0))
-    del entries  # sorted per slot in found
+    del entries  # sorted per slot and by source pool, in found
     cgen = np.full((n, spans[-1]), _DEAD, dtype=np.int64)
     for (_, srow, present, rows, (runs, _)), c0 in zip(found, spans):
         for k, (a, b) in zip(present, runs):
