@@ -320,59 +320,66 @@ def _gather(parts, vector: np.ndarray, dtype: np.dtype):
     cup weights stay real unless they are joined with other values;
     values is None when vector is.
 
-    Each part's entries are read from the span of its pattern between
-    its first and last grading.  The spans are joined, those of one kind
-    of pattern (_kind) next to each other, and each kind's values are
-    one computation on its joined inputs.
+    One pattern is read where it lies.  Of several, each one's span
+    between the first and the last grading its parts read is joined
+    with the others, those of one kind of pattern (_kind) next to each
+    other, and each kind's values are one computation on its joined
+    inputs.
     """
     kinds = {}
-    for k, (p, _) in enumerate(parts):
-        kinds.setdefault(p._kind(), []).append(k)
-    order = [k for ks in kinds.values() for k in ks]
-    # per part: its gradings s0:s1 and their entries a:b, and where its
-    # span starts among the joined offsets (o), shapes (h) and entries (e)
-    span, o, h, e = [None] * len(parts), 0, 0, 0
-    for k in order:
-        p, numbers = parts[k]
-        s0, s1 = int(numbers[0]), int(numbers[-1]) + 1
-        a, b = int(p.offsets[s0]), int(p.offsets[s1])
-        span[k] = (s0, s1, a, b, o, h, e)
-        o, h, e = o + s1 - s0 + 1, h + s1 - s0, e + b - a
-
-    def joined(ks, spans):
-        # one part's span is used where it lies, as a view
-        pieces = zip(*(spans(parts[k][0], *span[k][:4]) for k in ks))
-        return [c[0] if len(c) == 1 else np.concatenate(c) for c in pieces]
-
-    offsets, tall, rows, cols = joined(
-        order,
-        lambda p, s0, s1, a, b: (
-            p.offsets[s0 : s1 + 1], p.shapes[s0:s1, 0], p.rows[a:b], p.cols[a:b]
-        ),
-    )
-    # per grading: where its offset and its entries sit among the joined ones
-    s0, _, a, _, o, h, e = (np.array(c) for c in zip(*span))
+    for p, _ in parts:
+        kinds.setdefault(p._kind(), {})[p] = None
+    patterns = [p for ps in kinds.values() for p in ps]
     lens = [len(numbers) for _, numbers in parts]
     numbers = np.concatenate([numbers for _, numbers in parts])
-    g = numbers + np.repeat(o - s0, lens)
-    shift = np.repeat(e - a, lens)
-    counts = offsets[g + 1] - offsets[g]
-    starts = offsets[g] + shift
-    at = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    take = at - np.repeat(shift, counts)
+    if len(patterns) == 1:
+        p = patterns[0]
+        offsets, tall, rows, cols = p.offsets, p.shapes[:, 0], p.rows, p.cols
+        g = h = numbers
+        shift = None
+    else:
+        # per pattern: its gradings s0:s1 and their entries a:b, and
+        # where its span starts among the joined offsets (o), shapes (h)
+        # and entries (e)
+        span = {}
+        for p, ns in parts:
+            s0, s1 = span.get(p, (ns[0], ns[-1] + 1))
+            span[p] = (min(s0, ns[0]), max(s1, ns[-1] + 1))
+        o = h = e = 0
+        pieces = []
+        for p in patterns:
+            s0, s1 = (int(s) for s in span[p])
+            a, b = int(p.offsets[s0]), int(p.offsets[s1])
+            span[p] = (s0, s1, a, b, o, h, e)
+            o, h, e = o + s1 - s0 + 1, h + s1 - s0, e + b - a
+            pieces.append((p.offsets[s0 : s1 + 1], p.shapes[s0:s1, 0], p.rows[a:b], p.cols[a:b]))
+        offsets, tall, rows, cols = (np.concatenate(c) for c in zip(*pieces))
+        # per part: where its gradings' offsets, shapes and entries sit
+        # among the joined ones
+        s0, _, a, _, o, h, e = np.array([span[p] for p, _ in parts]).T
+        g = numbers + np.repeat(o - s0, lens)
+        h = numbers + np.repeat(h - s0, lens)
+        shift = np.repeat(e - a, lens)
+    lo = offsets[g]
+    counts = offsets[g + 1] - lo
+    take = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    at = take if shift is None else take + np.repeat(shift, counts)
     r = np.repeat(np.arange(len(numbers)), counts)
-    tops = np.cumsum([0] + lens[:-1])
-    heights = np.maximum.reduceat(tall[numbers + np.repeat(h - s0, lens)], tops)
+    heights = np.maximum.reduceat(tall[h], np.cumsum([0] + lens[:-1]))
     if vector is None:
         return None, take, r, rows[at], cols[at], heights
     values = np.empty(len(at), dtype=dtype) if len(kinds) > 1 else None
-    for ks in kinds.values():
-        p = parts[ks[0]][0]
-        inputs = joined(ks, lambda p, s0, s1, a, b: tuple(x[a:b] for x in p._inputs()))
-        if values is None:
+    for ps in kinds.values():
+        p = next(iter(ps))
+        if shift is None:
+            inputs = p._inputs()
+        else:
+            pieces = zip(*(tuple(x[span[q][2] : span[q][3]] for x in q._inputs()) for q in ps))
+            inputs = [np.concatenate(c) for c in pieces]
+        if values is None:  # one kind, whose entries start the joined ones
             values = _in_dtype(p._evaluate(vector, *(x[at] for x in inputs)), dtype)
         else:
-            e0 = span[ks[0]][6]
+            e0 = span[p][6]
             here = (at >= e0) & (at < e0 + len(inputs[0]))
             mine = at[here] - e0
             values[here] = _in_dtype(p._evaluate(vector, *(x[mine] for x in inputs)), dtype)
