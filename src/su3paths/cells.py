@@ -295,19 +295,15 @@ class _Relations:
         for tag in (EdgeTag.SIGMA, EdgeTag.SIGMA_BAR):
             word = (tag,) * 3
             groups = list(_dimension_groups(g, word))
-            starts = np.cumsum([0] + [len(numbers) for _, numbers in groups]).tolist()
             slots = []
             for p in [annihilation_pattern(g, word, i) for i in (1, 2)]:
-                parts = [(p, numbers) for _, numbers in groups]
-                _, take, r, y, x, heights = _gather(parts, None, None)
-                slots.append((p, take, r, y, x, heights, np.searchsorted(r, starts).tolist()))
+                slots.append((p, _gather([(p, numbers) for _, numbers in groups], None, None)))
             for k, (d, numbers) in enumerate(groups):
                 group = []
-                for p, take, r, y, x, heights, ends in slots:
-                    e = slice(ends[k], ends[k + 1])
-                    at = (r[e] - starts[k], y[e], x[e])
-                    shape = (len(numbers), int(heights[k]), d)
-                    group.append((p, take[e], at, shape, p.tri[take[e]], p.den[take[e]][:, None]))
+                for p, got in slots:
+                    e = got.part(k)
+                    at, shape = (e.r, e.y, e.x), (len(numbers), int(e.heights[0]), d)
+                    group.append((p, e.take, at, shape, p.tri[e.take], p.den[e.take][:, None]))
                 self.groups.append(group)
                 self.size += 2 * len(numbers) * d**2
 

@@ -51,7 +51,7 @@ path.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional, Tuple, Union
 
@@ -144,7 +144,8 @@ class _BasisGroup:
     where the columns are zero.  failed[r] marks a grading whose
     accounting broke: fewer than d vectors, or more than d independent.
     The Decomposer's bases have n = d columns; the kernels of
-    _word_kernels stop at the group's largest kernel.
+    _word_kernels stop at the group's largest kernel.  A group made by
+    rows() is rows start: of pool, else pool is None.
     """
 
     numbers: np.ndarray
@@ -153,24 +154,29 @@ class _BasisGroup:
     kernel: np.ndarray
     count: np.ndarray
     failed: np.ndarray
+    pool: Optional["_BasisGroup"] = None
+    start: int = 0
 
     def rows(self, start: int, stop: int) -> "_BasisGroup":
         """The gradings start:stop of the group."""
-        return _BasisGroup(*(getattr(self, f.name)[start:stop] for f in fields(self)))
+        arrays = (self.numbers, self.basis, self.gens, self.kernel, self.count, self.failed)
+        return _BasisGroup(*(a[start:stop] for a in arrays), pool=self, start=start)
+
+    def origin(self):
+        """(pool, start): the group this one is rows start: of, itself
+        (start 0) when it is not rows of another."""
+        return (self, 0) if self.pool is None else (self.pool, self.start)
 
 
 @dataclass(frozen=True, eq=False)
 class _WordBases:
     """Every grading's basis on one word: grading number s is row
     row_of[s] of groups[group_of[s]], and group_of[s] is -1 when its
-    dimension is 0.  Group k is rows start: of pool, for origin[k] =
-    (pool, start): the _BasisGroup of the raising batch it came from,
-    which holds other words' gradings too, or the group itself."""
+    dimension is 0."""
 
     groups: Tuple[_BasisGroup, ...]
     group_of: np.ndarray
     row_of: np.ndarray
-    origin: Tuple[Tuple[_BasisGroup, int], ...]
 
     def find(self, s: int):
         """(group, row) of grading number s, or None for dimension 0."""
@@ -239,18 +245,16 @@ def _lowering_entries(groups, cells: CellSystem):
     """The entries of the lowering blocks of groups (numbers, slots) of
     gradings (slots holds a word's lowering patterns, as many for every
     group), the groups' gradings one after another in rows: per slot one
-    gather over all of the groups (_gather), its entries (values, r, y,
-    x) in the cell system's dtype; and tops, whose row i gives each
-    grading's first row of slot i in its stack, and whose last row the
-    stack's height.  Each slot's blocks are padded to the largest of
-    their group."""
+    gather over all of the groups (_gather), with its values in the cell
+    system's dtype; and tops, whose row i gives each grading's first row
+    of slot i in its stack, and whose last row the stack's height.  Each
+    slot's blocks are padded to the largest of their group."""
     lens = [len(numbers) for numbers, _ in groups]
     entries, tops = [], [np.zeros(len(groups), dtype=np.int64)]
     for i in range(len(groups[0][1])):
         parts = [(slots[i], numbers) for numbers, slots in groups]
-        values, _, r, y, x, heights = _gather(parts, cells.vector, cells.dtype)
-        entries.append((values, r, y, x))
-        tops.append(tops[-1] + heights)
+        entries.append(_gather(parts, cells.vector, cells.dtype))
+        tops.append(tops[-1] + entries[-1].heights)
     return entries, np.repeat(np.array(tops), lens, axis=1)
 
 
@@ -282,10 +286,10 @@ def _kernels(entries, tops: np.ndarray, lens, d: int, dtype: np.dtype):
         place = np.empty(n, dtype=np.int64)
         place[rows] = np.arange(len(rows))
         pieces = []
-        for slot, top in zip(entries, tops):
+        for e, top in zip(entries, tops):
+            v, r, y, x = e.values, e.r, e.y, e.x
             if len(rows) < n:
-                slot = [a[height[slot[1]] == h] for a in slot]
-            v, r, y, x = slot
+                v, r, y, x = (a[height[e.r] == h] for a in (v, r, y, x))
             pieces.append((v, place[r], y + top[r], x))
         v, p, t, x = (np.concatenate(c) for c in zip(*pieces))
         del pieces
@@ -324,24 +328,18 @@ def _word_kernels(cells: CellSystem, g: GraphSpec, word: Word) -> _WordBases:
     _check_finite(g, word, slots, cells.vector)
     groups, group_of, row_of = _word_groups(g, word)
     entries, tops = _lowering_entries([(numbers, slots) for _, numbers in groups], cells)
-    starts = np.cumsum([0] + [len(numbers) for _, numbers in groups]).tolist()
-    ends = [np.searchsorted(r, starts).tolist() for _, r, _, _ in entries]
-    kernels = []
+    kernels, r0 = [], 0
     for k, (d, numbers) in enumerate(groups):
-        a, b = starts[k], starts[k + 1]
-        mine = []
-        for (v, r, y, x), e in zip(entries, ends):
-            s = slice(e[k], e[k + 1])
-            mine.append((v[s], r[s] - a, y[s], x[s]))
-        basis, gens, kernel = _kernels(mine, tops[:, a:b], [len(numbers)], d, cells.dtype)
+        mine, r1 = [e.part(k) for e in entries], r0 + len(numbers)
+        basis, gens, kernel = _kernels(mine, tops[:, r0:r1], [len(numbers)], d, cells.dtype)
+        r0 = r1
         top = kernel.max()
         basis, gens = basis[:, :, :top].copy(), gens[:, :top].copy()
         failed = np.zeros(len(numbers), dtype=bool)
         for a in (basis, gens, kernel, failed):
             a.setflags(write=False)
         kernels.append(_BasisGroup(numbers, basis, gens, kernel, kernel, failed))
-    origin = tuple((grp, 0) for grp in kernels)
-    return _WordBases(tuple(kernels), group_of, row_of, origin)
+    return _WordBases(tuple(kernels), group_of, row_of)
 
 
 @dataclass(frozen=True)
@@ -477,13 +475,14 @@ def essential_dims(g: GraphSpec, cells: CellSystem, tp: Tuple[int, int]) -> Esse
 # holds at most one entry, so each raising candidate C^H s is a
 # gathered and scaled row of the source basis, read at the same entries
 # that stacked the kernels' blocks.  A source word's groups are rows of
-# the raising batches they came from (_WordBases.origin), so the
+# the raising batches they came from (_BasisGroup.origin), so the
 # candidates read the source bases a batch (pool) at a time.  One
 # stable sort orders the candidates of every grading of the batch, and
 # they are gathered a slot and a source pool at a time straight into
 # that order (_candidates).  One Gram-Schmidt loop runs with one accept
-# mask per grading.  The padding changes no candidate or projection and the rows are
-# independent, so a grading's basis does not depend on its batch.
+# mask per grading.  The padding changes no candidate or projection and
+# the rows are independent, so a grading's basis does not depend on its
+# batch.
 # verify_decomposition checks each batch's projectors straight after it
 # is raised, keeps the bases of lengths n - 1 and n - 2 while it raises
 # length n, and keeps none of the last length.
@@ -571,7 +570,7 @@ class Decomposer:
             # per grading, its candidates: the source bases' sizes
             groups, group_of, row_of = _word_groups(self.g, word)
             width = sum((b.sizes() for b in bases), np.zeros_like(group_of))
-            kept.append((word, group_of, row_of, [None] * len(groups), [None] * len(groups)))
+            kept.append((word, group_of, row_of, [None] * len(groups)))
             for k, (d, numbers) in enumerate(groups):
                 item = ((w, k), numbers, (slots, at), int(width[numbers].max()))
                 todo.setdefault(d, []).append(item)
@@ -584,8 +583,9 @@ class Decomposer:
         for j, (_, b) in enumerate(found.values()):
             # per group, its pool's place and its first row there; the
             # last entries serve group_of -1
-            k = np.array([pools.setdefault(pool, len(pools)) for pool, _ in b.origin] + [-1])
-            start = np.array([start for _, start in b.origin] + [0])
+            origin = [grp.origin() for grp in b.groups]
+            k = np.array([pools.setdefault(pool, len(pools)) for pool, _ in origin] + [-1])
+            start = np.array([start for _, start in origin] + [0])
             place[j] = k[b.group_of]
             row[j] = start[b.group_of] + b.row_of
         sources = (list(pools), place, row)
@@ -598,12 +598,11 @@ class Decomposer:
                 if keep:
                     r0 = 0
                     for (w, k), numbers, *_ in batch:
-                        kept[w][3][k] = raised.rows(r0, r0 + len(numbers))
-                        kept[w][4][k] = (raised, r0)
+                        kept[w][-1][k] = raised.rows(r0, r0 + len(numbers))
                         r0 += len(numbers)
         if keep:
-            for word, group_of, row_of, groups, origin in kept:
-                self._memo[word] = _WordBases(tuple(groups), group_of, row_of, tuple(origin))
+            for word, group_of, row_of, groups in kept:
+                self._memo[word] = _WordBases(tuple(groups), group_of, row_of)
 
 
 def _batches(items, d: int, itemsize: int):
@@ -654,7 +653,8 @@ def _candidates(batch, d: int, cells: CellSystem, sources):
     # candidates take columns spans[i] to spans[i + 1] of the unsorted
     # generations, as many as its widest source pool has.
     found, spans = [], [0]
-    for i, (scale, r, y, x) in enumerate(entries):
+    for i, got in enumerate(entries):
+        scale, r, y, x = got.values, got.r, got.y, got.x
         which = np.repeat([at[i] for _, _, (_, at), _ in batch], lens)
         key, srow = place[which, numbers], row[which, numbers]
         present = sorted(set(key.tolist()) - {-1})
@@ -672,7 +672,7 @@ def _candidates(batch, d: int, cells: CellSystem, sources):
         ]
         found.append(((scale, r, y, x), srow, present, rows, runs))
         spans.append(spans[-1] + max((pools[k].gens.shape[1] for k in present), default=0))
-    del entries  # sorted per slot and by source pool, in found
+    del entries  # found holds them, sorted by source pool
     cgen = np.full((n, spans[-1]), _DEAD, dtype=np.int64)
     for (_, srow, present, rows, (runs, _)), c0 in zip(found, spans):
         for k, (a, b) in zip(present, runs):

@@ -64,7 +64,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -227,23 +227,15 @@ class _Pattern:
         m[self.rows[k], self.cols[k]] = values
         return m
 
-    def values(self, vector: np.ndarray, k=slice(None)) -> np.ndarray:
-        """Entries k (all of them by default) for the cell vector."""
-        return self._evaluate(vector, *(a[k] for a in self._inputs()))
-
-    def _kind(self):
-        """Patterns of one kind compute their values alike, so _gather
-        evaluates the joined inputs of all of them at once."""
-        return type(self)
-
     def stacked(self, numbers: np.ndarray, vector: np.ndarray) -> np.ndarray:
         """The blocks of the gradings ``numbers`` for the cell vector, on a
         leading axis, each zero-padded to the largest block's shape: one
         gather (_gather) and one scatter into a complex stack, as the
         per-grading blocks are."""
-        values, _, r, y, x, heights = _gather([(self, numbers)], vector, np.dtype(complex))
-        m = np.zeros((len(numbers), int(heights[0]), int(self.shapes[numbers, 1].max())), complex)
-        m[r, y, x] = values
+        got = _gather([(self, numbers)], vector, np.dtype(complex))
+        width = int(self.shapes[numbers, 1].max())
+        m = np.zeros((len(numbers), int(got.heights[0]), width), complex)
+        m[got.r, got.y, got.x] = got.values
         return m
 
 
@@ -260,14 +252,8 @@ class AnnihilationPattern(_Pattern):
     den: np.ndarray
     conj: bool
 
-    def _inputs(self):
-        return self.tri, self.den
-
-    def _kind(self):
-        return type(self), self.conj
-
-    def _evaluate(self, vector: np.ndarray, tri: np.ndarray, den: np.ndarray) -> np.ndarray:
-        """The entries on triangles tri over den for the cell vector.
+    def values(self, vector: np.ndarray, k=slice(None)) -> np.ndarray:
+        """Entries k (all of them by default) for the cell vector.
 
         They are rounded as the loop builder in tests/oracle.py rounds
         them, so blocks on cells read from a file match it bit for bit: a
@@ -277,7 +263,7 @@ class AnnihilationPattern(_Pattern):
         turns a negative zero into 0.0, as filling a zero block by
         addition does there.
         """
-        t = vector[tri]
+        t, den = vector[self.tri[k]], self.den[k]
         if self.conj:
             values = t.conj() * (1.0 / den)
         else:
@@ -296,40 +282,57 @@ class CupPattern(_Pattern):
 
     weight: np.ndarray
 
-    def _inputs(self):
-        return (self.weight,)
-
-    def _evaluate(self, vector: np.ndarray, weight: np.ndarray) -> np.ndarray:
-        """The weights, which read no cell, so any cell vector gives them."""
-        return weight
+    def values(self, vector: np.ndarray, k=slice(None)) -> np.ndarray:
+        """Entries k (all of them by default): the weights, which read no
+        cell, so any cell vector gives them."""
+        return self.weight[k]
 
     def block(self, s: int) -> np.ndarray:
         return self._scatter(s, self.weight[self.entries(s)])
 
 
-def _gather(parts, vector: np.ndarray, dtype: np.dtype):
+class _Gathered(NamedTuple):
+    """The entries that one gather (_gather) finds on the gradings of its
+    parts, which count one after another as rows 0, 1, ... .
+
+    Entry j is entry take[j] of its part's pattern, at row y[j] and
+    column x[j] of the block of row r[j], with r ascending and each
+    row's entries in pattern order, and values[j] is its value (None
+    without a cell vector).  Part k's gradings are rows firsts[k]:
+    firsts[k + 1], its entries bounds[k]:bounds[k + 1], and heights[k]
+    is the largest height of its blocks.
+    """
+
+    values: Optional[np.ndarray]
+    take: np.ndarray
+    r: np.ndarray
+    y: np.ndarray
+    x: np.ndarray
+    heights: np.ndarray
+    firsts: Sequence[int]
+    bounds: Sequence[int]
+
+    def part(self, k: int) -> "_Gathered":
+        """Part k alone, its rows counted from its first."""
+        e = slice(self.bounds[k], self.bounds[k + 1])
+        values = None if self.values is None else self.values[e]
+        r, heights = self.r[e] - self.firsts[k], self.heights[k : k + 1]
+        firsts, bounds = (0, self.firsts[k + 1] - self.firsts[k]), (0, e.stop - e.start)
+        return _Gathered(values, self.take[e], r, self.y[e], self.x[e], heights, firsts, bounds)
+
+
+def _gather(parts, vector: Optional[np.ndarray], dtype: Optional[np.dtype]) -> _Gathered:
     """The entries of the blocks of several patterns, in one gather.
 
     parts holds (pattern, numbers) pairs, each numbers nonempty and
-    ascending, and their gradings count one after another as rows 0, 1,
-    ... .  Returns (values, take, r, y, x, heights): entry j is entry
-    take[j] of its part's pattern, at row y[j] and column x[j] of the
-    block of row r[j], with r ascending and each row's entries in
-    pattern order; heights[k] is the largest block height of part k.
-    values[j] is the entry for the cell vector in dtype (_in_dtype), but
-    cup weights stay real unless they are joined with other values;
-    values is None when vector is.
-
-    One pattern is read where it lies.  Of several, each one's span
-    between the first and the last grading its parts read is joined
-    with the others, those of one kind of pattern (_kind) next to each
-    other, and each kind's values are one computation on its joined
-    inputs.
+    ascending.  The values are in dtype (_in_dtype), or None without a
+    cell vector.  When the parts share one pattern, it is read where it
+    lies and its values at once, so a cup's weights stay real.  Else
+    each pattern's span between the first and the last grading its
+    parts read is joined with the others', and the values are read a
+    part at a time into one array of dtype.
     """
-    kinds = {}
-    for p, _ in parts:
-        kinds.setdefault(p._kind(), {})[p] = None
-    patterns = [p for ps in kinds.values() for p in ps]
+    patterns = list(dict.fromkeys(p for p, _ in parts))
     lens = [len(numbers) for _, numbers in parts]
     numbers = np.concatenate([numbers for _, numbers in parts])
     if len(patterns) == 1:
@@ -350,40 +353,33 @@ def _gather(parts, vector: np.ndarray, dtype: np.dtype):
         for p in patterns:
             s0, s1 = (int(s) for s in span[p])
             a, b = int(p.offsets[s0]), int(p.offsets[s1])
-            span[p] = (s0, s1, a, b, o, h, e)
+            span[p] = (s0, a, o, h, e)
             o, h, e = o + s1 - s0 + 1, h + s1 - s0, e + b - a
             pieces.append((p.offsets[s0 : s1 + 1], p.shapes[s0:s1, 0], p.rows[a:b], p.cols[a:b]))
         offsets, tall, rows, cols = (np.concatenate(c) for c in zip(*pieces))
         # per part: where its gradings' offsets, shapes and entries sit
         # among the joined ones
-        s0, _, a, _, o, h, e = np.array([span[p] for p, _ in parts]).T
+        s0, a, o, h, e = np.array([span[p] for p, _ in parts]).T
         g = numbers + np.repeat(o - s0, lens)
         h = numbers + np.repeat(h - s0, lens)
         shift = np.repeat(e - a, lens)
     lo = offsets[g]
     counts = offsets[g + 1] - lo
-    take = np.arange(counts.sum()) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    ends = np.cumsum(counts)
+    take = np.arange(ends[-1]) + np.repeat(lo - (ends - counts), counts)
     at = take if shift is None else take + np.repeat(shift, counts)
     r = np.repeat(np.arange(len(numbers)), counts)
-    heights = np.maximum.reduceat(tall[h], np.cumsum([0] + lens[:-1]))
-    if vector is None:
-        return None, take, r, rows[at], cols[at], heights
-    values = np.empty(len(at), dtype=dtype) if len(kinds) > 1 else None
-    for ps in kinds.values():
-        p = next(iter(ps))
-        if shift is None:
-            inputs = p._inputs()
-        else:
-            pieces = zip(*(tuple(x[span[q][2] : span[q][3]] for x in q._inputs()) for q in ps))
-            inputs = [np.concatenate(c) for c in pieces]
-        if values is None:  # one kind, whose entries start the joined ones
-            values = _in_dtype(p._evaluate(vector, *(x[at] for x in inputs)), dtype)
-        else:
-            e0 = span[p][6]
-            here = (at >= e0) & (at < e0 + len(inputs[0]))
-            mine = at[here] - e0
-            values[here] = _in_dtype(p._evaluate(vector, *(x[mine] for x in inputs)), dtype)
-    return values, take, r, rows[at], cols[at], heights
+    firsts = np.cumsum([0] + lens).tolist()
+    bounds = [0] + ends[np.array(firsts[1:]) - 1].tolist()
+    heights = np.maximum.reduceat(tall[h], firsts[:-1])
+    values = None
+    if vector is not None and shift is None:
+        values = _in_dtype(patterns[0].values(vector, take), dtype)
+    elif vector is not None:
+        values = np.empty(len(at), dtype=dtype)
+        for (p, _), e0, e1 in zip(parts, bounds, bounds[1:]):
+            values[e0:e1] = _in_dtype(p.values(vector, take[e0:e1]), dtype)
+    return _Gathered(values, take, r, rows[at], cols[at], heights, firsts, bounds)
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -669,21 +665,18 @@ def _window_us(g: GraphSpec, vector: np.ndarray, dtype: np.dtype, word: Word):
     gather (_gather) over all of the word's groups, scattered a group at
     a time into a stack of that dtype."""
     n = len(word)
-    like = [i for i in range(1, n) if word[i - 1] is word[i]]
-    patterns = [(i, annihilation_pattern(g, word, i)) for i in like]
     groups = list(_dimension_groups(g, word))
-    starts = np.cumsum([0] + [len(numbers) for _, numbers in groups]).tolist()
     slots = []
-    for i, p in patterns:
-        parts = [(p, numbers) for _, numbers in groups]
-        values, _, r, y, x, heights = _gather(parts, vector, dtype)
-        slots.append((i, values, r, y, x, heights, np.searchsorted(r, starts).tolist()))
+    for i in range(1, n):
+        if word[i - 1] is word[i]:
+            p = annihilation_pattern(g, word, i)
+            slots.append((i, _gather([(p, numbers) for _, numbers in groups], vector, dtype)))
     for k, (d, numbers) in enumerate(groups):
         us = np.zeros((n - 1, len(numbers), d, d), dtype=dtype)
-        for i, values, r, y, x, heights, ends in slots:
-            e = slice(ends[k], ends[k + 1])
-            c = np.zeros((len(numbers), heights[k], d), dtype=dtype)
-            c[r[e] - starts[k], y[e], x[e]] = values[e]
+        for i, got in slots:
+            e = got.part(k)
+            c = np.zeros((len(numbers), e.heights[0], d), dtype=dtype)
+            c[e.r, e.y, e.x] = e.values
             us[i - 1] = _gram(c)
         yield numbers, us
 

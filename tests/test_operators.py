@@ -517,22 +517,28 @@ def test_stacked_blocks_are_padded_blocks(e5, words, i):
                 gradings = [_grading_at(g, w, s) for s in numbers.tolist()]
                 blocks.append([op(g, cells, grading, i).matrix for grading in gradings])
         assert len({type(p) for p, _ in parts}) == 2
-        values, take, r, y, x, heights = _gather(parts, cells.vector, cells.dtype)
-        assert values.dtype == cells.dtype
+        got = _gather(parts, cells.vector, cells.dtype)
+        assert got.values.dtype == cells.dtype
         row = 0
-        for (p, numbers), mine, h in zip(parts, blocks, heights.tolist()):
+        for k, ((p, numbers), mine) in enumerate(zip(parts, blocks)):
+            h = int(got.heights[k])
             assert h == max(m.shape[0] for m in mine)
-            e = (r >= row) & (r < row + len(numbers))
-            assert np.array_equal(p.rows[take[e]], y[e]) and np.array_equal(p.cols[take[e]], x[e])
+            e = (got.r >= row) & (got.r < row + len(numbers))
+            part = got.part(k)
+            whole = (got.take, got.r - row, got.y, got.x, got.values)
+            for a, b in zip(whole, (part.take, part.r, part.y, part.x, part.values)):
+                assert a[e].tobytes() == b.tobytes()
+            assert np.array_equal(p.rows[part.take], part.y)
+            assert np.array_equal(p.cols[part.take], part.x)
             stack = np.zeros((len(numbers), h, mine[0].shape[1]), dtype=cells.dtype)
-            stack[r[e] - row, y[e], x[e]] = values[e]
+            stack[part.r, part.y, part.x] = part.values
             for c, m in zip(stack, mine):
                 if cells.dtype.kind == "f":
                     assert not m.imag.any()
                     m = m.real
                 assert c[: m.shape[0]].tobytes() == m.tobytes() and not c[m.shape[0] :].any()
             row += len(numbers)
-        assert (r < row).all()
+        assert (got.r < row).all()
 
 
 @pytest.mark.parametrize("name", ["a2", "a3", "a4", "a5", "e5"])
