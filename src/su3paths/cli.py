@@ -883,10 +883,6 @@ def dispatch(argv: Optional[Sequence[str]] = None) -> CommandResult:
         return CommandResult(status=code, text="", payload=None)
     try:
         return args.func(args)
-    except CellSolveError as exc:
-        res = dict(getattr(exc, "residuals", {}) or {})
-        lines = [f"error: {exc}"] + [f"  {k:<12} {_e(res[k])}" for k in sorted(res)]
-        return CommandResult(1, "\n".join(lines), {"error": str(exc), "residuals": res}, _mode(args))
     except (GraphError, CellFileError, PathSpaceTooLarge, DecompositionError, ValueError) as exc:
         return CommandResult(1, f"error: {exc}", {"error": str(exc)}, _mode(args))
     except OSError as exc:

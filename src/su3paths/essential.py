@@ -134,9 +134,9 @@ def _ranks(svals: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _BasisGroup:
-    """Bases of the gradings ``numbers`` (ascending) of one word, all of
-    dimension d; _raise_batch returns one for a whole batch, whose rows
-    run over several words.
+    """Bases of the gradings ``numbers`` of dimension d: of one word,
+    ascending, in _word_kernels; of a whole raising batch, which runs
+    over several words, in _raise_batch.
 
     Row r's basis is columns :count[r] of the (d, n) block basis[r]:
     kernel[r] raw-kernel vectors, then the raised ones in acceptance
@@ -144,8 +144,7 @@ class _BasisGroup:
     where the columns are zero.  failed[r] marks a grading whose
     accounting broke: fewer than d vectors, or more than d independent.
     The Decomposer's bases have n = d columns; the kernels of
-    _word_kernels stop at the group's largest kernel.  A group made by
-    rows() is rows start: of pool, else pool is None.
+    _word_kernels stop at the group's largest kernel.
     """
 
     numbers: np.ndarray
@@ -154,41 +153,32 @@ class _BasisGroup:
     kernel: np.ndarray
     count: np.ndarray
     failed: np.ndarray
-    pool: Optional["_BasisGroup"] = None
-    start: int = 0
-
-    def rows(self, start: int, stop: int) -> "_BasisGroup":
-        """The gradings start:stop of the group."""
-        arrays = (self.numbers, self.basis, self.gens, self.kernel, self.count, self.failed)
-        return _BasisGroup(*(a[start:stop] for a in arrays), pool=self, start=start)
-
-    def origin(self):
-        """(pool, start): the group this one is rows start: of, itself
-        (start 0) when it is not rows of another."""
-        return (self, 0) if self.pool is None else (self.pool, self.start)
 
 
 @dataclass(frozen=True, eq=False)
 class _WordBases:
     """Every grading's basis on one word: grading number s is row
-    row_of[s] of groups[group_of[s]], and group_of[s] is -1 when its
-    dimension is 0."""
+    row_of[s] of pools[pool_of[s]], and pool_of[s] is -1 (row_of[s] 0)
+    when its dimension is 0.  The Decomposer's words of one length share
+    that length's raising batches as their pools; in _word_kernels each
+    dimension group of the word is a pool of its own."""
 
-    groups: Tuple[_BasisGroup, ...]
-    group_of: np.ndarray
+    pools: Tuple[_BasisGroup, ...]
+    pool_of: np.ndarray
     row_of: np.ndarray
 
     def find(self, s: int):
-        """(group, row) of grading number s, or None for dimension 0."""
-        k = self.group_of[s]
-        return None if k < 0 else (self.groups[k], int(self.row_of[s]))
+        """(pool, row) of grading number s, or None for dimension 0."""
+        k = self.pool_of[s]
+        return None if k < 0 else (self.pools[k], int(self.row_of[s]))
 
     def sizes(self) -> np.ndarray:
         """The number of basis vectors of every grading, by grading number."""
-        size = np.zeros(len(self.group_of), dtype=np.int64)
-        for grp in self.groups:
-            size[grp.numbers] = grp.count
-        return size
+        # the pools' counts one after another, and a 0 last that the
+        # gradings of dimension 0 (pool -1, row 0) read
+        count = np.concatenate([p.count for p in self.pools] + [[0]])
+        first = np.cumsum([0] + [len(p.count) for p in self.pools])
+        return count[first[self.pool_of] + self.row_of]
 
 
 def _h(x: np.ndarray) -> np.ndarray:
@@ -206,22 +196,6 @@ def _lowering(g: GraphSpec, word: Word):
         else (cup_pattern(g, word, i), _cup_word(word, i))
         for i in range(1, len(word))
     ]
-
-
-def _word_groups(g: GraphSpec, word: Word):
-    """The word's groups (d, numbers) of gradings of equal nonzero
-    dimension (_dimension_groups), and the group_of and row_of maps of a
-    _WordBases with one _BasisGroup per group, all read-only."""
-    groups = list(_dimension_groups(g, word))
-    group_of = np.full(len(g.vertices) ** 2, -1, dtype=np.int64)
-    row_of = np.zeros(len(g.vertices) ** 2, dtype=np.int64)
-    for k, (_, numbers) in enumerate(groups):
-        group_of[numbers] = k
-        row_of[numbers] = np.arange(len(numbers))
-        numbers.setflags(write=False)
-    for a in (group_of, row_of):
-        a.setflags(write=False)
-    return groups, group_of, row_of
 
 
 def _check_finite(g: GraphSpec, word: Word, slots, vector: np.ndarray) -> None:
@@ -319,27 +293,32 @@ def _kernels(entries, tops: np.ndarray, lens, d: int, dtype: np.dtype):
 @cached_on
 def _word_kernels(cells: CellSystem, g: GraphSpec, word: Word) -> _WordBases:
     """The generation-0 bases of every grading of a word on g, kept on
-    the cell system: the raw joint kernels (_kernels), one call per
-    group, their blocks cut at the group's largest kernel.  Each slot's
-    entries are one gather over all of the word's groups
-    (_lowering_entries), split by group.  A non-finite lowering entry
-    raises DecompositionError (_check_finite)."""
+    the cell system: the raw joint kernels (_kernels), one call and one
+    pool per dimension group, their blocks cut at the group's largest
+    kernel.  Each slot's entries are one gather over all of the word's
+    groups (_lowering_entries), split by group.  A non-finite lowering
+    entry raises DecompositionError (_check_finite)."""
     slots = [p for p, _ in _lowering(g, word)]
     _check_finite(g, word, slots, cells.vector)
-    groups, group_of, row_of = _word_groups(g, word)
+    groups = list(_dimension_groups(g, word))
     entries, tops = _lowering_entries([(numbers, slots) for _, numbers in groups], cells)
+    pool_of = np.full(len(g.vertices) ** 2, -1, dtype=np.int64)
+    row_of = np.zeros_like(pool_of)
     kernels, r0 = [], 0
     for k, (d, numbers) in enumerate(groups):
         mine, r1 = [e.part(k) for e in entries], r0 + len(numbers)
         basis, gens, kernel = _kernels(mine, tops[:, r0:r1], [len(numbers)], d, cells.dtype)
         r0 = r1
+        pool_of[numbers], row_of[numbers] = k, np.arange(len(numbers))
         top = kernel.max()
         basis, gens = basis[:, :, :top].copy(), gens[:, :top].copy()
         failed = np.zeros(len(numbers), dtype=bool)
-        for a in (basis, gens, kernel, failed):
+        for a in (numbers, basis, gens, kernel, failed):
             a.setflags(write=False)
         kernels.append(_BasisGroup(numbers, basis, gens, kernel, kernel, failed))
-    return _WordBases(tuple(kernels), group_of, row_of)
+    for a in (pool_of, row_of):
+        a.setflags(write=False)
+    return _WordBases(tuple(kernels), pool_of, row_of)
 
 
 @dataclass(frozen=True)
@@ -439,8 +418,8 @@ def essential_dims(g: GraphSpec, cells: CellSystem, tp: Tuple[int, int]) -> Esse
     total = np.zeros((n, n), dtype=np.int64)
     for word in words_of_type(alpha, beta):
         m = np.zeros(n * n, dtype=np.int64)  # by grading number
-        for grp in _word_kernels(cells, g, word).groups:
-            m[grp.numbers] = grp.kernel
+        for pool in _word_kernels(cells, g, word).pools:
+            m[pool.numbers] = pool.kernel
         m = m.reshape(n, n)
         per_word[word_str(word)] = m
         total += m
@@ -474,12 +453,12 @@ def essential_dims(g: GraphSpec, cells: CellSystem, tp: Tuple[int, int]) -> Esse
 # gather per slot over all of the batch's groups.  Every lowering column
 # holds at most one entry, so each raising candidate C^H s is a
 # gathered and scaled row of the source basis, read at the same entries
-# that stacked the kernels' blocks.  A source word's groups are rows of
-# the raising batches they came from (_BasisGroup.origin), so the
-# candidates read the source bases a batch (pool) at a time.  One
-# stable sort orders the candidates of every grading of the batch, and
-# they are gathered a slot and a source pool at a time straight into
-# that order (_candidates).  One Gram-Schmidt loop runs with one accept
+# that stacked the kernels' blocks.  A word's bases are an index into
+# the raising batches that made them, its pools (_WordBases): the words
+# of one length share that length's batches.  One stable sort orders
+# the candidates of every grading of the batch, and they are gathered a
+# slot and a source pool at a time straight into that order
+# (_candidates).  One Gram-Schmidt loop runs with one accept
 # mask per grading.  The padding changes no candidate or projection and
 # the rows are independent, so a grading's basis does not depend on its
 # batch.
@@ -523,8 +502,9 @@ class Decomposer:
     slot order, the source basis in its order within a slot, then sorted
     stably by generation.
 
-    The bases are built from the words' kernels and kept per word; the
-    kernels are not kept on the cell system.  A word's sources (its
+    The bases are built from the words' kernels and kept per word, as an
+    index into the batches that raised them (_WordBases); the kernels
+    are not kept on the cell system.  A word's sources (its
     collapsed and cup words) are shorter and are built first;
     _raise_words then raises the words of one length together, per
     dimension, one bounded batch at a time, with one SVD per stack
@@ -555,9 +535,12 @@ class Decomposer:
 
     def _raise_words(self, words, check=None, keep: bool = True) -> None:
         """Build the bases of words of one length, none of them built yet,
-        a batch at a time (_raise_batch), and keep them.  check(batch,
-        raised), when given, sees each batch as soon as it is raised;
-        with keep false nothing is kept."""
+        a batch at a time (_raise_batch), and keep them: the batches are
+        the words' pools, and each batch's rows are written into its
+        words' indexes as it is raised.  check(batch, raised), when given,
+        sees each batch as soon as it is raised; with keep false nothing
+        is kept."""
+        size = len(self.g.vertices) ** 2
         kept, todo, found = [], {}, {}
         for w, word in enumerate(words):
             lowering = _lowering(self.g, word)
@@ -568,27 +551,25 @@ class Decomposer:
             bases = [self._word(src) for _, src in lowering]
             at = [found.setdefault(src, (len(found), b))[0] for (_, src), b in zip(lowering, bases)]
             # per grading, its candidates: the source bases' sizes
-            groups, group_of, row_of = _word_groups(self.g, word)
-            width = sum((b.sizes() for b in bases), np.zeros_like(group_of))
-            kept.append((word, group_of, row_of, [None] * len(groups)))
-            for k, (d, numbers) in enumerate(groups):
+            width = sum((b.sizes() for b in bases), np.zeros(size, dtype=np.int64))
+            kept.append((word, np.full(size, -1, dtype=np.int64), np.zeros(size, dtype=np.int64)))
+            for k, (d, numbers) in enumerate(_dimension_groups(self.g, word)):
                 item = ((w, k), numbers, (slots, at), int(width[numbers].max()))
                 todo.setdefault(d, []).append(item)
-        # the pools of the source words' groups in one list, and per source
-        # word and grading number the grading's pool there (-1 for
-        # dimension 0) and its row in it
-        pools = {}
-        place = np.empty((len(found), len(self.g.vertices) ** 2), dtype=np.int64)
+        # the source words' pools in one list, pools that words share once,
+        # and per source word and grading number the grading's pool's place
+        # in the list (-1 for dimension 0) and its row in that pool
+        pools, first = [], {}
+        place = np.empty((len(found), size), dtype=np.int64)
         row = np.empty_like(place)
         for j, (_, b) in enumerate(found.values()):
-            # per group, its pool's place and its first row there; the
-            # last entries serve group_of -1
-            origin = [grp.origin() for grp in b.groups]
-            k = np.array([pools.setdefault(pool, len(pools)) for pool, _ in origin] + [-1])
-            start = np.array([start for _, start in origin] + [0])
-            place[j] = k[b.group_of]
-            row[j] = start[b.group_of] + b.row_of
-        sources = (list(pools), place, row)
+            if id(b.pools) not in first:
+                first[id(b.pools)] = len(pools)
+                pools += b.pools
+            place[j] = np.where(b.pool_of < 0, -1, b.pool_of + first[id(b.pools)])
+            row[j] = b.row_of
+        sources = (pools, place, row)
+        made = []
         for d, items in todo.items():
             items.sort(key=lambda item: -item[-1])  # widest first, see _raise_batch
             for batch in _batches(items, d, self.cells.dtype.itemsize):
@@ -597,12 +578,15 @@ class Decomposer:
                     check(batch, raised)
                 if keep:
                     r0 = 0
-                    for (w, k), numbers, *_ in batch:
-                        kept[w][-1][k] = raised.rows(r0, r0 + len(numbers))
+                    for (w, _), numbers, *_ in batch:
+                        kept[w][1][numbers] = len(made)
+                        kept[w][2][numbers] = np.arange(r0, r0 + len(numbers))
                         r0 += len(numbers)
+                    made.append(raised)
         if keep:
-            for word, group_of, row_of, groups in kept:
-                self._memo[word] = _WordBases(tuple(groups), group_of, row_of)
+            made = tuple(made)
+            for word, pool_of, row_of in kept:
+                self._memo[word] = _WordBases(made, pool_of, row_of)
 
 
 def _batches(items, d: int, itemsize: int):
@@ -626,9 +610,10 @@ def _candidates(batch, d: int, cells: CellSystem, sources):
     stack shape of the batch), and the raising candidates of its
     gradings in the order they are tried.  An item's places name its
     source words, per slot, by their place in sources (pools, place,
-    row): the raised batches (pools) that the source words' groups are
-    rows of, and per source word and grading number the grading's pool
-    (-1 for dimension 0) and its row there.
+    row), which _raise_words reads off the source words' indexes
+    (_WordBases): the pools of all of the source words, and per source
+    word and grading number the grading's pool there (-1 for dimension
+    0) and its row in it.
 
     Candidate (slot i, source column c) has the source vector's
     generation plus one, a padded one _DEAD.  One stable sort of the
@@ -699,9 +684,10 @@ def _candidates(batch, d: int, cells: CellSystem, sources):
 def _raise_batch(batch, d: int, cells: CellSystem, sources) -> _BasisGroup:
     """The bases of a batch of dimension-d groups (see Decomposer) on the
     cells, in their dtype, from their kernels and raising candidates
-    (_candidates) up: one _BasisGroup that holds the groups' gradings
-    one after another, in batch order.  The groups come widest first, so those with
-    a candidate j are a prefix."""
+    (_candidates) up: one _BasisGroup, a pool of the batch's words, that
+    holds the groups' gradings one after another, in batch order.  The
+    groups come widest first, so those with a candidate j are a
+    prefix."""
     starts = np.cumsum([0] + [len(numbers) for _, numbers, *_ in batch]).tolist()
     widths = [w for *_, w in batch]
     n, width = starts[-1], widths[0]

@@ -187,6 +187,70 @@ def test_cells_solve_verify_roundtrip(tmp_path):
     assert v.status == 0 and v.payload["passed"] is True
 
 
+def test_cells_solve_failure_lists_the_error_and_exits_1(tmp_path):
+    """A directed 2-cycle with kappa 4 is a valid graph with no triangles:
+    cells solve reports the solver's error itself."""
+    gf = tmp_path / "two.json"
+    gf.write_text(
+        json.dumps(
+            {
+                "name": "two",
+                "kappa": 4,
+                "vertices": [{"id": "1", "tri": None}, {"id": "2", "tri": None}],
+                "sigma_edges": [["1", "2"], ["2", "1"]],
+            }
+        )
+    )
+    r = run("cells", "solve", "--graph-file", str(gf))
+    assert r.status == 1
+    assert r.text == "cell solve failed for two: graph 'two' has no triangles"
+    j = run("cells", "solve", "--graph-file", str(gf), "--json")
+    assert j.status == 1
+    assert j.payload == {"error": "graph 'two' has no triangles", "residuals": {}}
+
+
+def test_essential_dims_lists_each_mismatch(tmp_path):
+    """On all-zero a2 cells every kernel is the whole graded space, so
+    type (2,0) disagrees with the module action: the listing exits 1 and
+    names each mismatching entry, and the csv rows carry the same
+    counts."""
+    g = get_graph("a2")
+    p = tmp_path / "zero.json"
+    save_cells(cell_system(g, {t: 0.0 for t in enumerate_triangles(g)}), str(p))
+    r = run("essential", "a2", "--type", "2,0", "--cells", str(p))
+    assert r.status == 1
+    lines = r.text.splitlines()
+    at = lines.index("MISMATCH in 9 entries (word, from, to, essential, predicted):")
+    assert lines[at + 1 :] == [
+        "  ss 1 -> 3b: 1 vs 0",
+        "  ss 3b -> 6b: 1 vs 0",
+        "  ss 3b -> 3: 2 vs 1",
+        "  ss 6b -> 8: 1 vs 0",
+        "  ss 3 -> 1: 1 vs 0",
+        "  ss 3 -> 8: 2 vs 1",
+        "  ss 8 -> 3b: 2 vs 1",
+        "  ss 8 -> 6: 1 vs 0",
+        "  ss 6 -> 3: 1 vs 0",
+    ]
+    csv = run("essential", "a2", "--type", "2,0", "--cells", str(p), "--format", "csv")
+    assert csv.status == 1
+    assert csv.text.splitlines() == [
+        "word,from,to,essential,predicted",
+        "ss,1,3b,1,0",
+        "ss,1,6,1,1",
+        "ss,3b,6b,1,0",
+        "ss,3b,3,2,1",
+        "ss,6b,1,1,1",
+        "ss,6b,8,1,0",
+        "ss,3,1,1,0",
+        "ss,3,8,2,1",
+        "ss,8,3b,2,1",
+        "ss,8,6,1,0",
+        "ss,6,6b,1,1",
+        "ss,6,3,1,0",
+    ]
+
+
 def test_cells_verify_flags_zeros(tmp_path):
     g = get_graph("a2")
     rows = [

@@ -297,6 +297,50 @@ def test_nan_fails_the_decomposition_sweep_naming_the_grading(e5, e5_cells, monk
         verify_decomposition(e5, e5_cells, max_len=3)
 
 
+def test_dead_raising_images_fail_both_sweeps_on_the_same_gradings(a2, a2_cells, monkeypatch):
+    """Scaled by 1e-13, a2's cells put every raising image below LIVE_TOL,
+    so only the kernels fill the graded spaces.  verify_decomposition
+    counts the gradings whose accounting breaks, and decompose_space
+    raises DecompositionError on exactly those, with the report of the
+    failed split attached."""
+    from su3paths import essential
+
+    tiny = cell_system(a2, {t: v * 1e-13 for t, v in a2_cells.items})
+    raise_words, swept = essential.Decomposer._raise_words, set()
+
+    def recorded(self, words, check=None, keep=True):
+        def seen(batch, raised):
+            r0 = 0
+            for (w, _), numbers, *_ in batch:
+                rows = numbers[raised.failed[r0 : r0 + len(numbers)]]
+                swept.update(str(_grading_at(a2, words[w], s)) for s in rows.tolist())
+                r0 += len(numbers)
+            check(batch, raised)
+
+        return raise_words(self, words, seen, keep)
+
+    monkeypatch.setattr(essential.Decomposer, "_raise_words", recorded)
+    rep = verify_decomposition(a2, tiny, max_len=3)
+    monkeypatch.undo()
+    assert rep["failures"] == len(swept) == 54
+    dec, raised = Decomposer(a2, tiny), {}
+    for grading in iter_gradings(a2, 3):
+        try:
+            decompose_space(a2, tiny, grading, dec)
+        except DecompositionError as exc:
+            report = exc.report
+            assert report.grading == grading
+            assert str(exc) == (
+                f"{grading}: kernel {report.dim_kernel} + raised {report.dim_raised} "
+                f"!= dim {report.dim_total}"
+            )
+            raised[str(grading)] = exc
+    assert raised.keys() == swept
+    first = raised["1->3b:ss"]
+    assert str(first) == "1->3b:ss: kernel 0 + raised 0 != dim 1"
+    assert first.report.dim_total == 1 and first.report.raised_dims == ()
+
+
 def test_nan_residuals_in_one_batch_name_the_first_grading_in_word_order(e5, e5_cells, monkeypatch):
     """A raising batch holds its groups widest first, which need not be
     _words order.  Of two gradings of different words in one batch with
@@ -439,6 +483,20 @@ def test_decomposition_matches_grading_oracle(name, max_len, cells_kind):
         assert gap.max(initial=0.0) <= 1e-12, str(grading)
 
 
+def _by_grading(bases, size: int, fields):
+    """Per grading number s of nonzero dimension on a word, (s, then the
+    fields of its row in its pool), read through the word's index; the
+    row must belong to grading s."""
+    rows = []
+    for s in range(size):
+        found = bases.find(s)
+        if found is not None:
+            pool, r = found
+            assert pool.numbers[r] == s
+            rows.append((s, *(getattr(pool, field)[r] for field in fields)))
+    return rows
+
+
 BATCH_CASES = [
     (name, max_len, kind)
     for name, max_len in [("a2", 4), ("a3", 3), ("a4", 3), ("a5", 3), ("e5", 4)]
@@ -456,7 +514,7 @@ def test_length_batches_build_the_word_by_word_bases(name, max_len, cells_kind, 
     there are fewer SVD calls than groups with a lowering slot; and each
     slot's lowering entries are one gather over the batch's groups."""
     from su3paths import essential
-    from su3paths.paths import _words
+    from su3paths.paths import _dimension_groups, _words
 
     if cells_kind == "solved":
         g = build_a_graph(int(name[2:]))
@@ -494,7 +552,7 @@ def test_length_batches_build_the_word_by_word_bases(name, max_len, cells_kind, 
     monkeypatch.setattr(essential.np.linalg, "svd", counted)
     monkeypatch.setattr(essential, "_gather", gathered)
     # groups whose words have a slot, whose kernels take an SVD
-    groups = sum(len(alone._memo[word].groups) for word in words if len(word) > 1)
+    groups = sum(len(list(_dimension_groups(g, word))) for word in words if len(word) > 1)
     # -1 is below every batch's size, so each group is a batch of its own
     for budget in (essential._BATCH_BYTES, -1):
         monkeypatch.setattr(essential, "_BATCH_BYTES", budget)
@@ -507,12 +565,13 @@ def test_length_batches_build_the_word_by_word_bases(name, max_len, cells_kind, 
         assert len(svds) < groups if budget > 0 else len(svds) >= groups
         assert len(gathers) <= sum(slots)
         assert sum(gathers) == sum(s * k for s, k in zip(sizes, slots))
+        fields, size = ("basis", "gens", "count", "failed"), len(g.vertices) ** 2
         for word in words:
-            ours, ref = dec._memo[word].groups, alone._memo[word].groups
+            ours, ref = (_by_grading(built._memo[word], size, fields) for built in (dec, alone))
             assert len(ours) == len(ref)
             for a, b in zip(ours, ref):
-                for field in ("numbers", "basis", "gens", "count", "failed"):
-                    assert np.array_equal(getattr(a, field), getattr(b, field)), (word, field)
+                for field, x, y in zip(("number",) + fields, a, b):
+                    assert np.array_equal(x, y), (word, field)
 
 
 @pytest.mark.parametrize("name", ["a2", "a3", "a4", "a5", "e5"])
@@ -549,7 +608,7 @@ def test_real_cells_take_real_arithmetic_with_the_complex_answers(name, monkeypa
         for size, _, _, *nbytes in batches:
             assert size == 1 or max(nbytes) <= essential._BATCH_BYTES
         bases = {
-            word: [(grp.numbers, grp.gens, grp.count, grp.failed) for grp in dec._memo[word].groups]
+            word: _by_grading(dec._memo[word], len(g.vertices) ** 2, ("gens", "count", "failed"))
             for word in words
         }
         dims = {

@@ -208,7 +208,7 @@ def test_word_kernels_die_with_their_cells():
         assert cells._memo
         sizes.append(len(g._memo))
     assert sizes == [sizes[0]] * len(sizes)
-    kernels = [weakref.ref(grp.basis) for entry in cells._memo.values() for grp in entry.groups]
+    kernels = [weakref.ref(pool.basis) for entry in cells._memo.values() for pool in entry.pools]
     dropped = weakref.ref(cells)
     del cells
     gc.collect()
